@@ -347,22 +347,6 @@ class Polynomial:
             total = total + poly * x ** d
         return total
 
-    def dense_univariate(self, name: str) -> list:
-        """Dense integer coefficient list (ascending degree); requires a
-        univariate polynomial in ``name`` (or a constant)."""
-        extra = [v for v in self.vars if v != name]
-        if extra:
-            raise AlgebraError(f"not univariate in {name}: extra {extra}")
-        if self.is_zero:
-            return []
-        if self.vars == ():
-            return [self.constant_value()]
-        n = self.degree_in(name)
-        out = [0] * (n + 1)
-        for exps, coeff in self.terms.items():
-            out[exps[0]] = coeff
-        return out
-
     def __str__(self) -> str:
         return poly_to_str(self)
 

@@ -9,8 +9,12 @@ c = (w,z), d = (z,u):
 * shear: the new diagonal gets 1/e, the side pair {a, c} is scaled by
   (1+e) and the pair {b, d} by e/(1+e), where e is the old diagonal label.
 
-The side-pair assignment for shear is the one validated by the pentagon
-identity test; the mirrored assignment fails it (see check_pentagon).
+The side-pair assignment for shear is frozen by a fixture test.  The
+mirrored assignment (the pairs swapped) is conjugate to it under
+orientation reversal of the complex, so it satisfies the pentagon identity
+too (see check_pentagon); only a non-alternating assignment, scaling an
+adjacent side pair, fails it (see
+tests/test_coordinates.py::test_pentagon_detects_wrong_side_assignment).
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 """Exact planar predicates and Delaunay triangulations of rational points.
 
-All predicates are evaluated exactly over Fractions; no floating point
+All predicates are evaluated exactly, over Fractions or over integers (a
+point set scaled by the lcm of its denominators); no floating point
 enters any decision.  Triangulations are immutable values: geometric data
 (vertex coordinates) wraps a purely combinatorial oriented triangle
 complex that is reused by the kinetic layer.
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import Dict, Iterable, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 
@@ -251,9 +253,6 @@ class Triangulation:
     def edges(self) -> frozenset:
         return self.complex.edges()
 
-    def edge_adjacency(self) -> Dict[Tuple[int, int], Tuple[Tuple[int, int, int], ...]]:
-        return {e: self.complex.edge_triangles(e) for e in sorted(self.complex.edges())}
-
     def hull(self) -> Tuple[int, ...]:
         """Convex hull vertices in counterclockwise order."""
         cycle = self.complex.boundary_cycle()
@@ -337,8 +336,12 @@ def delaunay(points: Sequence[Tuple[int, Point]]) -> Triangulation:
     4-tuple) are rejected with the offending ids.
     """
     items = [(int(i), p) for i, p in points]
-    _validate_generic(items)
-    pts = {i: p for i, p in items}
+    # Scaled to integers once: orient and incircle signs are invariant
+    # under a positive uniform scaling, and integer predicates are cheap.
+    scale = lcm(*(c.denominator for _, p in items for c in p))
+    scaled = [(i, Point(*(c.numerator * (scale // c.denominator) for c in p))) for i, p in items]
+    _validate_generic(scaled)
+    pts = dict(scaled)
     ids = [i for i, _ in items]
 
     # seed with the first non-collinear triple
@@ -411,7 +414,7 @@ def delaunay(points: Sequence[Tuple[int, Point]]) -> Triangulation:
                 changed = True
                 break
 
-    return Triangulation(pts, EdgeComplex(triangles))
+    return Triangulation(dict(items), EdgeComplex(triangles))
 
 
 def quad_around(tri: Triangulation, edge: Tuple[int, int]) -> Tuple[int, int, int, int]:

@@ -14,6 +14,14 @@ as real roots of exact event polynomials (complete); ``bisect`` samples a
 grid and bisects intervals whose complexes differ (the simpler strategy,
 sound on well-separated events).  Select via the ``detector`` argument or
 the BRAIDSHEAR_DETECTOR environment variable.
+
+The event polynomials live in Z[u], u the tangent-half-angle parameter of
+one half-stage: with every position written over the common denominator
+D * (1 + u^2), each orient (far vertex plus three strands), incircle (four
+strands) and squared-distance (collision) determinant is an integer
+polynomial numerator.  Its factors 1 + u^2, which have no real roots, are
+divided out exactly and the primitive part is kept, so no rational
+arithmetic enters their construction.
 """
 
 from __future__ import annotations
@@ -21,10 +29,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from braidshear import roots
-from braidshear.algebra import RationalFunction, format_rational, parse_rational
+from braidshear.algebra import format_rational, parse_rational
 from braidshear.geometry import (
     DegenerateInputError,
     EdgeComplex,
@@ -37,7 +46,6 @@ FAR_VERTEX = 0
 
 DEFAULT_MIN_BRACKET = Fraction(1, 2 ** 20)
 DEFAULT_GRID = 64
-DENSE_ORACLE_RESOLUTION = 2 ** 14
 
 
 class KineticError(Exception):
@@ -198,83 +206,137 @@ def augmented_at(motion: Motion, stage: int, t: Fraction) -> EdgeComplex:
     return augment(delaunay(sorted(positions_at(motion, stage, t).items())))
 
 
-def finite_triangles(complex_: EdgeComplex) -> frozenset:
-    """Unoriented finite part (triangles not touching the far vertex)."""
-    return frozenset(
-        frozenset(t) for t in complex_.triangles if FAR_VERTEX not in t
-    )
+# -- event polynomials over Z[u] (sturm backend) ---------------------------
+#
+# On half-stage h every strand sits at (X(u), Y(u)) / (D * W) with
+# W = 1 + u^2, D the stage's common denominator and X, Y integer
+# polynomials of degree <= 2 (u = 2t on the first half, u = 2t - 1 on the
+# second).  Polynomials are dense int lists, ascending degree.
+
+_W = [1, 0, 1]
+# (cos, sin) numerators over W on each half of a half-turn
+_HALF_COS_SIN = (([1, 0, -1], [0, 2]), ([0, -2], [1, 0, -1]))
 
 
-# -- event polynomials (sturm backend) -----------------------------------
-
-
-def _position_functions(stage: Stage, half: int) -> Dict[int, Tuple[RationalFunction, RationalFunction]]:
-    u = RationalFunction.variable("u")
-    den = u * u + 1
-    if half == 0:
-        cos = (1 - u * u) / den
-        sin = (2 * u) / den
-    else:
-        cos = (-2 * u) / den
-        sin = (1 - u * u) / den
-    out = {}
-    for strand in stage.strands():
-        traj = stage.trajectories[strand]
-        if isinstance(traj, Stationary):
-            out[strand] = (
-                RationalFunction.constant(traj.point.x),
-                RationalFunction.constant(traj.point.y),
-            )
-        else:
-            rx = traj.start.x - traj.center.x
-            ry = traj.start.y - traj.center.y
-            s = sin * (traj.direction * traj.scale)
-            out[strand] = (
-                cos * rx - s * ry + traj.center.x,
-                cos * ry + s * rx + traj.center.y,
-            )
+def _padd(a: List[int], b: List[int]) -> List[int]:
+    if len(a) < len(b):
+        a, b = b, a
+    out = a[:]
+    for i, c in enumerate(b):
+        out[i] += c
     return out
 
 
-def _orient_rf(p, q, r) -> RationalFunction:
-    return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
+def _psub(a: List[int], b: List[int]) -> List[int]:
+    return _padd(a, [-c for c in b])
 
 
-def _incircle_rf(p, q, r, s) -> RationalFunction:
-    ax, ay = p[0] - s[0], p[1] - s[1]
-    bx, by = q[0] - s[0], q[1] - s[1]
-    cx, cy = r[0] - s[0], r[1] - s[1]
-    a2 = ax * ax + ay * ay
-    b2 = bx * bx + by * by
-    c2 = cx * cx + cy * cy
-    return (
-        a2 * (bx * cy - by * cx)
-        - b2 * (ax * cy - ay * cx)
-        + c2 * (ax * by - ay * bx)
-    )
+def _pmul(a: List[int], b: List[int]) -> List[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
 
 
-def _dense_in_u(f: RationalFunction) -> List[Fraction]:
-    return [Fraction(c) for c in f.num.dense_univariate("u")]
+def _pscale(a: List[int], k: int) -> List[int]:
+    return [k * c for c in a]
 
 
-def _compose_linear(coeffs: Sequence[Fraction], a: Fraction, b: Fraction) -> List[Fraction]:
+def _trim(a: List[int]) -> List[int]:
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _strip_w(a: List[int]) -> List[int]:
+    """Primitive part of ``a`` with every factor 1 + u^2 divided out; the
+    result has the real roots of ``a`` (``[]`` for the zero polynomial)."""
+    a = _trim(a)
+    while len(a) >= 3:
+        q = a[:-2]
+        for i in range(2, len(q)):
+            q[i] -= q[i - 2]
+        m = len(q)
+        if a[m] != (q[m - 2] if m >= 2 else 0) or a[m + 1] != q[m - 1]:
+            break
+        a = q
+    g = gcd(*a)
+    return [c // g for c in a] if g > 1 else a
+
+
+def _compose_linear(coeffs: List[int], a: int, b: int) -> List[int]:
     """Coefficients of p(a*t + b) from those of p(u)."""
-    out: List[Fraction] = []
-    for c in reversed(list(coeffs)):
+    out: List[int] = []
+    for c in reversed(coeffs):
         # out = out * (a*t + b) + c
-        nxt = [Fraction(0)] * (len(out) + 1)
+        nxt = [0] * (len(out) + 1)
         for i, x in enumerate(out):
             nxt[i] += x * b
             nxt[i + 1] += x * a
-        nxt[0] += Fraction(c)
-        while nxt and nxt[-1] == 0:
-            nxt.pop()
+        nxt[0] += c
         out = nxt
+    return _trim(out)
+
+
+def _homogeneous_positions(stage: Stage, half: int) -> Dict[int, Tuple[List[int], List[int]]]:
+    """Integer numerators (X, Y) of every strand's position over D * W."""
+    cos, sin = _HALF_COS_SIN[half]
+    strands = stage.strands()
+    trajs = [stage.trajectories[s] for s in strands]
+    arcs = [t for t in trajs if isinstance(t, Arc)]
+    points = [t.point for t in trajs if isinstance(t, Stationary)]
+    points += [p for a in arcs for p in (a.center, a.start)]
+    scale_den = lcm(*(a.scale.denominator for a in arcs))
+    den = lcm(*(c.denominator for p in points for c in p)) * scale_den
+
+    def scaled(c) -> int:
+        return c.numerator * (den // c.denominator)
+
+    out = {}
+    for strand, traj in zip(strands, trajs):
+        if isinstance(traj, Stationary):
+            out[strand] = (_pscale(_W, scaled(traj.point.x)), _pscale(_W, scaled(traj.point.y)))
+            continue
+        cx, cy = scaled(traj.center.x), scaled(traj.center.y)
+        rx, ry = scaled(traj.start.x) - cx, scaled(traj.start.y) - cy
+        # direction * scale * (rx, ry); exact, as scale_den divides rx and ry
+        k = traj.direction * traj.scale.numerator
+        sx, sy = k * rx // traj.scale.denominator, k * ry // traj.scale.denominator
+        out[strand] = (
+            _padd(_padd(_pscale(_W, cx), _pscale(cos, rx)), _pscale(sin, -sy)),
+            _padd(_padd(_pscale(_W, cy), _pscale(cos, ry)), _pscale(sin, sx)),
+        )
     return out
 
 
-def _stage_event_polys(motion: Motion, stage_idx: int) -> List[Tuple[List[Fraction], Fraction, Fraction]]:
+def _orient_num(p, q, r) -> List[int]:
+    return _psub(
+        _pmul(_psub(q[0], p[0]), _psub(r[1], p[1])),
+        _pmul(_psub(q[1], p[1]), _psub(r[0], p[0])),
+    )
+
+
+def _incircle_num(p, q, r, s) -> List[int]:
+    ax, ay = _psub(p[0], s[0]), _psub(p[1], s[1])
+    bx, by = _psub(q[0], s[0]), _psub(q[1], s[1])
+    cx, cy = _psub(r[0], s[0]), _psub(r[1], s[1])
+    a2 = _padd(_pmul(ax, ax), _pmul(ay, ay))
+    b2 = _padd(_pmul(bx, bx), _pmul(by, by))
+    c2 = _padd(_pmul(cx, cx), _pmul(cy, cy))
+    return _padd(
+        _psub(
+            _pmul(a2, _psub(_pmul(bx, cy), _pmul(by, cx))),
+            _pmul(b2, _psub(_pmul(ax, cy), _pmul(ay, cx))),
+        ),
+        _pmul(c2, _psub(_pmul(ax, by), _pmul(ay, bx))),
+    )
+
+
+def _stage_event_polys(motion: Motion, stage_idx: int) -> List[Tuple[List[int], Fraction, Fraction]]:
     """Event polynomials in stage-local time with their domains.
 
     One polynomial per 4-subset of {far} + strands (with at least one
@@ -288,46 +350,52 @@ def _stage_event_polys(motion: Motion, stage_idx: int) -> List[Tuple[List[Fracti
     polys = []
     ids = [FAR_VERTEX] + list(stage.strands())
     for half, (d_lo, d_hi) in enumerate([(Fraction(0), Fraction(1, 2)), (Fraction(1, 2), Fraction(1))]):
-        funcs = _position_functions(stage, half)
+        pos = _homogeneous_positions(stage, half)
         for subset in combinations(ids, 4):
             finite = [s for s in subset if s != FAR_VERTEX]
             if not (set(finite) & movers):
                 continue
             if FAR_VERTEX in subset:
-                det = _orient_rf(*(funcs[s] for s in finite))
+                det = _orient_num(*(pos[s] for s in finite))
             else:
-                det = _incircle_rf(*(funcs[s] for s in finite))
-            coeffs = _dense_in_u(det)
+                det = _incircle_num(*(pos[s] for s in finite))
+            coeffs = _strip_w(det)
             if not coeffs:
                 raise DegeneracyError(
                     f"stage {stage_idx}: subset {subset} degenerate throughout"
                 )
             if len(coeffs) == 1:
                 continue  # constant sign, no events
-            a = Fraction(2)
-            b = Fraction(0) if half == 0 else Fraction(-1)
-            # u = a*t + b maps the half's time range onto [0, 1]
-            polys.append((_compose_linear(coeffs, a, b), d_lo, d_hi))
+            # u = 2t - half maps the half's time range onto [0, 1]
+            polys.append((_compose_linear(coeffs, 2, -half), d_lo, d_hi))
     return polys
 
 
-def _check_collisions(motion: Motion, stage_idx: int) -> None:
+def _collision_polys(motion: Motion, stage_idx: int) -> List[Tuple[int, int, List[int]]]:
+    """Squared distances in u, ``(i, j, coeffs)`` per half-stage and strand
+    pair with a moving member."""
     stage = motion.stages[stage_idx]
     movers = set(stage.movers())
+    out = []
     if not movers:
-        return
+        return out
     for half in (0, 1):
-        funcs = _position_functions(stage, half)
+        pos = _homogeneous_positions(stage, half)
         for i, j in combinations(stage.strands(), 2):
             if i not in movers and j not in movers:
                 continue
-            dx = funcs[i][0] - funcs[j][0]
-            dy = funcs[i][1] - funcs[j][1]
-            coeffs = _dense_in_u(dx * dx + dy * dy)
-            if not coeffs:
-                raise CollisionError(f"strands {i} and {j} coincide throughout stage {stage_idx}")
-            if roots.count_roots_closed(coeffs, Fraction(0), Fraction(1)) > 0:
-                raise CollisionError(f"strands {i} and {j} collide during stage {stage_idx}")
+            dx = _psub(pos[i][0], pos[j][0])
+            dy = _psub(pos[i][1], pos[j][1])
+            out.append((i, j, _strip_w(_padd(_pmul(dx, dx), _pmul(dy, dy)))))
+    return out
+
+
+def _check_collisions(motion: Motion, stage_idx: int) -> None:
+    for i, j, coeffs in _collision_polys(motion, stage_idx):
+        if not coeffs:
+            raise CollisionError(f"strands {i} and {j} coincide throughout stage {stage_idx}")
+        if roots.count_roots_closed(coeffs, Fraction(0), Fraction(1)) > 0:
+            raise CollisionError(f"strands {i} and {j} collide during stage {stage_idx}")
 
 
 class _Wall:

@@ -4,7 +4,9 @@ from fractions import Fraction
 from itertools import combinations
 import random
 
+from braidshear.algebra import RationalFunction
 from braidshear.geometry import Point, Triangulation, incircle, orient
+from braidshear.kinetic import FAR_VERTEX, DegeneracyError, Stationary
 
 
 def brute_force_delaunay_triangles(points):
@@ -43,11 +45,11 @@ def random_generic_points(rng: random.Random, n: int, span: int = 40):
                     used.add(p)
                     break
             pts.append((i, p))
-        if _is_generic(pts):
+        if is_generic(pts):
             return pts
 
 
-def _is_generic(points):
+def is_generic(points):
     pts = dict(points)
     ids = sorted(pts)
     if all(orient(pts[ids[0]], pts[ids[1]], pts[k]) == 0 for k in ids[2:]):
@@ -75,3 +77,133 @@ def empty_circumcircle_holds(tri: Triangulation) -> bool:
             if incircle(pts[a], pts[b], pts[c], pts[d]) >= 0:
                 return False
     return True
+
+
+# -- event polynomials through the multivariate rational-function engine --
+#
+# The kinetic layer builds its event polynomials over Z[u]; these build the
+# same polynomials as rational functions of u, independently, to check them
+# against.  Each returns Fraction coefficient lists (ascending degree).
+
+
+def _position_functions(stage, half):
+    u = RationalFunction.variable("u")
+    den = u * u + 1
+    if half == 0:
+        cos = (1 - u * u) / den
+        sin = (2 * u) / den
+    else:
+        cos = (-2 * u) / den
+        sin = (1 - u * u) / den
+    out = {}
+    for strand in stage.strands():
+        traj = stage.trajectories[strand]
+        if isinstance(traj, Stationary):
+            out[strand] = (
+                RationalFunction.constant(traj.point.x),
+                RationalFunction.constant(traj.point.y),
+            )
+        else:
+            rx = traj.start.x - traj.center.x
+            ry = traj.start.y - traj.center.y
+            s = sin * (traj.direction * traj.scale)
+            out[strand] = (
+                cos * rx - s * ry + traj.center.x,
+                cos * ry + s * rx + traj.center.y,
+            )
+    return out
+
+
+def _orient_rf(p, q, r):
+    return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
+
+
+def _incircle_rf(p, q, r, s):
+    ax, ay = p[0] - s[0], p[1] - s[1]
+    bx, by = q[0] - s[0], q[1] - s[1]
+    cx, cy = r[0] - s[0], r[1] - s[1]
+    a2 = ax * ax + ay * ay
+    b2 = bx * bx + by * by
+    c2 = cx * cx + cy * cy
+    return (
+        a2 * (bx * cy - by * cx)
+        - b2 * (ax * cy - ay * cx)
+        + c2 * (ax * by - ay * bx)
+    )
+
+
+def _dense_in_u(f):
+    """Numerator of a rational function of u as a dense coefficient list."""
+    num = f.num
+    if num.is_zero:
+        return []
+    out = [Fraction(0)] * (num.total_degree() + 1)
+    for exps, coeff in num.terms.items():
+        out[exps[0] if exps else 0] = Fraction(coeff)
+    return out
+
+
+def _compose_linear(coeffs, a, b):
+    """Coefficients of p(a*t + b) from those of p(u)."""
+    out = []
+    for c in reversed(list(coeffs)):
+        # out = out * (a*t + b) + c
+        nxt = [Fraction(0)] * (len(out) + 1)
+        for i, x in enumerate(out):
+            nxt[i] += x * b
+            nxt[i + 1] += x * a
+        nxt[0] += Fraction(c)
+        while nxt and nxt[-1] == 0:
+            nxt.pop()
+        out = nxt
+    return out
+
+
+def rf_stage_event_polys(motion, stage_idx):
+    """Event polynomials of one stage in stage-local time with their
+    domains, in the kinetic layer's order (half-stage, then 4-subset of
+    {far} + strands with a moving member); constant ones are skipped."""
+    stage = motion.stages[stage_idx]
+    movers = set(stage.movers())
+    if not movers:
+        return []
+    polys = []
+    ids = [FAR_VERTEX] + list(stage.strands())
+    halves = [(Fraction(0), Fraction(1, 2)), (Fraction(1, 2), Fraction(1))]
+    for half, (d_lo, d_hi) in enumerate(halves):
+        funcs = _position_functions(stage, half)
+        for subset in combinations(ids, 4):
+            finite = [s for s in subset if s != FAR_VERTEX]
+            if not (set(finite) & movers):
+                continue
+            if FAR_VERTEX in subset:
+                det = _orient_rf(*(funcs[s] for s in finite))
+            else:
+                det = _incircle_rf(*(funcs[s] for s in finite))
+            coeffs = _dense_in_u(det)
+            if not coeffs:
+                raise DegeneracyError(f"stage {stage_idx}: subset {subset} degenerate")
+            if len(coeffs) == 1:
+                continue
+            b = Fraction(0) if half == 0 else Fraction(-1)
+            polys.append((_compose_linear(coeffs, Fraction(2), b), d_lo, d_hi))
+    return polys
+
+
+def rf_collision_polys(motion, stage_idx):
+    """Squared-distance numerators in u (one per half-stage and strand pair
+    with a moving member), as ``(half, i, j, coeffs)``."""
+    stage = motion.stages[stage_idx]
+    movers = set(stage.movers())
+    out = []
+    if not movers:
+        return out
+    for half in (0, 1):
+        funcs = _position_functions(stage, half)
+        for i, j in combinations(stage.strands(), 2):
+            if i not in movers and j not in movers:
+                continue
+            dx = funcs[i][0] - funcs[j][0]
+            dy = funcs[i][1] - funcs[j][1]
+            out.append((half, i, j, _dense_in_u(dx * dx + dy * dy)))
+    return out

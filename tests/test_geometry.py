@@ -20,6 +20,7 @@ from braidshear.geometry import (
 from oracles import (
     brute_force_delaunay_triangles,
     empty_circumcircle_holds,
+    is_generic,
     random_generic_points,
 )
 
@@ -149,6 +150,70 @@ def test_degenerate_inputs_rejected():
 
     with pytest.raises(DegenerateInputError):
         delaunay([(1, P(0, 0)), (2, P(1, 0))])
+
+
+# -- integer scaling inside delaunay ----------------------------------------
+
+
+def _nudged(rng, pts):
+    """Each coordinate moved by a random fraction with a ~2^40 denominator."""
+    def nudge(c):
+        return c + Fraction(rng.randint(-2 ** 20, 2 ** 20), 2 ** 40 - rng.randint(0, 2 ** 12))
+    return [(i, point(nudge(p.x), nudge(p.y))) for i, p in pts]
+
+
+def _assert_matches_oracle(pts):
+    tri = delaunay(pts)
+    assert tri.complex.triangle_sets() == brute_force_delaunay_triangles(pts)
+    assert tri.vertices == dict(pts)
+    assert all(type(c) is Fraction for p in tri.vertices.values() for c in p)
+
+
+def test_scaled_predicates_match_oracle_on_random_rationals():
+    rng = random.Random(7)
+    for _ in range(20):
+        _assert_matches_oracle(random_generic_points(rng, rng.randint(3, 8)))
+    for _ in range(20):
+        pts = _nudged(rng, random_generic_points(rng, rng.randint(3, 8)))
+        assert is_generic(pts)
+        _assert_matches_oracle(pts)
+
+
+def test_scaled_predicates_match_oracle_at_wall_times():
+    from braidshear.braid import SlotConfig, compile_motion, parse_braid
+    from braidshear.kinetic import positions_at
+
+    rng = random.Random(11)
+    motion, _ = compile_motion(parse_braid("s1 s2 s3 s4", n=5), SlotConfig(5))
+    for _ in range(20):
+        stage = rng.randrange(len(motion.stages))
+        t = Fraction(2 * rng.randrange(2 ** 20) + 1, 2 ** 21)  # as walls bisect to
+        pts = sorted(positions_at(motion, stage, t).items())
+        assert max(c.denominator for _, p in pts for c in p) > 2 ** 30
+        assert is_generic(pts)
+        _assert_matches_oracle(pts)
+
+
+def test_degenerate_inputs_keep_kind_and_ids_with_large_denominators():
+    # the unit-square cases of test_degenerate_inputs_rejected, shrunk and
+    # moved so that every coordinate has a ~2^40 denominator
+    s = Fraction(1, 3 * 2 ** 40 + 1)
+    o = point(Fraction(5, 2 ** 40 - 3), Fraction(-7, 2 ** 40 + 5))
+
+    def Q(i, x, y):
+        return (i, point(o.x + s * x, o.y + s * y))
+
+    cases = [
+        ([Q(1, 0, 0), Q(2, 0, 0), Q(3, 1, 1), Q(4, 2, 0)], "coincident-pair", (1, 2)),
+        ([Q(1, 0, 0), Q(2, 1, 1), Q(3, 2, 2), Q(4, 3, 3)], "collinear-set", (1, 2, 3, 4)),
+        ([Q(1, 0, 0), Q(2, 1, 0), Q(3, 1, 1), Q(4, 0, 1)], "cocircular-4", (1, 2, 3, 4)),
+        ([Q(5, 3, 1), Q(1, 0, 0), Q(2, 1, 0), Q(3, 1, 1), Q(4, 0, 1)], "cocircular-4", (1, 2, 3, 4)),
+        ([Q(1, 0, 0), Q(2, 1, 0)], "too-few-points", (1, 2)),
+    ]
+    for pts, kind, ids in cases:
+        with pytest.raises(DegenerateInputError) as e:
+            delaunay(pts)
+        assert (e.value.kind, e.value.ids) == (kind, ids)
 
 
 # -- quad_around / flip --------------------------------------------------

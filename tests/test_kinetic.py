@@ -379,6 +379,71 @@ def test_separate_walls_exact_marker_merges_with_matching_interval_root():
     assert separated[0].lo < half < separated[0].hi
 
 
+# -- integer event polynomials against the rational-function oracle -------
+
+
+def _proportional(a, b):
+    """a = c * b for a nonzero rational constant c."""
+    a = [Fraction(x) for x in a]
+    b = [Fraction(x) for x in b]
+    if len(a) != len(b):
+        return False
+    if not a:
+        return True
+    c = a[-1] / b[-1]
+    return c != 0 and all(x == c * y for x, y in zip(a, b))
+
+
+# word shapes of the benchmark workloads (n=5 Coxeter and n=6 far words,
+# n=4 full twists), each restricted to stages covering its distinct letters
+ORACLE_SHAPES = [
+    (5, "s3 s4 s2 s1", (0, 3)),
+    (6, "s3' s1' s5'", (1,)),
+    (4, "s2' s3' s2' s3' s2' s3'", (0, 1)),
+]
+
+
+@pytest.mark.parametrize("bulge", [Fraction(1), Fraction(1, 3), Fraction(5, 2)], ids=str)
+def test_event_polys_match_rational_function_oracle(bulge):
+    from braidshear.kinetic import _collision_polys, _stage_event_polys
+    from oracles import rf_collision_polys, rf_stage_event_polys
+
+    for n, text, stages in ORACLE_SHAPES:
+        motion, _ = compile_motion(parse_braid(text, n=n), SlotConfig(n).with_bulge(bulge))
+        for k in stages:
+            ints = _stage_event_polys(motion, k)
+            rfs = rf_stage_event_polys(motion, k)
+            assert len(ints) == len(rfs)
+            for (p, lo, hi), (q, rlo, rhi) in zip(ints, rfs):
+                assert all(type(c) is int for c in p)
+                assert (lo, hi) == (rlo, rhi)
+                assert _proportional(p, q)
+            coll = _collision_polys(motion, k)
+            rcoll = rf_collision_polys(motion, k)
+            assert [(i, j) for i, j, _ in coll] == [(i, j) for _, i, j, _ in rcoll]
+            for (_, _, p), (_, _, _, q) in zip(coll, rcoll):
+                assert _proportional(p, q)
+
+
+def test_strip_w_divides_out_every_root_free_factor():
+    from braidshear.kinetic import _pmul, _strip_w
+
+    w = [1, 0, 1]
+    core = [-6, 3, 0, 9]  # 3 (3u^3 + u - 2)
+    assert _strip_w(_pmul(_pmul(w, w), core)) == [-2, 1, 0, 3]
+    assert _strip_w(_pmul(w, [0, 0, 5])) == [0, 0, 1]
+    assert _strip_w([0, 0, 0]) == []
+    assert _strip_w([4, 0, 4]) == [1]
+
+
+def test_compose_linear_over_integers():
+    from braidshear.kinetic import _compose_linear
+
+    p = [1, -3, 2]  # (1 - u)(1 - 2u)
+    assert _compose_linear(p, 2, 0) == [1, -6, 8]
+    assert _compose_linear(p, 2, -1) == [6, -14, 8]  # (2 - 2t)(3 - 4t)
+
+
 # -- wire formats -----------------------------------------------------------
 
 

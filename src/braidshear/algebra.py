@@ -4,6 +4,24 @@ Values are immutable. Polynomials carry integer coefficients in a sparse
 exponent-vector representation; rational functions are kept in a unique
 canonical form (gcd-reduced, denominator leading coefficient positive under
 the graded-lexicographic monomial order), so equality is structural.
+
+The public constructor ``RationalFunction(num, den)`` is the full-reduction
+path: it divides arbitrary input by ``poly_gcd(num, den)``.  Arithmetic
+never takes that path.  Its operands are reduced, and reduced operands give
+a reduced result from gcds of the small operands alone (Henrici's
+cross-cancellation; Knuth, TAOCP vol. 2, 4.5.1):
+
+* ``(a/b)·(c/d) = ((a/g1)(c/g2)) / ((b/g2)(d/g1))`` with ``g1 = gcd(a, d)``
+  and ``g2 = gcd(c, b)``; division swaps ``c`` and ``d``;
+* ``a/b + c/d`` with ``g = gcd(b, d)``: ``(ad + cb)/(bd)`` if ``g = 1``,
+  else ``(t/g2) / ((b/g)(d/g2))`` with ``t = a(d/g) + c(b/g)`` and
+  ``g2 = gcd(t, g)``;
+* negation, inversion, powers and constants need no gcd at all.
+
+``poly_gcd`` returns the full gcd over Z, so these results are coprime
+with integer content included; only the sign is then normalized.  Z[x] is
+a unique factorization domain, so the result is the same canonical form
+the constructor would produce.
 """
 
 from __future__ import annotations
@@ -376,28 +394,37 @@ def _monomial_gcd(mono: Polynomial, other: Polynomial) -> Polynomial:
 
 
 def _uni_gcd_degree(a: list, b: list) -> int:
-    """Degree of gcd of two dense integer coefficient lists (over Q)."""
+    """Degree of gcd of two dense integer coefficient lists (over Q).
+
+    Primitive pseudo-remainder sequence over Z: each pseudo-remainder is a
+    nonzero multiple of the remainder over Q, so the degrees match.
+    """
 
     def strip(c):
         while c and c[-1] == 0:
             c.pop()
         return c
 
-    a = strip([Fraction(x) for x in a])
-    b = strip([Fraction(x) for x in b])
+    a = strip(list(a))
+    b = strip(list(b))
     if not a:
         return len(b) - 1
     if not b:
         return len(a) - 1
     while b:
-        # remainder of a by b
-        r = a[:]
-        while len(r) >= len(b) and r:
-            factor = r[-1] / b[-1]
+        # pseudo-remainder of a by b, made primitive
+        r = a
+        while len(r) >= len(b):
+            k = math.gcd(r[-1], b[-1])
+            lr, lb = r[-1] // k, b[-1] // k
             shift = len(r) - len(b)
+            r = [x * lb for x in r]
             for i, c in enumerate(b):
-                r[i + shift] -= factor * c
+                r[i + shift] -= lr * c
             strip(r)
+        if r:
+            k = math.gcd(*r)
+            r = [x // k for x in r]
         a, b = b, r
     return len(a) - 1
 
@@ -417,17 +444,13 @@ def _certified_coprime(f: Polynomial, g: Polynomial, common) -> bool:
     rng = random.Random(_GCD_SEED)
     names = sorted(set(f.vars) | set(g.vars), key=_name_key)
     for v in sorted(common, key=_name_key):
-        fv = f.coeffs_in(v)
-        gv = g.coeffs_in(v)
-        lead_f = fv[max(fv)]
-        lead_g = gv[max(gv)]
         done = False
         for _ in range(4):
             point = {w: rng.randrange(1, 1 << 16) for w in names if w != v}
-            if lead_f.evaluate(point) == 0 or lead_g.evaluate(point) == 0:
+            a = _int_image(f, v, point)
+            b = _int_image(g, v, point) if a is not None else None
+            if b is None:
                 continue
-            a = [int(poly.evaluate(point)) for poly in _dense_from(fv)]
-            b = [int(poly.evaluate(point)) for poly in _dense_from(gv)]
             if _uni_gcd_degree(a, b) != 0:
                 return False
             done = True
@@ -437,11 +460,20 @@ def _certified_coprime(f: Polynomial, g: Polynomial, common) -> bool:
     return True
 
 
-def _dense_from(coeffs: Mapping[int, Polynomial]) -> list:
-    out = [Polynomial.zero()] * (max(coeffs) + 1)
-    for d, poly in coeffs.items():
-        out[d] = poly
-    return out
+def _int_image(p: Polynomial, v: str, point: Mapping[str, int]) -> Optional[list]:
+    """Dense integer coefficients in ``v`` of ``p`` with every other variable
+    set to its integer in ``point``; None when the leading coefficient in
+    ``v`` vanishes there (the image would lose degree)."""
+    i = p.vars.index(v)
+    # v itself is set to 1: its exponent only selects the output slot
+    values = [1 if j == i else point[w] for j, w in enumerate(p.vars)]
+    out = [0] * (max(e[i] for e in p.terms) + 1)
+    for exps, coeff in p.terms.items():
+        for val, e in zip(values, exps):
+            if e:
+                coeff *= val ** e
+        out[exps[i]] += coeff
+    return out if out[-1] else None
 
 
 def _pseudo_rem(f: Polynomial, g: Polynomial, x: str) -> Polynomial:
@@ -531,6 +563,24 @@ def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     return _positive_lead(result)
 
 
+def _is_one(p: Polynomial) -> bool:
+    return not p.vars and p.terms.get(()) == 1
+
+
+def _quo(p: Polynomial, g: Polynomial) -> Polynomial:
+    """p / g for a g known to divide p."""
+    return p if _is_one(g) else p.exact_div(g)
+
+
+def _cross_product(
+    a: Polynomial, b: Polynomial, c: Polynomial, d: Polynomial
+) -> "RationalFunction":
+    """(a/b)·(c/d) for coprime pairs (a, b) and (c, d), by cross-cancellation."""
+    g1 = poly_gcd(a, d)
+    g2 = poly_gcd(c, b)
+    return RationalFunction._coprime(_quo(a, g1) * _quo(c, g2), _quo(b, g2) * _quo(d, g1))
+
+
 IntoRF = Union["RationalFunction", Polynomial, int, Fraction]
 
 
@@ -540,6 +590,10 @@ class RationalFunction:
     Invariants: gcd(num, den) = 1 (integer content included), den != 0,
     and den's graded-lex leading coefficient is positive.  Because the
     form is unique, equality and hashing are structural.
+
+    The constructor reduces arbitrary input with a full gcd.  Arithmetic
+    relies on its operands already being reduced and builds results
+    through ``_coprime`` after cross-cancellation (see the module docstring).
     """
 
     __slots__ = ("num", "den", "_hash")
@@ -549,18 +603,29 @@ class RationalFunction:
             den = Polynomial.one()
         if den.is_zero:
             raise ZeroFunctionDivision("denominator is the zero polynomial")
-        if num.is_zero:
-            num, den = Polynomial.zero(), Polynomial.one()
-        else:
+        if not num.is_zero:
             g = poly_gcd(num, den)
-            if not (g.is_constant and g.constant_value() == 1):
+            if not _is_one(g):
                 num = num.exact_div(g)
                 den = den.exact_div(g)
-            if den.lead_coeff() < 0:
-                num, den = -num, -den
+        self._set(num, den)
+
+    def _set(self, num: Polynomial, den: Polynomial) -> None:
+        # num and den are coprime here; fix the sign (zero becomes 0/1)
+        if num.is_zero:
+            num, den = Polynomial.zero(), Polynomial.one()
+        elif den.lead_coeff() < 0:
+            num, den = -num, -den
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "_hash", None)
+
+    @classmethod
+    def _coprime(cls, num: Polynomial, den: Polynomial) -> "RationalFunction":
+        """Wrap a pair already known to be coprime: no gcd, sign only."""
+        obj = object.__new__(cls)
+        obj._set(num, den)
+        return obj
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalFunction is immutable")
@@ -568,11 +633,13 @@ class RationalFunction:
     @classmethod
     def constant(cls, value: Union[int, Fraction]) -> "RationalFunction":
         frac = Fraction(value)
-        return cls(Polynomial.constant(frac.numerator), Polynomial.constant(frac.denominator))
+        return cls._coprime(
+            Polynomial.constant(frac.numerator), Polynomial.constant(frac.denominator)
+        )
 
     @classmethod
     def variable(cls, name: str) -> "RationalFunction":
-        return cls(Polynomial.variable(name))
+        return cls._coprime(Polynomial.variable(name), Polynomial.one())
 
     @property
     def is_zero(self) -> bool:
@@ -590,7 +657,7 @@ class RationalFunction:
         if isinstance(value, RationalFunction):
             return value
         if isinstance(value, Polynomial):
-            return RationalFunction(value)
+            return RationalFunction._coprime(value, Polynomial.one())
         if isinstance(value, (int, Fraction)):
             return RationalFunction.constant(value)
         return None
@@ -599,14 +666,19 @@ class RationalFunction:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return RationalFunction(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
+        a, b, c, d = self.num, self.den, other.num, other.den
+        g = poly_gcd(b, d)
+        if _is_one(g):
+            return RationalFunction._coprime(a * d + c * b, b * d)
+        b_g, d_g = b.exact_div(g), d.exact_div(g)
+        t = a * d_g + c * b_g
+        g2 = poly_gcd(t, g)
+        return RationalFunction._coprime(_quo(t, g2), b_g * _quo(d, g2))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalFunction(-self.num, self.den)
+        return RationalFunction._coprime(-self.num, self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -624,14 +696,14 @@ class RationalFunction:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return RationalFunction(self.num * other.num, self.den * other.den)
+        return _cross_product(self.num, self.den, other.num, other.den)
 
     __rmul__ = __mul__
 
     def inv(self) -> "RationalFunction":
         if self.is_zero:
             raise ZeroFunctionDivision("inverse of the zero function")
-        return RationalFunction(self.den, self.num)
+        return RationalFunction._coprime(self.den, self.num)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -639,7 +711,7 @@ class RationalFunction:
             return NotImplemented
         if other.is_zero:
             raise ZeroFunctionDivision("division by the zero function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
+        return _cross_product(self.num, self.den, other.den, other.num)
 
     def __rtruediv__(self, other):
         other = self._coerce(other)
@@ -650,7 +722,7 @@ class RationalFunction:
     def __pow__(self, power: int):
         if power < 0:
             return self.inv() ** (-power)
-        return RationalFunction(self.num ** power, self.den ** power)
+        return RationalFunction._coprime(self.num ** power, self.den ** power)
 
     def __eq__(self, other) -> bool:
         other = self._coerce(other)
@@ -693,35 +765,6 @@ class RationalFunction:
 
     def __repr__(self) -> str:
         return f"RationalFunction({str(self)!r})"
-
-
-def probably_equal(
-    f: RationalFunction,
-    g: RationalFunction,
-    trials: int = 3,
-    rng: Optional[random.Random] = None,
-    bound: int = 2 ** 31,
-) -> bool:
-    """Randomized pre-screen: compare values at random integer points.
-
-    A detected difference proves inequality; agreement on all trials is
-    only probabilistic evidence (the exact structural check stays the
-    authority for equality).
-    """
-    rng = rng or random.Random(0xB1A5)
-    names = sorted(f.variables() | g.variables(), key=_name_key)
-    done = 0
-    attempts = 0
-    while done < trials and attempts < trials * 20:
-        attempts += 1
-        point = {v: Fraction(rng.randrange(-bound, bound)) for v in names}
-        try:
-            if f.evaluate(point) != g.evaluate(point):
-                return False
-        except PoleError:
-            continue
-        done += 1
-    return True
 
 
 # -- canonical text form ----------------------------------------------

@@ -14,7 +14,6 @@ from braidshear.algebra import (
     poly_from_str,
     poly_gcd,
     poly_to_str,
-    probably_equal,
 )
 
 
@@ -287,10 +286,108 @@ def test_field_axioms(f, g, h):
 def test_canonical_idempotence_and_eval_agreement(f, g):
     again = RationalFunction(f.num, f.den)
     assert again.num == f.num and again.den == f.den
+    points = [{"x": x, "y": y} for x, y in [(2, 3), (-5, 7), (11, -13), (17, 19)]]
+    pole_free = [p for p in points if f.den.evaluate(p) and g.den.evaluate(p)]
     if f == g:
-        assert probably_equal(f, g)
-    if not probably_equal(f, g, trials=2):
+        assert all(f.evaluate(p) == g.evaluate(p) for p in pole_free)
+    if any(f.evaluate(p) != g.evaluate(p) for p in pole_free):
         assert f != g
+
+
+def _small_poly(draw, names=("w", "x", "y", "z"), max_terms=2, max_exp=1):
+    terms = {}
+    for _ in range(draw(st.integers(1, max_terms))):
+        exps = tuple(draw(st.integers(0, max_exp)) for _ in names)
+        terms[exps] = draw(st.integers(-4, 4))
+    return Polynomial(tuple(names), terms)
+
+
+@st.composite
+def _planted_pair(draw):
+    """Two reduced operands a/b and c/d whose cross gcds (a, d), (c, b) and
+    whose denominators (b, d) share planted factors, so every cancellation
+    branch of the arithmetic is exercised."""
+    constants = st.sampled_from(
+        [Fraction(-3, 4), Fraction(0), Fraction(1), Fraction(5), Fraction(-1, 6)]
+    )
+    h1, h2, h3 = (_small_poly(draw) for _ in range(3))
+    content = st.sampled_from([1, -1, 2, -3, 6])
+
+    def operand(top, bottom):
+        if draw(st.integers(0, 5)) == 0:
+            return RationalFunction.constant(draw(constants))
+        num = draw(content) * top * _small_poly(draw)
+        den = draw(content) * bottom * h3 * _small_poly(draw)
+        if den.is_zero:
+            den = Polynomial.constant(draw(content))
+        return RationalFunction(num, den)
+
+    f = operand(h1, h2)
+    g = operand(h2, h1)
+    pick = draw(st.integers(0, 7))
+    if pick == 0:
+        g = f
+    elif pick == 1:
+        g = -f
+    return f, g
+
+
+@settings(max_examples=60, deadline=None)
+@given(_planted_pair(), st.integers(-3, 3))
+def test_cross_cancellation_matches_full_reduction(pair, power):
+    # every operation on reduced operands must give exactly what the
+    # full-reduction constructor makes of the unreduced result
+    f, g = pair
+    a, b, c, d = f.num, f.den, g.num, g.den
+    cases = [
+        (f + g, a * d + c * b, b * d),
+        (f - g, a * d - c * b, b * d),
+        (f * g, a * c, b * d),
+        (-f, -a, b),
+    ]
+    if not g.is_zero:
+        cases.append((f / g, a * d, b * c))
+        cases.append((g.inv(), d, c))
+    if power >= 0:
+        cases.append((f ** power, a ** power, b ** power))
+    elif not f.is_zero:
+        cases.append((f ** power, b ** -power, a ** -power))
+    for got, raw_num, raw_den in cases:
+        want = RationalFunction(raw_num, raw_den)
+        assert got.num == want.num and got.den == want.den
+        assert got.num.vars == want.num.vars and got.den.vars == want.den.vars
+
+
+def test_int_image_agrees_with_coefficient_evaluation():
+    from braidshear.algebra import _int_image
+
+    x, y, z = pvar("x"), pvar("y"), pvar("z")
+    p = (y - 3) * x ** 2 + (z - y) * x + y * z - 7
+    # y = 3 kills the leading coefficient in x: no image
+    assert _int_image(p, "x", {"y": 3, "z": 5}) is None
+    assert _int_image(p, "x", {"y": 4, "z": 5}) == [13, 1, 1]
+    assert _int_image(p, "z", {"x": 2, "y": 3}) == [-13, 5]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_int_image_random(data):
+    from braidshear.algebra import _int_image
+
+    names = ("w", "x", "y")
+    p = _small_poly(data.draw, names=names, max_terms=5, max_exp=3)
+    if p.is_zero or not p.vars:
+        return
+    v = data.draw(st.sampled_from(p.vars))
+    point = {w: data.draw(st.integers(-3, 3)) for w in names if w != v}
+    coeffs = p.coeffs_in(v)
+    top = max(coeffs)
+    want = [int(coeffs[k].evaluate(point)) if k in coeffs else 0 for k in range(top + 1)]
+    got = _int_image(p, v, point)
+    if coeffs[top].evaluate(point) == 0:
+        assert got is None
+    else:
+        assert got == want
 
 
 # -- rendering / parsing ------------------------------------------------

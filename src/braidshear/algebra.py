@@ -30,7 +30,10 @@ import math
 import random
 import re
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Mapping, Optional, Union
+
+from braidshear.roots import gcd
 
 
 class AlgebraError(Exception):
@@ -60,6 +63,7 @@ class PolyParseError(AlgebraError):
 _DIGIT_CHUNKS = re.compile(r"(\d+)")
 
 
+@lru_cache(maxsize=4096)
 def _name_key(name: str):
     """Sort key giving variable names a deterministic natural order."""
     return tuple(
@@ -393,42 +397,6 @@ def _monomial_gcd(mono: Polynomial, other: Polynomial) -> Polynomial:
     return Polynomial(tuple(n for n, _ in exps), terms)
 
 
-def _uni_gcd_degree(a: list, b: list) -> int:
-    """Degree of gcd of two dense integer coefficient lists (over Q).
-
-    Primitive pseudo-remainder sequence over Z: each pseudo-remainder is a
-    nonzero multiple of the remainder over Q, so the degrees match.
-    """
-
-    def strip(c):
-        while c and c[-1] == 0:
-            c.pop()
-        return c
-
-    a = strip(list(a))
-    b = strip(list(b))
-    if not a:
-        return len(b) - 1
-    if not b:
-        return len(a) - 1
-    while b:
-        # pseudo-remainder of a by b, made primitive
-        r = a
-        while len(r) >= len(b):
-            k = math.gcd(r[-1], b[-1])
-            lr, lb = r[-1] // k, b[-1] // k
-            shift = len(r) - len(b)
-            r = [x * lb for x in r]
-            for i, c in enumerate(b):
-                r[i + shift] -= lr * c
-            strip(r)
-        if r:
-            k = math.gcd(*r)
-            r = [x // k for x in r]
-        a, b = b, r
-    return len(a) - 1
-
-
 _GCD_SEED = 0x51A7E
 
 
@@ -451,7 +419,7 @@ def _certified_coprime(f: Polynomial, g: Polynomial, common) -> bool:
             b = _int_image(g, v, point) if a is not None else None
             if b is None:
                 continue
-            if _uni_gcd_degree(a, b) != 0:
+            if len(gcd(a, b)) != 1:  # the image gcd is not a constant
                 return False
             done = True
             break

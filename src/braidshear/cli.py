@@ -115,15 +115,6 @@ def _resolve_config(args) -> SlotConfig:
         raise CliError(EXIT_PARSE, "usage", str(exc))
 
 
-def _detector() -> str:
-    value = os.environ.get("BRAIDSHEAR_DETECTOR", "sturm").strip().lower()
-    if value not in ("sturm", "bisect"):
-        raise CliError(
-            EXIT_PARSE, "usage", f"BRAIDSHEAR_DETECTOR must be 'sturm' or 'bisect', got {value!r}"
-        )
-    return value
-
-
 def _max_retries() -> int:
     raw = os.environ.get("BRAIDSHEAR_MAX_RETRIES", "3")
     try:
@@ -164,7 +155,6 @@ def _run_invariant(word_text: str, cfg: SlotConfig, system: LabelSystem) -> Inva
         word,
         cfg,
         system,
-        detector=_detector(),
         max_retries=_max_retries(),
         jitter=DEFAULT_JITTER,
     )
@@ -213,7 +203,7 @@ def _cmd_flips(args) -> int:
     word = _parse_word(args.word, cfg.n)
     motion, _ = compile_motion(word, cfg)
     tri0, _ = initial_triangulation(cfg)
-    events = detect_flips(motion, tri0, detector=_detector())
+    events = detect_flips(motion, tri0)
     _write_output(args, json.dumps(events_to_json(events), indent=2) + "\n")
     return EXIT_OK
 

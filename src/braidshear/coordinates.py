@@ -262,7 +262,6 @@ def run_invariant(
     cfg: SlotConfig,
     system: LabelSystem,
     *,
-    detector: str = "sturm",
     max_retries: int = 3,
     jitter: Sequence[Fraction] = DEFAULT_JITTER,
     commutation_check: bool = True,
@@ -285,7 +284,7 @@ def run_invariant(
     for attempt_cfg in attempts:
         motion, perm = compile_motion(word, attempt_cfg)
         try:
-            events = detect_flips(motion, tri0, detector=detector)
+            events = detect_flips(motion, tri0)
             break
         except DegeneracyError as exc:
             last_error = exc

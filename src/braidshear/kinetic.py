@@ -12,8 +12,8 @@ certified, ordered flip sequence.
 Two detector backends share one contract: ``sturm`` isolates event times
 as real roots of exact event polynomials (complete); ``bisect`` samples a
 grid and bisects intervals whose complexes differ (the simpler strategy,
-sound on well-separated events).  Select via the ``detector`` argument or
-the BRAIDSHEAR_DETECTOR environment variable.
+sound on well-separated events).  Select via the ``detector`` argument of
+``detect_flips``; the product runs ``sturm``.
 
 The event polynomials live in Z[u], u the tangent-half-angle parameter of
 one half-stage: with every position written over the common denominator
@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from math import lcm
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from braidshear import roots
@@ -255,17 +255,13 @@ def _trim(a: List[int]) -> List[int]:
 def _strip_w(a: List[int]) -> List[int]:
     """Primitive part of ``a`` with every factor 1 + u^2 divided out; the
     result has the real roots of ``a`` (``[]`` for the zero polynomial)."""
-    a = _trim(a)
+    a = roots.normalize(a)
     while len(a) >= 3:
-        q = a[:-2]
-        for i in range(2, len(q)):
-            q[i] -= q[i - 2]
-        m = len(q)
-        if a[m] != (q[m - 2] if m >= 2 else 0) or a[m + 1] != q[m - 1]:
+        q = roots.exact_quotient(a, _W)
+        if q is None:
             break
         a = q
-    g = gcd(*a)
-    return [c // g for c in a] if g > 1 else a
+    return a
 
 
 def _compose_linear(coeffs: List[int], a: int, b: int) -> List[int]:
@@ -427,9 +423,9 @@ class _Wall:
         if self.exact is not None and other.exact is not None:
             return self.exact == other.exact
         if self.exact is not None:
-            return roots.evaluate(roots.normalize(other.poly), self.exact) == 0
+            return roots.evaluate(other.poly, self.exact) == 0
         if other.exact is not None:
-            return roots.evaluate(roots.normalize(self.poly), other.exact) == 0
+            return roots.evaluate(self.poly, other.exact) == 0
         lo = max(self.lo, other.lo)
         hi = min(self.hi, other.hi)
         if lo >= hi:

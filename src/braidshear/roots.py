@@ -1,40 +1,74 @@
 """Certified real-root isolation for univariate polynomials over Q.
 
-Dense coefficient lists (ascending degree, Fraction entries) are small at
-this scale, so the Sturm chain is computed directly over Fractions.  The
-isolation API guarantees open intervals whose endpoints are not roots and
-that contain exactly one root each, refinable to any requested width.
+Polynomials are dense coefficient lists in ascending degree.  Every
+polynomial the module works on is a primitive integer list: ``normalize``
+clears denominators once, and remainders, gcds, Sturm chains and exact
+quotients stay in Z[x] (the primitive pseudo-remainder sequence; Brown,
+JACM 1971).  Each remainder is a positive multiple of the remainder over
+Q, so a Sturm chain keeps its sign pattern at every point.  A ``Fraction``
+appears only as an interval endpoint, an evaluation point or the value
+``evaluate`` returns: the sign of f at p/q is the sign of the integer
+q^d * f(p/q).
+
+The isolation API guarantees open intervals whose endpoints are not roots
+and that contain exactly one root each, refinable to any requested width.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import List, NamedTuple, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence
 
 
 class RootIsolationError(Exception):
     pass
 
 
-Coeffs = List[Fraction]
+Coeffs = List[int]
+
+
+def _trim(a: list) -> list:
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _primitive(a: Coeffs) -> Coeffs:
+    """``a`` divided by its positive content (signs are kept)."""
+    g = math.gcd(*a)
+    return [c // g for c in a] if g > 1 else a
 
 
 def normalize(coeffs: Sequence) -> Coeffs:
-    out = [Fraction(c) for c in coeffs]
-    while out and out[-1] == 0:
-        out.pop()
-    return out
+    """The primitive integer list with the roots and signs of ``coeffs``
+    (int or Fraction entries; ``[]`` for the zero polynomial)."""
+    out = _trim(list(coeffs))
+    m = math.lcm(*(c.denominator for c in out))
+    return _primitive([c.numerator * (m // c.denominator) for c in out])
 
 
 def degree(coeffs: Coeffs) -> int:
     return len(coeffs) - 1
 
 
-def evaluate(coeffs: Coeffs, x: Fraction) -> Fraction:
-    acc = Fraction(0)
+def _value(coeffs: Coeffs, p: int, q: int) -> int:
+    """q^d * f(p/q) for d = degree(f), by homogeneous Horner over Z."""
+    acc, qk = 0, 1
     for c in reversed(coeffs):
-        acc = acc * x + c
+        acc = acc * p + c * qk
+        qk *= q
     return acc
+
+
+def _is_root(coeffs: Coeffs, x: Fraction) -> bool:
+    return _value(coeffs, x.numerator, x.denominator) == 0
+
+
+def evaluate(coeffs: Sequence, x: Fraction) -> Fraction:
+    if not coeffs:
+        return Fraction(0)
+    return Fraction(_value(coeffs, x.numerator, x.denominator), x.denominator ** degree(coeffs))
 
 
 def derivative(coeffs: Coeffs) -> Coeffs:
@@ -42,24 +76,50 @@ def derivative(coeffs: Coeffs) -> Coeffs:
 
 
 def _rem(a: Coeffs, b: Coeffs) -> Coeffs:
+    """A positive multiple of the remainder of ``a`` by ``b`` over Q, made
+    primitive (b nonzero)."""
     r = a[:]
-    while len(r) >= len(b) and r:
-        factor = r[-1] / b[-1]
+    lb = b[-1]
+    while len(r) >= len(b):
+        k = math.gcd(r[-1], lb)
+        mr, mb = r[-1] // k, lb // k
+        if mb < 0:
+            mr, mb = -mr, -mb
         shift = len(r) - len(b)
+        r = [x * mb for x in r]
         for i, c in enumerate(b):
-            r[i + shift] -= factor * c
-        r = normalize(r)
-    return r
+            r[i + shift] -= mr * c
+        _trim(r)
+    return _primitive(r)
+
+
+def exact_quotient(a: Coeffs, b: Coeffs) -> Optional[Coeffs]:
+    """``a / b`` in Z[x], or None when ``b`` does not divide ``a`` there.
+
+    For primitive ``b`` that is exactly when ``b`` does not divide ``a``
+    over Q (Gauss's lemma).
+    """
+    r = _trim(list(a))
+    n = len(b) - 1
+    if len(r) <= n:
+        return None if r else []
+    q = [0] * (len(r) - n)
+    for shift in range(len(q) - 1, -1, -1):
+        # a floor quotient that is not exact leaves a nonzero term in r
+        c = q[shift] = r[shift + n] // b[-1]
+        for i, x in enumerate(b):
+            r[i + shift] -= c * x
+    return None if any(r) else q
 
 
 def gcd(a: Sequence, b: Sequence) -> Coeffs:
-    """Monic gcd over Q (a nonzero constant for coprime inputs)."""
+    """Primitive gcd with a positive leading coefficient (``[1]`` for
+    coprime inputs, ``[]`` when both are zero)."""
     a, b = normalize(a), normalize(b)
     while b:
         a, b = b, _rem(a, b)
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
+    if a and a[-1] < 0:
+        a = [-c for c in a]
     return a
 
 
@@ -70,49 +130,33 @@ def squarefree_part(coeffs: Sequence) -> Coeffs:
     g = gcd(f, derivative(f))
     if degree(g) == 0:
         return f
-    q, r = _divmod(f, g)
-    if r:
+    q = exact_quotient(f, g)
+    if q is None:
         raise RootIsolationError("squarefree division left a remainder")
     return q
 
 
-def _divmod(a: Coeffs, b: Coeffs) -> Tuple[Coeffs, Coeffs]:
-    r = a[:]
-    q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
-    while len(r) >= len(b) and r:
-        factor = r[-1] / b[-1]
-        shift = len(r) - len(b)
-        q[shift] = factor
-        for i, c in enumerate(b):
-            r[i + shift] -= factor * c
-        r = normalize(r)
-    return normalize(q), r
-
-
-def deflate_at(coeffs: Coeffs, root: Fraction) -> Coeffs:
+def deflate_at(coeffs: Sequence, root: Fraction) -> Coeffs:
     """Divide out (x - root); the division must be exact."""
-    q, r = _divmod(coeffs, [-root, Fraction(1)])
-    if r:
+    q = exact_quotient(normalize(coeffs), [-root.numerator, root.denominator])
+    if q is None:
         raise RootIsolationError(f"{root} is not a root")
     return q
 
 
-def sturm_chain(f: Coeffs) -> List[Coeffs]:
-    chain = [normalize(f), normalize(derivative(f))]
-    while chain[-1]:
-        nxt = [-c for c in _rem(chain[-2], chain[-1])]
-        if not nxt:
-            break
+def sturm_chain(f: Sequence) -> List[Coeffs]:
+    """The Sturm sequence of ``f`` up to positive factors."""
+    chain = [normalize(f)]
+    nxt = normalize(derivative(chain[0]))
+    while nxt:
         chain.append(nxt)
-    return [c for c in chain if c]
+        nxt = [-c for c in _rem(chain[-2], chain[-1])]
+    return chain
 
 
 def _variations(chain: List[Coeffs], x: Fraction) -> int:
-    signs = []
-    for poly in chain:
-        v = evaluate(poly, x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
+    p, q = x.numerator, x.denominator
+    signs = [v > 0 for v in (_value(poly, p, q) for poly in chain) if v]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
@@ -128,12 +172,12 @@ _SPLIT_FRACTIONS = [Fraction(1, 2), Fraction(3, 7), Fraction(4, 7), Fraction(5, 
 def _split_point(f: Coeffs, lo: Fraction, hi: Fraction) -> Fraction:
     for frac in _SPLIT_FRACTIONS:
         mid = lo + (hi - lo) * frac
-        if evaluate(f, mid) != 0:
+        if not _is_root(f, mid):
             return mid
     k = 23
     while True:
         mid = lo + (hi - lo) * Fraction(11, k)
-        if evaluate(f, mid) != 0:
+        if not _is_root(f, mid):
             return mid
         k += 2
 
@@ -148,7 +192,7 @@ def isolate_roots(coeffs: Sequence, lo: Fraction, hi: Fraction) -> List[Isolated
     f = squarefree_part(coeffs)
     if degree(f) < 1:
         return []
-    if evaluate(f, lo) == 0 or evaluate(f, hi) == 0:
+    if _is_root(f, lo) or _is_root(f, hi):
         raise RootIsolationError("endpoint is a root; deflate first")
     chain = sturm_chain(f)
 
@@ -168,17 +212,16 @@ def refine_root(coeffs: Sequence, root: IsolatedRoot, width: Fraction) -> Isolat
     """Shrink an isolating interval below ``width`` by sign bisection."""
     f = squarefree_part(coeffs)
     lo, hi = root
-    s_lo = evaluate(f, lo)
-    if s_lo == 0 or evaluate(f, hi) == 0:
+    v_lo = _value(f, lo.numerator, lo.denominator)
+    if v_lo == 0 or _is_root(f, hi):
         raise RootIsolationError("isolating interval endpoint is a root")
-    sign_lo = 1 if s_lo > 0 else -1
     while hi - lo >= width:
         mid = (lo + hi) / 2
-        v = evaluate(f, mid)
+        v = _value(f, mid.numerator, mid.denominator)
         if v == 0:
             delta = min(width / 4, (hi - mid) / 2, (mid - lo) / 2)
             return IsolatedRoot(mid - delta, mid + delta)
-        if (1 if v > 0 else -1) == sign_lo:
+        if (v > 0) == (v_lo > 0):
             lo = mid
         else:
             hi = mid
@@ -188,27 +231,15 @@ def refine_root(coeffs: Sequence, root: IsolatedRoot, width: Fraction) -> Isolat
 def count_roots_closed(coeffs: Sequence, lo: Fraction, hi: Fraction) -> int:
     """Number of distinct real roots in the closed interval [lo, hi]."""
     f = squarefree_part(coeffs)
-    if degree(f) < 1:
-        return 0
-    extra = 0
-    while evaluate(f, lo) == 0:
-        f = deflate_at(f, lo)
-        extra += 1
-        if degree(f) < 1:
-            return min(extra, 1) + (1 if lo != hi and evaluate(normalize(coeffs), hi) == 0 else 0)
-    lo_root = extra > 0
-    extra = 0
-    while evaluate(f, hi) == 0:
-        f = deflate_at(f, hi)
-        extra += 1
-        if degree(f) < 1:
-            break
-    hi_root = extra > 0
-    inner = 0
+    count = 0
+    for x in {lo, hi}:  # a squarefree f has each endpoint as a simple root at most
+        if degree(f) >= 1 and _is_root(f, x):
+            f = deflate_at(f, x)
+            count += 1
     if degree(f) >= 1:
         chain = sturm_chain(f)
-        inner = _variations(chain, lo) - _variations(chain, hi)
-    return inner + (1 if lo_root else 0) + (1 if hi_root and hi != lo else 0)
+        count += _variations(chain, lo) - _variations(chain, hi)
+    return count
 
 
 def has_common_root_in(a: Sequence, b: Sequence, lo: Fraction, hi: Fraction) -> bool:

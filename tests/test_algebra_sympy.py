@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from braidshear.algebra import Polynomial, RationalFunction, _uni_gcd_degree, poly_gcd
+from braidshear import roots
+from braidshear.algebra import Polynomial, RationalFunction, poly_gcd
 
 sp = pytest.importorskip("sympy")
 
@@ -76,6 +77,14 @@ def test_label_like_functions_are_canonical(steps):
         assert lead > 0
 
 
+def _times(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] += x * y
+    return out
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     st.lists(st.integers(-9, 9), max_size=5),
@@ -88,15 +97,54 @@ def test_univariate_gcd_degree_matches_sympy(a, b, common):
     def expr(coeffs):
         return sp.Add(*(c * u ** i for i, c in enumerate(coeffs)))
 
-    def times(p, q):
-        out = [0] * (len(p) + len(q) - 1)
-        for i, x in enumerate(p):
-            for j, y in enumerate(q):
-                out[i + j] += x * y
-        return out
-
     if common:
-        a, b = times(a, common), times(b, common)
+        a, b = _times(a, common), _times(b, common)
     g = sp.gcd(expr(a), expr(b))
-    want = sp.degree(g, u) if g != 0 else -1
-    assert _uni_gcd_degree(a, b) == want
+    ours = roots.gcd(a, b)
+    if g == 0:
+        assert ours == []
+        return
+    _, prim = sp.Poly(g, u).primitive()
+    want = [int(c) for c in reversed(prim.all_coeffs())]
+    assert len(ours) - 1 == sp.degree(g, u)
+    assert ours in (want, [-c for c in want])
+
+
+fractions = st.fractions(min_value=-2, max_value=2, max_denominator=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rational_roots=st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=6), max_size=5),
+    bounds=st.tuples(fractions, fractions).filter(lambda b: b[0] < b[1]),
+    endpoint_roots=st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    extra=st.lists(st.integers(-5, 5), max_size=4).filter(any),
+    scale=st.one_of(st.just(1), fractions.filter(bool)),
+)
+def test_root_counts_match_sympy(rational_roots, bounds, endpoint_roots, extra, scale):
+    # product of (q x - p) over the rational roots, repeated and at the
+    # endpoints as drawn, times an integer factor with arbitrary roots;
+    # scale = 1 keeps int coefficients, otherwise they are Fractions
+    lo, hi = bounds
+    rs = rational_roots + [lo] * endpoint_roots[0] + [hi] * endpoint_roots[1]
+    coeffs = extra
+    for r in rs:
+        coeffs = _times(coeffs, [-r.numerator, r.denominator])
+    if scale != 1:
+        coeffs = [scale * c for c in coeffs]
+    x = sp.Symbol("x")
+    poly = sp.Poly(sp.Add(*(sp.Rational(c) * x ** i for i, c in enumerate(coeffs))), x)
+    want = poly.count_roots(sp.Rational(lo), sp.Rational(hi))
+    assert roots.count_roots_closed(coeffs, lo, hi) == want
+    if roots.evaluate(coeffs, lo) == 0 or roots.evaluate(coeffs, hi) == 0:
+        with pytest.raises(roots.RootIsolationError):
+            roots.isolate_roots(coeffs, lo, hi)
+        return
+    isolated = roots.isolate_roots(coeffs, lo, hi)
+    assert len(isolated) == want
+    edges = [lo] + [e for iso in isolated for e in iso] + [hi]
+    assert edges == sorted(edges)
+    for iso in isolated:
+        assert poly.count_roots(sp.Rational(iso.lo), sp.Rational(iso.hi)) == 1
+        assert roots.evaluate(coeffs, iso.lo) != 0
+        assert roots.evaluate(coeffs, iso.hi) != 0

@@ -226,16 +226,6 @@ def test_missing_n_is_usage_error(capsys):
     assert json.loads(err)["error"]["kind"] == "usage"
 
 
-def test_detector_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("BRAIDSHEAR_DETECTOR", "bisect")
-    code, out, _ = run(capsys, "flips", "--n", "4", "s1")
-    assert code == 0
-    assert len(json.loads(out)) == 5
-    monkeypatch.setenv("BRAIDSHEAR_DETECTOR", "nonsense")
-    code, _, err = run(capsys, "flips", "--n", "4", "s1")
-    assert code == 2
-
-
 def test_max_retries_env_validation(capsys, monkeypatch):
     monkeypatch.setenv("BRAIDSHEAR_MAX_RETRIES", "not-a-number")
     code, _, err = run(capsys, "invariant", "--n", "3", "--system", "shear", "s1")

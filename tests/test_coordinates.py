@@ -316,14 +316,6 @@ def test_isotopy_robustness_bulge_variation():
             assert invariants_equal(one, two)
 
 
-def test_detector_backends_give_equal_maps():
-    cfg = SlotConfig(4)
-    word = parse_braid("s1", n=4)
-    a = run_invariant(word, cfg, LabelSystem.SHEAR, detector="sturm")
-    b = run_invariant(word, cfg, LabelSystem.SHEAR, detector="bisect")
-    assert invariants_equal(a, b)
-
-
 def test_degeneracy_retries_with_jittered_bulge(monkeypatch):
     calls = []
     real = coordinates.detect_flips

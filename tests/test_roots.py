@@ -2,13 +2,17 @@ from fractions import Fraction
 
 import pytest
 
+from braidshear import roots as roots_module
 from braidshear.roots import (
     RootIsolationError,
     count_roots_closed,
     deflate_at,
     evaluate,
+    exact_quotient,
+    gcd,
     has_common_root_in,
     isolate_roots,
+    normalize,
     refine_root,
     squarefree_part,
 )
@@ -91,8 +95,71 @@ def test_common_root_detection():
     assert not has_common_root_in(f, h, Fraction(0), Fraction(1))
 
 
+def test_negative_leading_coefficients_keep_sturm_signs():
+    # -(x + 3) x (x - 3): every remainder of its chain has a negative
+    # leading coefficient, so a sign slip in the integer remainders shows
+    f = [0, 9, 0, -1]
+    assert count_roots_closed(f, Fraction(-7, 2), Fraction(7, 2)) == 3
+    assert count_roots_closed(f, Fraction(-1, 2), Fraction(7, 2)) == 2
+    assert len(isolate_roots(f, Fraction(-7, 2), Fraction(7, 2))) == 3
+
+
 def test_squarefree_part():
     f = poly_from_roots([Fraction(1, 2), Fraction(1, 2)])
     sf = squarefree_part(f)
     assert len(sf) == 2  # degree 1
     assert evaluate(sf, Fraction(1, 2)) == 0
+
+
+def test_normalize_clears_denominators_and_content():
+    assert normalize([Fraction(1, 2), Fraction(-1, 3), 0]) == [3, -2]
+    assert normalize([0, -4, 6, 0]) == [0, -2, 3]
+    assert normalize([0, 0]) == []
+
+
+def test_exact_quotient():
+    assert exact_quotient([1, 2, 1], [1, 1]) == [1, 1]
+    assert exact_quotient([-2, -1, 1], [1, 1]) == [-2, 1]
+    assert exact_quotient([3, 0, 6, 0, 3], [1, 0, 1]) == [3, 0, 3]
+    assert exact_quotient([], [1, 1]) == []
+    assert exact_quotient([5], [5]) == [1]
+
+
+def test_exact_quotient_rejects_inexact_division():
+    assert exact_quotient([1, 0, 1], [1, 1]) is None  # nonzero remainder
+    assert exact_quotient([1, 2, 2], [1, 1]) is None
+    assert exact_quotient([1, 1], [1, 0, 1]) is None  # divisor of higher degree
+    assert exact_quotient([1, 1], [2]) is None  # not in Z[x]
+    assert exact_quotient([1, 3], [1, 2]) is None  # leading term does not divide
+
+
+def test_gcd_is_primitive_with_positive_lead():
+    f = normalize(poly_from_roots([Fraction(1, 3), Fraction(2)]))
+    g = normalize(poly_from_roots([Fraction(1, 3), Fraction(-1)]))
+    assert gcd([-c for c in f], [2 * c for c in g]) == [-1, 3]
+    assert gcd([2, 4], [3]) == [1]
+    assert gcd([0, -6], []) == [0, 1]
+    assert gcd([], []) == []
+
+
+def test_deflate_at_non_root_raises():
+    f = poly_from_roots([Fraction(1, 3), Fraction(1, 2)])
+    assert evaluate(deflate_at(f, Fraction(1, 3)), Fraction(1, 2)) == 0
+    with pytest.raises(RootIsolationError):
+        deflate_at(f, Fraction(1, 4))
+    with pytest.raises(RootIsolationError):
+        deflate_at([1, 0, 1], Fraction(0))
+
+
+def test_squarefree_part_raises_when_the_division_is_inexact(monkeypatch):
+    # a wrong gcd (not a divisor) must surface, not be silently dropped
+    monkeypatch.setattr(roots_module, "gcd", lambda a, b: [1, 1])
+    with pytest.raises(RootIsolationError):
+        squarefree_part(poly_from_roots([Fraction(1, 2), Fraction(1, 2)]))
+
+
+def test_evaluate_is_exact_on_integer_and_fraction_coefficients():
+    assert evaluate([-2, 0, 1], Fraction(3, 2)) == Fraction(1, 4)
+    assert evaluate([Fraction(1, 2), 0, 1], Fraction(-1, 3)) == Fraction(11, 18)
+    assert evaluate([], Fraction(5)) == 0
+    assert evaluate([7], Fraction(1, 9)) == 7

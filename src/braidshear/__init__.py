@@ -24,6 +24,7 @@ from braidshear.coordinates import (
     InvariantMap,
     LabelState,
     LabelSystem,
+    ShearState,
     apply_ptolemy_flip,
     apply_shear_flip,
     check_commutativity,
@@ -68,6 +69,7 @@ __all__ = [
     "InvariantMap",
     "LabelState",
     "LabelSystem",
+    "ShearState",
     "apply_ptolemy_flip",
     "apply_shear_flip",
     "check_commutativity",

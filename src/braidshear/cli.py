@@ -28,9 +28,11 @@ from braidshear.coordinates import (
     InternalInvariantError,
     InvariantMap,
     LabelSystem,
+    StrandCountError,
     check_commutativity,
     check_involution,
     check_pentagon,
+    check_strand_count,
     first_difference,
     invariants_equal,
     run_invariant,
@@ -95,12 +97,10 @@ def _resolve_config(args) -> SlotConfig:
     if n is None:
         raise CliError(EXIT_PARSE, "usage", "strand count required (--n or config file)")
     n = int(n)
-    if n < 3:
-        raise CliError(
-            EXIT_PARSE,
-            "usage",
-            f"n={n} is rejected: a Delaunay triangulation needs at least 3 strands",
-        )
+    try:
+        check_strand_count(n)
+    except StrandCountError as exc:
+        raise CliError(EXIT_PARSE, "usage", str(exc))
     if args.epsilon is not None:
         epsilon = _rational_flag(args.epsilon, "--epsilon")
     else:

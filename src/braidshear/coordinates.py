@@ -9,11 +9,38 @@ c = (w,z), d = (z,u):
 * shear: the new diagonal gets 1/e, the side pair {a, c} is scaled by
   (1+e) and the pair {b, d} by e/(1+e), where e is the old diagonal label.
 
+Ptolemy labels are carried as reduced rational functions (``LabelState``).
+The shear rule is Fock-Goncharov X-mutation (Fock and Goncharov, "Cluster
+ensembles, quantization and the dilogarithm", Ann. ENS 2009), so shear
+labels are carried in separated form (``ShearState``; Fomin and
+Zelevinsky, "Cluster algebras IV: Coefficients", Prop. 3.13 and section
+5).  Over the seed variables y, edge j holds an integer c-vector c_j and an
+F-polynomial F_j with constant term 1, and its label is
+
+    y_j = y^{c_j} * prod_i F_i^{b_ij},
+
+where b_ij = +1 if edge i follows j counterclockwise in a triangle of the
+complex, -1 if it precedes it, and 0 otherwise.  Flipping k = (u, w), with
+b_kj = -1 on the sides (u,v), (w,z) and +1 on (v,w), (z,u), is integer
+work on the c-vectors,
+
+    c'_k = -c_k,    c'_j = c_j + [b_kj]_+ c_k - b_kj * min(c_k, 0),
+
+and one exact polynomial division for the new diagonal,
+
+    F'_k = (y^{[c_k]_+} prod_i F_i^{[b_ik]_+}
+            + y^{[-c_k]_+} prod_i F_i^{[-b_ik]_+}) / F_k.
+
+No gcd is taken on the flip path.  A label becomes a rational function
+only when it is read, through the full-reduction constructor, so labels
+stay exact and their canonical forms are the ones the rational-function
+rule produces (that rule is the test oracle in tests/oracles.py).
+
 The side-pair assignment for shear is frozen by a fixture test.  The
-mirrored assignment (the pairs swapped) is conjugate to it under
-orientation reversal of the complex, so it satisfies the pentagon identity
-too (see check_pentagon); only a non-alternating assignment, scaling an
-adjacent side pair, fails it (see
+mirrored assignment (the pairs swapped, that is b negated) is conjugate to
+it under orientation reversal of the complex, so it satisfies the pentagon
+identity too (see check_pentagon); only a non-alternating assignment,
+scaling an adjacent side pair, fails it (see
 tests/test_coordinates.py::test_pentagon_detects_wrong_side_assignment).
 """
 
@@ -22,9 +49,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from braidshear.algebra import RationalFunction
+from braidshear.algebra import Polynomial, RationalFunction
 from braidshear.braid import BraidWord, SlotConfig, compile_motion, initial_triangulation
 from braidshear.geometry import EdgeComplex
 from braidshear.kinetic import (
@@ -41,6 +68,17 @@ DEFAULT_JITTER = (Fraction(1, 97), Fraction(-1, 89), Fraction(1, 83))
 
 class InternalInvariantError(Exception):
     """The pipeline violated one of its own certified invariants."""
+
+
+class StrandCountError(ValueError):
+    """Fewer strands than a triangulation needs."""
+
+
+def check_strand_count(n: int) -> None:
+    if n < 3:
+        raise StrandCountError(
+            f"n={n} is rejected: a Delaunay triangulation needs at least 3 strands"
+        )
 
 
 class LabelSystem(enum.Enum):
@@ -112,37 +150,166 @@ def apply_ptolemy_flip(state: LabelState, quad: Tuple[int, int, int, int]) -> La
     return LabelState(state.complex.flip((u, w), quad), labels)
 
 
+class ShearState:
+    """A triangle complex with shear labels in separated form: a c-vector
+    over the seed variables ``names`` and an F-polynomial per edge (see
+    the module docstring).  ``mirrored`` negates b, in the flip rule and
+    when a label is read."""
+
+    __slots__ = ("complex", "names", "c", "F", "mirrored", "_labels")
+
+    def __init__(
+        self,
+        complex_: EdgeComplex,
+        names: Tuple[str, ...],
+        c: Mapping[Edge, Tuple[int, ...]],
+        F: Mapping[Edge, Polynomial],
+        mirrored: bool = False,
+    ):
+        if set(c) != set(complex_.edges()) or set(F) != set(c):
+            raise InternalInvariantError("shear data keys do not match the edge set")
+        self.complex = complex_
+        self.names = names
+        self.c = c
+        self.F = F
+        self.mirrored = mirrored
+        self._labels: Dict[Edge, RationalFunction] = {}
+
+    @classmethod
+    def seed(cls, state: LabelState, mirrored: bool = False) -> "ShearState":
+        """The separated form of a state whose labels are distinct
+        variables: unit c-vectors and F = 1."""
+        edges = sorted(state.labels)
+        names = tuple(_variable_name(state.labels[e]) for e in edges)
+        if None in names or len(set(names)) != len(names):
+            raise ValueError("shear flips need a seed of distinct variables, one per edge")
+        c = {e: tuple(int(i == k) for i in range(len(edges))) for k, e in enumerate(edges)}
+        return cls(state.complex, names, c, dict.fromkeys(edges, _ONE), mirrored)
+
+    def label(self, edge: Edge) -> RationalFunction:
+        edge = _norm(edge)
+        value = self._labels.get(edge)
+        if value is None:
+            value = self._labels[edge] = self._materialize(edge)
+        return value
+
+    @property
+    def labels(self) -> Dict[Edge, RationalFunction]:
+        return {e: self.label(e) for e in self.c}
+
+    def _materialize(self, j: Edge) -> RationalFunction:
+        # y^{[c]_+} prod F_i^{[b_ij]_+} over y^{[-c]_+} prod F_i^{[-b_ij]_+}:
+        # the side after j in each of its triangles has b_ij = +1
+        c = self.c[j]
+        num = [_monomial(self.names, [max(x, 0) for x in c])]
+        den = [_monomial(self.names, [max(-x, 0) for x in c])]
+        for tri in self.complex.edge_triangles(j):
+            after, before = _neighbour_sides(tri, j)
+            if self.mirrored:
+                after, before = before, after
+            num.append(self.F[after])
+            den.append(self.F[before])
+        return RationalFunction(_product(num), _product(den))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (ShearState, LabelState)):
+            return NotImplemented
+        if self.complex != other.complex:
+            return False
+        if (
+            isinstance(other, ShearState)
+            and (self.names, self.mirrored, self.c, self.F)
+            == (other.names, other.mirrored, other.c, other.F)
+        ):
+            return True
+        return self.labels == other.labels
+
+
+_ONE = Polynomial.one()
+
+
+def _variable_name(value: RationalFunction) -> Optional[str]:
+    if value.den == _ONE and len(value.num.vars) == 1 and value.num.terms == {(1,): 1}:
+        return value.num.vars[0]
+    return None
+
+
+def _monomial(names: Tuple[str, ...], exps: Sequence[int]) -> Polynomial:
+    return Polynomial(names, {tuple(exps): 1}) if any(exps) else _ONE
+
+
+def _product(factors: Sequence[Polynomial]) -> Polynomial:
+    out = _ONE
+    for f in factors:
+        if f != _ONE:
+            out = f if out == _ONE else out * f
+    return out
+
+
+def _neighbour_sides(tri: Tuple[int, int, int], edge: Edge) -> Tuple[Edge, Edge]:
+    """The sides of a counterclockwise triangle that follow and precede
+    ``edge`` in its boundary order."""
+    a, b, c = tri
+    for p, q, x in ((a, b, c), (b, c, a), (c, a, b)):
+        if {p, q} == set(edge):
+            return _norm((q, x)), _norm((x, p))
+    raise InternalInvariantError(f"edge {edge} is not a side of {tri}")
+
+
 def apply_shear_flip(
-    state: LabelState, quad: Tuple[int, int, int, int], mirrored: bool = False
-) -> LabelState:
+    state: Union[LabelState, ShearState],
+    quad: Tuple[int, int, int, int],
+    mirrored: bool = False,
+) -> ShearState:
+    """X-mutation at the diagonal of ``quad`` on separated labels: integer
+    c-vector updates and one exact division, no gcd.  A ``LabelState``
+    of distinct variables is taken as the seed."""
+    if not isinstance(state, ShearState):
+        state = ShearState.seed(state, mirrored)
+    elif state.mirrored != mirrored:
+        raise ValueError("a shear state flips only under the convention it was seeded with")
     u, v, w, z = quad
-    e = state.label((u, w))
-    grow = 1 + e
-    shrink = e / grow
+    k = _norm((u, w))
+    # b_kj = -1 on `grow` (scaled by 1 + e), +1 on `shrink` (by e/(1 + e))
+    grow = (_norm((u, v)), _norm((w, z)))
+    shrink = (_norm((v, w)), _norm((z, u)))
     if mirrored:
         grow, shrink = shrink, grow
-    labels = dict(state.labels)
-    del labels[_norm((u, w))]
-    labels[_norm((v, z))] = e.inv()
-    labels[_norm((u, v))] = state.label((u, v)) * grow
-    labels[_norm((w, z))] = state.label((w, z)) * grow
-    labels[_norm((v, w))] = state.label((v, w)) * shrink
-    labels[_norm((z, u))] = state.label((z, u)) * shrink
-    return LabelState(state.complex.flip((u, w), quad), labels)
+    ck = state.c[k]
+    pos = [max(x, 0) for x in ck]
+    neg = [min(x, 0) for x in ck]
+    c = dict(state.c)
+    F = dict(state.F)
+    for j in grow:
+        c[j] = tuple(x + y for x, y in zip(c[j], neg))
+    for j in shrink:
+        c[j] = tuple(x + y for x, y in zip(c[j], pos))
+    # b_ik = -b_ki: the grown sides enter the y^{[c_k]_+} term
+    total = _product([_monomial(state.names, pos)] + [F[j] for j in grow]) + _product(
+        [_monomial(state.names, [-x for x in neg])] + [F[j] for j in shrink]
+    )
+    f_new = total.exact_div(F.pop(k))
+    if f_new is None:
+        raise InternalInvariantError(f"F-polynomial division inexact at flip of {k}")
+    del c[k]
+    new = _norm((v, z))
+    c[new] = tuple(-x for x in ck)
+    F[new] = f_new
+    return ShearState(state.complex.flip(k, quad), state.names, c, F, mirrored)
 
 
 def apply_flip(
-    state: LabelState,
+    state: Union[LabelState, ShearState],
     quad: Tuple[int, int, int, int],
     system: LabelSystem,
     mirrored: bool = False,
-) -> LabelState:
+) -> Union[LabelState, ShearState]:
     if system is LabelSystem.PTOLEMY:
         return apply_ptolemy_flip(state, quad)
     return apply_shear_flip(state, quad, mirrored=mirrored)
 
 
-def _flip_edge(state: LabelState, edge: Edge, system: LabelSystem, mirrored=False) -> LabelState:
+def _flip_edge(state, edge: Edge, system: LabelSystem, mirrored=False):
     return apply_flip(state, state.complex.quad_around(edge), system, mirrored=mirrored)
 
 
@@ -274,6 +441,7 @@ def run_invariant(
     most ``max_retries``); isotopic motions compute the same map, so the
     perturbed run yields the same result.
     """
+    check_strand_count(cfg.n)
     tri0, _ = initial_triangulation(cfg)
     base = augment(tri0)
     attempts = [cfg] + [cfg.with_bulge(cfg.bulge + d) for d in jitter[:max_retries]]
@@ -319,7 +487,7 @@ def run_invariant(
     for (p, q) in state.complex.edges():
         if FAR_VERTEX in (p, q):
             continue
-        entries[_norm((perm[p], perm[q]))] = state.labels[(p, q)]
+        entries[_norm((perm[p], perm[q]))] = state.label((p, q))
     if set(entries) != set(tri0.edges()):
         raise InternalInvariantError("re-keyed entries do not cover the slot edges")
     return InvariantMap(cfg.n, system, word.text(), entries)

@@ -243,6 +243,15 @@ class Triangulation:
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "complex", complex_)
 
+    @classmethod
+    def _trusted(cls, vertices: Dict[int, Point], complex_: EdgeComplex) -> "Triangulation":
+        """Wrap a complex whose triangles the caller has already proved
+        counterclockwise on these vertices (``delaunay``): no re-check."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "vertices", vertices)
+        object.__setattr__(obj, "complex", complex_)
+        return obj
+
     def __setattr__(self, name, value):
         raise AttributeError("Triangulation is immutable")
 
@@ -414,7 +423,9 @@ def delaunay(points: Sequence[Tuple[int, Point]]) -> Triangulation:
                 changed = True
                 break
 
-    return Triangulation(dict(items), EdgeComplex(triangles))
+    # every triangle was oriented counterclockwise by an exact orient sign
+    # (insertion) or is half of a convex quad (Lawson)
+    return Triangulation._trusted(dict(items), EdgeComplex(triangles))
 
 
 def quad_around(tri: Triangulation, edge: Tuple[int, int]) -> Tuple[int, int, int, int]:

@@ -28,8 +28,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import lcm
+from operator import mul
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from braidshear import roots
@@ -137,6 +139,11 @@ class Stage:
     def movers(self) -> Tuple[int, ...]:
         return tuple(s for s in self.strands() if isinstance(self.trajectories[s], Arc))
 
+    @cached_property
+    def numerators(self) -> Tuple[Dict[int, Tuple[List[int], List[int]]], ...]:
+        """``_homogeneous_positions`` of both half-stages, built once."""
+        return (_homogeneous_positions(self, 0), _homogeneous_positions(self, 1))
+
 
 @dataclass(frozen=True)
 class Motion:
@@ -203,7 +210,28 @@ def augment(tri: Triangulation) -> EdgeComplex:
 
 
 def augmented_at(motion: Motion, stage: int, t: Fraction) -> EdgeComplex:
-    return augment(delaunay(sorted(positions_at(motion, stage, t).items())))
+    """Hull-closure complex of the positions at stage-local time t.
+
+    Built from the integer numerators of the positions: at u = p/q every
+    strand of a half-stage sits at (X_h(p, q), Y_h(p, q)) / (D (p^2 + q^2)),
+    with X_h, Y_h the numerators made homogeneous of degree 2, so all
+    share one positive denominator and every predicate sign is that of
+    the integer points (X_h, Y_h).
+    """
+    if not 0 <= stage < len(motion.stages):
+        raise KineticError(f"stage {stage} out of range")
+    t = Fraction(t)
+    if not 0 <= t <= 1:
+        raise KineticError(f"time {t} outside [0, 1]")
+    half = 0 if t <= Fraction(1, 2) else 1  # as Arc._cos_sin
+    u = 2 * t - half
+    p, q = u.numerator, u.denominator
+    basis = (q * q, p * q, p * p)  # p^i q^(2-i)
+    points = [
+        (s, Point(sum(map(mul, xs, basis)), sum(map(mul, ys, basis))))
+        for s, (xs, ys) in sorted(motion.stages[stage].numerators[half].items())
+    ]
+    return augment(delaunay(points))
 
 
 # -- event polynomials over Z[u] (sturm backend) ---------------------------
@@ -346,7 +374,7 @@ def _stage_event_polys(motion: Motion, stage_idx: int) -> List[Tuple[List[int], 
     polys = []
     ids = [FAR_VERTEX] + list(stage.strands())
     for half, (d_lo, d_hi) in enumerate([(Fraction(0), Fraction(1, 2)), (Fraction(1, 2), Fraction(1))]):
-        pos = _homogeneous_positions(stage, half)
+        pos = stage.numerators[half]
         for subset in combinations(ids, 4):
             finite = [s for s in subset if s != FAR_VERTEX]
             if not (set(finite) & movers):
@@ -376,7 +404,7 @@ def _collision_polys(motion: Motion, stage_idx: int) -> List[Tuple[int, int, Lis
     if not movers:
         return out
     for half in (0, 1):
-        pos = _homogeneous_positions(stage, half)
+        pos = stage.numerators[half]
         for i, j in combinations(stage.strands(), 2):
             if i not in movers and j not in movers:
                 continue

@@ -5,8 +5,10 @@ from itertools import combinations
 import random
 
 from braidshear.algebra import RationalFunction
+from braidshear.braid import compile_motion, initial_triangulation
+from braidshear.coordinates import LabelState, seed_state
 from braidshear.geometry import Point, Triangulation, incircle, orient
-from braidshear.kinetic import FAR_VERTEX, DegeneracyError, Stationary
+from braidshear.kinetic import FAR_VERTEX, DegeneracyError, Stationary, augment, detect_flips
 
 
 def brute_force_delaunay_triangles(points):
@@ -207,3 +209,49 @@ def rf_collision_polys(motion, stage_idx):
             dy = funcs[i][1] - funcs[j][1]
             out.append((half, i, j, _dense_in_u(dx * dx + dy * dy)))
     return out
+
+
+# -- the shear rule on rational functions ---------------------------------
+#
+# The product carries shear labels as c-vectors and F-polynomials; this is
+# the rule written directly on reduced rational functions, to check it.
+
+
+def _norm(edge):
+    return tuple(sorted(edge))
+
+
+def rf_shear_flip(state, quad, mirrored=False):
+    """Shear flip of a ``LabelState``: the new diagonal gets 1/e, the sides
+    (u,v), (w,z) are scaled by 1+e and (v,w), (z,u) by e/(1+e), where e is
+    the old diagonal's label (the pairs swapped when ``mirrored``)."""
+    u, v, w, z = quad
+    e = state.label((u, w))
+    grow = 1 + e
+    shrink = e / grow
+    if mirrored:
+        grow, shrink = shrink, grow
+    labels = dict(state.labels)
+    del labels[_norm((u, w))]
+    labels[_norm((v, z))] = e.inv()
+    labels[_norm((u, v))] = state.label((u, v)) * grow
+    labels[_norm((w, z))] = state.label((w, z)) * grow
+    labels[_norm((v, w))] = state.label((v, w)) * shrink
+    labels[_norm((z, u))] = state.label((z, u)) * shrink
+    return LabelState(state.complex.flip((u, w), quad), labels)
+
+
+def rf_shear_entries(word, cfg):
+    """T(word) under the shear rule by the rational-function oracle: the
+    certified events of the unperturbed motion replayed from the seed
+    variables, re-keyed to slot edges as ``run_invariant`` does."""
+    tri0, _ = initial_triangulation(cfg)
+    motion, perm = compile_motion(word, cfg)
+    state = seed_state(augment(tri0))
+    for event in detect_flips(motion, tri0):
+        state = rf_shear_flip(state, event.quad)
+    return {
+        _norm((perm[p], perm[q])): value
+        for (p, q), value in state.labels.items()
+        if FAR_VERTEX not in (p, q)
+    }

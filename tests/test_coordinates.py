@@ -1,14 +1,19 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import braidshear.coordinates as coordinates
-from braidshear.algebra import RationalFunction
+from braidshear.algebra import Polynomial, RationalFunction
 from braidshear.braid import SlotConfig, parse_braid
 from braidshear.coordinates import (
     InvariantMap,
     LabelState,
     LabelSystem,
+    ShearState,
+    StrandCountError,
     apply_flip,
     apply_ptolemy_flip,
     apply_shear_flip,
@@ -23,6 +28,7 @@ from braidshear.coordinates import (
     seed_state,
 )
 from braidshear.kinetic import DegeneracyError
+from oracles import rf_shear_entries, rf_shear_flip
 
 
 def var(name):
@@ -70,15 +76,42 @@ def test_shear_formulas_verbatim():
 
 
 def test_shear_numeric_specialization():
-    # with e = 1 the diagonal stays 1, grown sides double, shrunk halve
+    # with e = 1 the diagonal stays 1, grown sides double, shrunk halve; a
+    # specialized seed is not a seed of variables, so this runs the
+    # rational-function rule
     complex_ = convex_polygon_complex([(1, 2, 3), (1, 3, 4)])
     labels = {e: edge_variable(*e) for e in complex_.edges()}
     labels[(1, 3)] = RationalFunction.constant(1)
     state = LabelState(complex_, labels)
-    flipped = apply_shear_flip(state, (1, 2, 3, 4))
+    flipped = rf_shear_flip(state, (1, 2, 3, 4))
     assert flipped.label((2, 4)) == RationalFunction.constant(1)
     assert flipped.label((1, 2)) == 2 * edge_variable(1, 2)
     assert flipped.label((2, 3)) == edge_variable(2, 3) / 2
+
+
+def test_shear_numeric_specialization_separated():
+    # the same flip on separated labels, read at a_{1,3} = 1
+    flipped = apply_shear_flip(square_state(), (1, 2, 3, 4))
+    point = {
+        "a_{1,2}": Fraction(2, 3),
+        "a_{2,3}": Fraction(5, 7),
+        "a_{3,4}": Fraction(-3, 2),
+        "a_{1,4}": Fraction(4),
+        "a_{1,3}": 1,
+    }
+    assert flipped.label((2, 4)).evaluate(point) == 1
+    assert flipped.label((1, 2)).evaluate(point) == 2 * point["a_{1,2}"]
+    assert flipped.label((3, 4)).evaluate(point) == 2 * point["a_{3,4}"]
+    assert flipped.label((2, 3)).evaluate(point) == point["a_{2,3}"] / 2
+    assert flipped.label((1, 4)).evaluate(point) == point["a_{1,4}"] / 2
+
+
+def test_shear_flip_rejects_a_specialized_seed():
+    complex_ = convex_polygon_complex([(1, 2, 3), (1, 3, 4)])
+    labels = {e: edge_variable(*e) for e in complex_.edges()}
+    labels[(1, 3)] = RationalFunction.constant(1)
+    with pytest.raises(ValueError):
+        apply_shear_flip(LabelState(complex_, labels), (1, 2, 3, 4))
 
 
 def test_shear_double_flip_is_identity():
@@ -102,6 +135,55 @@ def test_flip_locality():
             if edge in support:
                 continue
             assert flipped.label(edge) == octagon.label(edge)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_separated_shear_labels_match_the_rational_function_rule(data):
+    # random flip sequences on a fan-triangulated convex polygon
+    n = data.draw(st.integers(5, 8), label="polygon size")
+    mirrored = data.draw(st.booleans(), label="mirrored")
+    oracle = seed_state(convex_polygon_complex([(1, i, i + 1) for i in range(2, n)]))
+    state = oracle
+    for _ in range(data.draw(st.integers(1, 10), label="flips")):
+        interior = sorted(e for e in state.complex.edges() if state.complex.is_interior(e))
+        quad = state.complex.quad_around(data.draw(st.sampled_from(interior)))
+        oracle = rf_shear_flip(oracle, quad, mirrored)
+        state = apply_shear_flip(state, quad, mirrored)
+        assert isinstance(state, ShearState)
+        assert state.complex == oracle.complex
+        u, v, w, z = quad
+        for edge in [(v, z), (u, v), (v, w), (w, z), (z, u)]:
+            assert state.label(edge) == oracle.label(edge)
+    assert state.labels == oracle.labels
+    assert state == oracle
+
+
+def test_shear_state_keeps_its_convention():
+    once = apply_shear_flip(square_state(), (1, 2, 3, 4), mirrored=True)
+    with pytest.raises(ValueError):
+        apply_shear_flip(once, once.complex.quad_around((2, 4)))
+
+
+def test_inexact_f_polynomial_division_is_an_internal_error():
+    seed = ShearState.seed(square_state())
+    F = dict(seed.F)
+    F[(1, 3)] = Polynomial.variable("a_{1,2}") + 2  # not an F-polynomial of this seed
+    broken = ShearState(seed.complex, seed.names, seed.c, F)
+    with pytest.raises(coordinates.InternalInvariantError):
+        apply_shear_flip(broken, (1, 2, 3, 4))
+
+
+def test_shear_state_equality_falls_back_to_labels():
+    # equal labels under different seed variable orders compare equal
+    state = apply_shear_flip(square_state(), (1, 2, 3, 4))
+    order = list(reversed(state.names))
+    perm = [state.names.index(name) for name in order]
+    c = {e: tuple(v[i] for i in perm) for e, v in state.c.items()}
+    other = ShearState(state.complex, tuple(order), c, state.F)
+    assert other.c != state.c
+    assert other == state
+    assert apply_shear_flip(square_state(), (1, 2, 3, 4), mirrored=True) != state
 
 
 # -- relation checks -----------------------------------------------------------
@@ -375,3 +457,24 @@ def test_invariant_json_round_trip():
     assert again.system is LabelSystem.SHEAR
     edges = [tuple(rec["edge"]) for rec in data["entries"]]
     assert edges == sorted(edges)
+
+
+def test_run_invariant_shear_matches_the_oracle_on_random_words():
+    rng = random.Random(3)
+    for _ in range(4):
+        n = rng.randint(4, 5)
+        letters = [
+            f"s{rng.randint(1, n - 1)}" + ("'" if rng.random() < 0.5 else "")
+            for _ in range(rng.randint(3, 6))
+        ]
+        word = parse_braid(" ".join(letters), n=n)
+        inv = run_invariant(word, SlotConfig(n), LabelSystem.SHEAR)
+        assert inv.entries == rf_shear_entries(word, SlotConfig(n)), word.text()
+
+
+def test_run_invariant_rejects_two_strands_like_the_cli():
+    word = parse_braid("s1", n=2)
+    for system in LabelSystem:
+        with pytest.raises(StrandCountError, match="needs at least 3 strands"):
+            run_invariant(word, SlotConfig(2), system)
+    assert issubclass(StrandCountError, ValueError)

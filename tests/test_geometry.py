@@ -290,6 +290,15 @@ def test_flip_preserves_hull():
         assert flip(tri, edge).hull() == tri.hull()
 
 
+def test_public_constructor_rejects_a_clockwise_triangle():
+    from braidshear.geometry import GeometryError
+
+    pts = {1: P(0, 0), 2: P(1, 0), 3: P(1, 1)}
+    Triangulation(pts, EdgeComplex([(1, 2, 3)]))
+    with pytest.raises(GeometryError, match="not counterclockwise"):
+        Triangulation(pts, EdgeComplex([(1, 3, 2)]))
+
+
 def test_flip_nonconvex_error():
     pts = {1: P(0, 0), 2: P(4, 0), 3: P(0, 4), 4: P(1, 1)}
     complex_ = EdgeComplex([(1, 2, 4), (2, 3, 4), (1, 4, 3)])

@@ -5,7 +5,7 @@ import pytest
 
 from braidshear.braid import SlotConfig, compile_motion, initial_triangulation, parse_braid
 from braidshear.coordinates import convex_polygon_complex
-from braidshear.geometry import point
+from braidshear.geometry import DegenerateInputError, delaunay, point
 from braidshear.kinetic import (
     Arc,
     CollisionError,
@@ -25,6 +25,7 @@ from braidshear.kinetic import (
     motion_from_json,
     motion_to_json,
     position_at,
+    positions_at,
     replay,
 )
 
@@ -468,3 +469,38 @@ def test_events_json_round_trip():
     data = events_to_json(events)
     assert events_from_json(data) == events
     assert all(set(rec) == {"stage", "t_lo", "t_hi", "edge", "quad"} for rec in data)
+
+
+def test_integer_augmented_at_matches_fraction_positions():
+    # augmented_at evaluates integer numerators; the complex (or the
+    # degeneracy, kind and ids) must be that of the Fraction positions
+    def outcome(build):
+        try:
+            return build()
+        except DegenerateInputError as exc:
+            return (exc.kind, exc.ids)
+
+    # strand 4 passes the circle through the other three at t = 1/2
+    cocircular = Motion(4, [Stage({
+        1: Stationary(point(0, 0)),
+        2: Stationary(point(2, 0)),
+        3: Stationary(point(0, 2)),
+        4: Arc(center=point(2, 1), start=point(3, 1), direction=1),
+    })])
+    at_half = outcome(lambda: augmented_at(cocircular, 0, Fraction(1, 2)))
+    assert at_half == ("cocircular-4", (1, 2, 3, 4))
+    motions = [cocircular] + [
+        swap_motion(n, text)[0] for n, text in [(3, "s1 s2'"), (4, "s1 s2 s3'"), (5, "s3 s4 s2 s1")]
+    ]
+    rng = random.Random(23)
+    for motion in motions:
+        for stage in range(len(motion.stages)):
+            times = [Fraction(0), Fraction(1, 2), Fraction(1)]
+            times += [Fraction(rng.randrange(1, 2 ** 12), 2 ** 12) for _ in range(6)]
+            times += [Fraction(rng.randrange(1, 97), 97) for _ in range(4)]
+            for t in times:
+                fresh = outcome(lambda: augmented_at(motion, stage, t))
+                expected = outcome(
+                    lambda: augment(delaunay(sorted(positions_at(motion, stage, t).items())))
+                )
+                assert fresh == expected, (stage, t)

@@ -251,7 +251,13 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.set_defaults(handler=_cmd_invariant)
 
-    p = sub.add_parser("equal", help="compare T of two words")
+    p = sub.add_parser(
+        "equal",
+        help="compare T of two words",
+        description="Compare T of two words: EQUAL (exit 0) or DIFFERENT (exit 1). "
+        "At n = 3 no flip ever fires, so T is only the permutation of the strands: "
+        "words with the same permutation compare EQUAL there.",
+    )
     add_common(p, word_args=2)
     p.set_defaults(handler=_cmd_equal)
 

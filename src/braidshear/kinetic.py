@@ -9,12 +9,6 @@ transition, a cocircularity of four strands or a collinearity of three
 hull strands, is a single edge flip, so a braid's whole history is a
 certified, ordered flip sequence.
 
-Two detector backends share one contract: ``sturm`` isolates event times
-as real roots of exact event polynomials (complete); ``bisect`` samples a
-grid and bisects intervals whose complexes differ (the simpler strategy,
-sound on well-separated events).  Select via the ``detector`` argument of
-``detect_flips``; the product runs ``sturm``.
-
 The event polynomials live in Z[u], u the tangent-half-angle parameter of
 one half-stage: with every position written over the common denominator
 D * (1 + u^2), each orient (far vertex plus three strands), incircle (four
@@ -22,6 +16,29 @@ strands) and squared-distance (collision) determinant is an integer
 polynomial numerator.  Its factors 1 + u^2, which have no real roots, are
 divided out exactly and the primitive part is kept, so no rational
 arithmetic enters their construction.
+
+Every real root of every event polynomial in a stage is isolated in a
+bracket (a wall), and the brackets are refined until pairwise disjoint,
+so each holds exactly one event time.  A wall isolated from a single
+polynomial is decided by that polynomial alone, its certificate, as in a
+kinetic data structure: the complex changes across the bracket exactly
+when the certificate's sign differs at the two ends (a root of even
+multiplicity is a touch, not a crossing) and its 4-subset is the quad
+around an edge of the current complex, and the change is the flip of that
+edge.  Three kinds of wall fall back to rebuilding the complex by
+``delaunay()`` at both bracket ends and classifying the difference:
+merged walls (several polynomials with exactly equal roots, which may
+hold simultaneous flips), the exact t = 1/2 wall where the two
+half-stages meet, and walls whose flip would not be simplicial because
+the quad's other diagonal is already an edge (only the n = 3 tetrahedron,
+where the transition merely reverses orientation).  Apart from these,
+``delaunay()`` runs only at stage ends, to check the replayed complex.
+
+Two detector backends share one contract: ``sturm`` is the certified
+detector above (complete); ``bisect`` samples a grid and bisects intervals
+whose complexes differ (the simpler strategy, sound on well-separated
+events).  Select via the ``detector`` argument of ``detect_flips``; the
+product runs ``sturm``.
 """
 
 from __future__ import annotations
@@ -360,12 +377,16 @@ def _incircle_num(p, q, r, s) -> List[int]:
     )
 
 
-def _stage_event_polys(motion: Motion, stage_idx: int) -> List[Tuple[List[int], Fraction, Fraction]]:
-    """Event polynomials in stage-local time with their domains.
+def _stage_event_polys(
+    motion: Motion, stage_idx: int
+) -> List[Tuple[List[int], Fraction, Fraction, Tuple[int, ...]]]:
+    """Event polynomials in stage-local time with their domains and
+    4-subsets, as ``(coeffs, lo, hi, subset)``.
 
     One polynomial per 4-subset of {far} + strands (with at least one
     moving finite member) and per half-stage; roots are the candidate
-    event times.
+    event times, and the sign is that of the subset's orient or incircle
+    determinant.
     """
     stage = motion.stages[stage_idx]
     movers = set(stage.movers())
@@ -391,13 +412,13 @@ def _stage_event_polys(motion: Motion, stage_idx: int) -> List[Tuple[List[int], 
             if len(coeffs) == 1:
                 continue  # constant sign, no events
             # u = 2t - half maps the half's time range onto [0, 1]
-            polys.append((_compose_linear(coeffs, 2, -half), d_lo, d_hi))
+            polys.append((_compose_linear(coeffs, 2, -half), d_lo, d_hi, subset))
     return polys
 
 
-def _collision_polys(motion: Motion, stage_idx: int) -> List[Tuple[int, int, List[int]]]:
-    """Squared distances in u, ``(i, j, coeffs)`` per half-stage and strand
-    pair with a moving member."""
+def _collision_polys(motion: Motion, stage_idx: int) -> List[Tuple[int, int, List[int], List[int]]]:
+    """Coordinate differences in u, ``(i, j, dx, dy)`` per half-stage and
+    strand pair with a moving member (numerators over D * (1 + u^2))."""
     stage = motion.stages[stage_idx]
     movers = set(stage.movers())
     out = []
@@ -408,31 +429,37 @@ def _collision_polys(motion: Motion, stage_idx: int) -> List[Tuple[int, int, Lis
         for i, j in combinations(stage.strands(), 2):
             if i not in movers and j not in movers:
                 continue
-            dx = _psub(pos[i][0], pos[j][0])
-            dy = _psub(pos[i][1], pos[j][1])
-            out.append((i, j, _strip_w(_padd(_pmul(dx, dx), _pmul(dy, dy)))))
+            out.append((i, j, _psub(pos[i][0], pos[j][0]), _psub(pos[i][1], pos[j][1])))
     return out
 
 
 def _check_collisions(motion: Motion, stage_idx: int) -> None:
-    for i, j, coeffs in _collision_polys(motion, stage_idx):
-        if not coeffs:
+    # the squared distance dx^2 + dy^2 vanishes exactly where dx and dy do
+    for i, j, dx, dy in _collision_polys(motion, stage_idx):
+        if not any(dx) and not any(dy):
             raise CollisionError(f"strands {i} and {j} coincide throughout stage {stage_idx}")
-        if roots.count_roots_closed(coeffs, Fraction(0), Fraction(1)) > 0:
+        if roots.has_common_root_in(dx, dy, Fraction(0), Fraction(1)):
             raise CollisionError(f"strands {i} and {j} collide during stage {stage_idx}")
 
 
 class _Wall:
     """A bracketed event time: an isolating interval of one event
-    polynomial, or an exact rational time."""
+    polynomial, or an exact rational time.
 
-    __slots__ = ("poly", "lo", "hi", "exact")
+    A wall isolated from a single event polynomial carries its
+    certificate ``(subset, coeffs)``: the polynomial's 4-subset and the
+    signed polynomial itself, not made squarefree.  Merged and exact walls
+    carry none.
+    """
 
-    def __init__(self, poly, lo, hi, exact=None):
+    __slots__ = ("poly", "lo", "hi", "exact", "cert")
+
+    def __init__(self, poly, lo, hi, exact=None, cert=None):
         self.poly = poly
         self.lo = lo
         self.hi = hi
         self.exact = exact
+        self.cert = cert
 
     def shrink(self, width: Fraction) -> None:
         if self.exact is not None:
@@ -465,7 +492,7 @@ def _stage_walls(motion: Motion, stage_idx: int, w_min: Fraction) -> List[_Wall]
     walls: List[_Wall] = []
     half_mark = Fraction(1, 2)
     mid_seen = False
-    for coeffs, d_lo, d_hi in _stage_event_polys(motion, stage_idx):
+    for coeffs, d_lo, d_hi, subset in _stage_event_polys(motion, stage_idx):
         poly = roots.normalize(coeffs)
         if not poly:
             raise DegeneracyError(f"stage {stage_idx}: identically degenerate event polynomial")
@@ -482,7 +509,7 @@ def _stage_walls(motion: Motion, stage_idx: int, w_min: Fraction) -> List[_Wall]
                     mid_seen = True
         if roots.degree(work) >= 1:
             for iso in roots.isolate_roots(work, d_lo, d_hi):
-                walls.append(_Wall(work, iso.lo, iso.hi))
+                walls.append(_Wall(work, iso.lo, iso.hi, cert=(subset, poly)))
     for wall in walls:
         wall.shrink(w_min)
     return _separate_walls(walls, w_min)
@@ -584,17 +611,59 @@ def _generic_complex_near(
     raise DegeneracyError(f"stage {stage_idx}: no generic sample near {t}")
 
 
+_Flip = Tuple[Tuple[int, int], Tuple[int, int, int, int]]
+
+
+def _certified_flips(current: EdgeComplex, wall: _Wall) -> Optional[List[_Flip]]:
+    """The ``(edge, quad)`` flips a wall makes on ``current``, decided by
+    its certificate alone (see the module docstring); ``None`` when the
+    wall has no certificate or its flip would not be simplicial, and the
+    full recompute must decide it.
+
+    Only the certificate's polynomial has a root in the bracket, so no
+    other orient or incircle sign, and no other edge's legality, changes
+    across it.
+    """
+    if wall.cert is None:
+        return None
+    subset, poly = wall.cert
+    lo, hi = wall.lo, wall.hi
+    if (roots._value(poly, lo.numerator, lo.denominator) > 0) == (
+        roots._value(poly, hi.numerator, hi.denominator) > 0
+    ):
+        return []
+    members = set(subset)
+    for edge in combinations(subset, 2):
+        if not current.has_edge(edge):
+            continue
+        quad = current.quad_around(edge)
+        if set(quad) == members:
+            if current.has_edge((quad[1], quad[3])):
+                return None
+            return [(edge, quad)]
+    return []
+
+
 def _detect_stage_sturm(
     motion: Motion, stage_idx: int, current: EdgeComplex, w_min: Fraction, events: List[FlipEvent]
 ) -> EdgeComplex:
     _check_collisions(motion, stage_idx)
-    walls = _stage_walls(motion, stage_idx, w_min)
-    for wall in walls:
-        fresh_lo = augmented_at(motion, stage_idx, wall.lo)
-        fresh_hi = augmented_at(motion, stage_idx, wall.hi)
-        current = _apply_transition(
-            current, fresh_lo, fresh_hi, stage_idx, wall.lo, wall.hi, events
-        )
+    for wall in _stage_walls(motion, stage_idx, w_min):
+        flips = _certified_flips(current, wall)
+        if flips is None:
+            current = _apply_transition(
+                current,
+                augmented_at(motion, stage_idx, wall.lo),
+                augmented_at(motion, stage_idx, wall.hi),
+                stage_idx,
+                wall.lo,
+                wall.hi,
+                events,
+            )
+            continue
+        for edge, quad in flips:
+            current = current.flip(edge, quad)
+            events.append(FlipEvent(stage_idx, wall.lo, wall.hi, edge, quad))
     end = augmented_at(motion, stage_idx, Fraction(1))
     if not current.same_triangles(end):
         raise KineticError(f"stage {stage_idx}: end complex mismatch")

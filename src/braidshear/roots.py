@@ -188,8 +188,13 @@ def isolate_roots(coeffs: Sequence, lo: Fraction, hi: Fraction) -> List[Isolated
     Preconditions: lo < hi and neither endpoint is a root.  Returns
     disjoint open intervals in increasing order, one root each, whose
     endpoints are not roots.
+
+    The chain is built on ``coeffs`` as given, squarefree or not: it ends
+    in gcd(f, f'), and dividing every member by that common factor, which
+    is nonzero wherever f is, changes no sign variation, so the chain
+    counts distinct roots either way.
     """
-    f = squarefree_part(coeffs)
+    f = normalize(coeffs)
     if degree(f) < 1:
         return []
     if _is_root(f, lo) or _is_root(f, hi):
@@ -209,23 +214,41 @@ def isolate_roots(coeffs: Sequence, lo: Fraction, hi: Fraction) -> List[Isolated
 
 
 def refine_root(coeffs: Sequence, root: IsolatedRoot, width: Fraction) -> IsolatedRoot:
-    """Shrink an isolating interval below ``width`` by sign bisection."""
-    f = squarefree_part(coeffs)
+    """Shrink an isolating interval below ``width`` by sign bisection.
+
+    Bisection runs on integer numerators over one denominator, doubled at
+    each step, so no midpoint is reduced; the interval returned is the one
+    ``Fraction`` bisection gives.  When f changes sign across the interval
+    its root there has odd multiplicity, and bisecting f itself takes the
+    same steps as bisecting its squarefree part; only a root of even
+    multiplicity needs ``squarefree_part``.
+    """
+    f = normalize(coeffs)
     lo, hi = root
-    v_lo = _value(f, lo.numerator, lo.denominator)
-    if v_lo == 0 or _is_root(f, hi):
+    den = math.lcm(lo.denominator, hi.denominator)
+    a = lo.numerator * (den // lo.denominator)
+    b = hi.numerator * (den // hi.denominator)
+    v_lo, v_hi = _value(f, a, den), _value(f, b, den)
+    if v_lo and v_hi and (v_lo > 0) == (v_hi > 0):
+        f = squarefree_part(f)
+        v_lo, v_hi = _value(f, a, den), _value(f, b, den)
+    if v_lo == 0 or v_hi == 0:
         raise RootIsolationError("isolating interval endpoint is a root")
-    while hi - lo >= width:
-        mid = (lo + hi) / 2
-        v = _value(f, mid.numerator, mid.denominator)
+    positive = v_lo > 0
+    wn, wd = width.numerator, width.denominator
+    while (b - a) * wd >= wn * den:
+        mid = a + b
+        a, b, den = 2 * a, 2 * b, 2 * den
+        v = _value(f, mid, den)
         if v == 0:
-            delta = min(width / 4, (hi - mid) / 2, (mid - lo) / 2)
-            return IsolatedRoot(mid - delta, mid + delta)
-        if (v > 0) == (v_lo > 0):
-            lo = mid
+            lo, hi, m = Fraction(a, den), Fraction(b, den), Fraction(mid, den)
+            delta = min(width / 4, (hi - m) / 2, (m - lo) / 2)
+            return IsolatedRoot(m - delta, m + delta)
+        if (v > 0) == positive:
+            a = mid
         else:
-            hi = mid
-    return IsolatedRoot(lo, hi)
+            b = mid
+    return IsolatedRoot(Fraction(a, den), Fraction(b, den))
 
 
 def count_roots_closed(coeffs: Sequence, lo: Fraction, hi: Fraction) -> int:

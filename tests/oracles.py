@@ -8,7 +8,20 @@ from braidshear.algebra import RationalFunction
 from braidshear.braid import compile_motion, initial_triangulation
 from braidshear.coordinates import LabelState, seed_state
 from braidshear.geometry import Point, Triangulation, incircle, orient
-from braidshear.kinetic import FAR_VERTEX, DegeneracyError, Stationary, augment, detect_flips
+from braidshear.kinetic import (
+    DEFAULT_MIN_BRACKET,
+    FAR_VERTEX,
+    DegeneracyError,
+    KineticError,
+    Stationary,
+    _apply_transition,
+    _check_collisions,
+    _stage_walls,
+    augment,
+    augmented_at,
+    detect_flips,
+    positions_at,
+)
 
 
 def brute_force_delaunay_triangles(points):
@@ -79,6 +92,30 @@ def empty_circumcircle_holds(tri: Triangulation) -> bool:
             if incircle(pts[a], pts[b], pts[c], pts[d]) >= 0:
                 return False
     return True
+
+
+# -- detection by full recompute at every wall ----------------------------
+
+
+def full_recompute_detect_flips(motion, initial, w_min=DEFAULT_MIN_BRACKET):
+    """``detect_flips`` deciding every wall from scratch: the Delaunay
+    complex is rebuilt at both ends of each bracket, checked against the
+    replayed one, and the difference classified as a flip set."""
+    if motion.stages and dict(initial.vertices) != positions_at(motion, 0, Fraction(0)):
+        raise KineticError("initial triangulation does not match the motion's start")
+    current = augment(initial)
+    events = []
+    for stage_idx in range(len(motion.stages)):
+        _check_collisions(motion, stage_idx)
+        for wall in _stage_walls(motion, stage_idx, w_min):
+            fresh_lo = augmented_at(motion, stage_idx, wall.lo)
+            fresh_hi = augmented_at(motion, stage_idx, wall.hi)
+            current = _apply_transition(
+                current, fresh_lo, fresh_hi, stage_idx, wall.lo, wall.hi, events
+            )
+        if not current.same_triangles(augmented_at(motion, stage_idx, Fraction(1))):
+            raise KineticError(f"stage {stage_idx}: end complex mismatch")
+    return events
 
 
 # -- event polynomials through the multivariate rational-function engine --

@@ -3,10 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+from braidshear import kinetic, roots
 from braidshear.braid import SlotConfig, compile_motion, initial_triangulation, parse_braid
 from braidshear.coordinates import convex_polygon_complex
 from braidshear.geometry import DegenerateInputError, delaunay, point
 from braidshear.kinetic import (
+    DEFAULT_MIN_BRACKET,
     Arc,
     CollisionError,
     DegeneracyError,
@@ -17,6 +19,8 @@ from braidshear.kinetic import (
     Stage,
     Stationary,
     _apply_transition,
+    _certified_flips,
+    _stage_walls,
     augment,
     augmented_at,
     detect_flips,
@@ -28,6 +32,7 @@ from braidshear.kinetic import (
     positions_at,
     replay,
 )
+from oracles import full_recompute_detect_flips
 
 
 def swap_motion(n, word_text):
@@ -265,6 +270,154 @@ def test_collision_is_detected():
         detect_flips(motion, tri0)
 
 
+def test_collision_needs_both_coordinate_differences_to_vanish(monkeypatch):
+    # at t = 1/2 strand 1 passes (1, -1), straight above strand 3: dx = 0, dy = 1
+    motion = Motion(3, (Stage({
+        1: Arc(center=point(1, 0), start=point(0, 0), direction=1),
+        2: Stationary(point(5, 5)),
+        3: Stationary(point(1, -2)),
+    }),))
+    kinetic._check_collisions(motion, 0)
+    # a Motion rejects coincident starts, so identically zero differences
+    # are fed in directly
+    monkeypatch.setattr(kinetic, "_collision_polys", lambda motion, k: [(1, 2, [0, 0, 0], [])])
+    with pytest.raises(CollisionError, match="strands 1 and 2 coincide throughout stage 0"):
+        kinetic._check_collisions(motion, 0)
+
+
+# -- certificate-driven wall decisions ---------------------------------------
+
+
+def _outcome(detect, motion, tri0):
+    try:
+        return detect(motion, tri0)
+    except (KineticError, DegenerateInputError) as exc:
+        return (type(exc).__name__, str(exc))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_detect_flips_matches_full_recompute_oracle(n):
+    # every event, brackets included, as rebuilding the complex by
+    # delaunay() at both ends of every wall gives it
+    rng = random.Random(700 + n)
+    for bulge in (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2)):
+        letters = [f"s{rng.randint(1, n - 1)}" + rng.choice(["", "'"]) for _ in range(rng.randint(1, 3))]
+        cfg = SlotConfig(n).with_bulge(bulge)
+        motion, _ = compile_motion(parse_braid(" ".join(letters), n=n), cfg)
+        tri0, _ = initial_triangulation(cfg)
+        expected = _outcome(full_recompute_detect_flips, motion, tri0)
+        assert _outcome(detect_flips, motion, tri0) == expected, (letters, bulge)
+
+
+def single_stage(trajectories):
+    motion = Motion(len(trajectories), [Stage(trajectories)])
+    start = positions_at(motion, 0, Fraction(0))
+    return motion, delaunay(sorted(start.items()))
+
+
+def unit_circle_and(mover, shift=(0, 0), first=1):
+    """Strands ``first``..``first + 2`` fixed on a unit circle, the next one
+    on ``mover``; everything translated by ``shift``."""
+    dx, dy = shift
+    fixed = [point(dx, 1 + dy), point(dx, -1 + dy), point(-1 + dx, dy)]
+    out = {first + k: Stationary(p) for k, p in enumerate(fixed)}
+    out[first + 3] = mover
+    return out
+
+
+def crossing_arc(dx=0, dy=0):
+    """Crosses the unit circle about (dx, dy) once, away from t = 1/2."""
+    return Arc(point(Fraction(3, 2) + dx, dy), point(Fraction(5, 2) + dx, dy), 1)
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """Brackets that ``detect_flips`` decides by the full recompute."""
+    seen = []
+    real = kinetic._apply_transition
+
+    def spy(current, fresh_lo, fresh_hi, stage_idx, t_lo, t_hi, events):
+        seen.append((stage_idx, t_lo, t_hi))
+        return real(current, fresh_lo, fresh_hi, stage_idx, t_lo, t_hi, events)
+
+    monkeypatch.setattr(kinetic, "_apply_transition", spy)
+    return seen
+
+
+def test_tangential_cocircularity_emits_no_flip(fallbacks):
+    # strand 4 touches the unit circle from outside at (1, 0), t = 2/3: the
+    # incircle certificate of {1, 2, 3, 4} has a double root and keeps its sign
+    motion, tri0 = single_stage(
+        unit_circle_and(Arc(point(3, 0), point(Fraction(21, 5), Fraction(8, 5)), 1))
+    )
+    (wall,) = _stage_walls(motion, 0, DEFAULT_MIN_BRACKET)
+    subset, poly = wall.cert
+    assert subset == (1, 2, 3, 4)
+    assert wall.lo < Fraction(2, 3) < wall.hi
+    assert roots.degree(roots.squarefree_part(poly)) < roots.degree(poly)
+    assert _certified_flips(augment(tri0), wall) == []
+    assert detect_flips(motion, tri0) == [] == full_recompute_detect_flips(motion, tri0)
+    assert fallbacks == []
+
+
+def test_simple_cocircularity_root_emits_one_flip(fallbacks):
+    motion, tri0 = single_stage(unit_circle_and(crossing_arc()))
+    (wall,) = _stage_walls(motion, 0, DEFAULT_MIN_BRACKET)
+    assert _certified_flips(augment(tri0), wall) == [((1, 2), (1, 3, 2, 4))]
+    events = detect_flips(motion, tri0)
+    assert events == [FlipEvent(0, wall.lo, wall.hi, (1, 2), (1, 3, 2, 4))]
+    assert events == full_recompute_detect_flips(motion, tri0)
+    assert fallbacks == []
+
+
+def test_exact_half_wall_takes_the_full_recompute(fallbacks):
+    # strand 4 crosses the circle through strands 1-3 exactly at t = 1/2
+    motion, tri0 = single_stage({
+        1: Stationary(point(0, 0)),
+        2: Stationary(point(2, 0)),
+        3: Stationary(point(0, 2)),
+        4: Arc(point(2, Fraction(1, 2)), point(3, Fraction(1, 2)), 1, Fraction(3, 2)),
+    })
+    walls = _stage_walls(motion, 0, DEFAULT_MIN_BRACKET)
+    (marker,) = [w for w in walls if w.cert is None]
+    assert marker.exact == Fraction(1, 2)
+    events = detect_flips(motion, tri0)
+    assert events == full_recompute_detect_flips(motion, tri0)
+    assert fallbacks == [(0, marker.lo, marker.hi)]
+    assert (events[0].t_lo, events[0].t_hi) == (marker.lo, marker.hi)
+
+
+def test_merged_wall_takes_the_full_recompute(fallbacks):
+    # two congruent copies of the crossing motion: their incircle
+    # certificates share every root, so those walls merge, and the two
+    # flips come from one full recompute in one bracket
+    motion, tri0 = single_stage({
+        **unit_circle_and(crossing_arc()),
+        **unit_circle_and(crossing_arc(20, 7), shift=(20, 7), first=5),
+    })
+    walls = _stage_walls(motion, 0, DEFAULT_MIN_BRACKET)
+    merged = [(0, w.lo, w.hi) for w in walls if w.cert is None]
+    assert merged and all(w.exact is None for w in walls)
+    events = detect_flips(motion, tri0)
+    assert events == full_recompute_detect_flips(motion, tri0)
+    assert fallbacks == merged
+    twins = [ev for ev in events if ev.edge in ((1, 2), (5, 6))]
+    assert [ev.quad for ev in twins] == [(1, 3, 2, 4), (5, 7, 6, 8)]
+    assert (0, twins[0].t_lo, twins[0].t_hi) == (0, twins[1].t_lo, twins[1].t_hi)
+    assert (0, twins[0].t_lo, twins[0].t_hi) in merged
+
+
+def test_three_strand_walls_take_the_full_recompute(fallbacks):
+    # at n = 3 the hull-closure complex is a tetrahedron: every subset is
+    # all four vertices and the other diagonal of every quad is an edge
+    motion, tri0 = swap_motion(3, "s1")
+    walls = _stage_walls(motion, 0, DEFAULT_MIN_BRACKET)
+    decided = [_certified_flips(augment(tri0), w) for w in walls]
+    assert None in decided and all(d in (None, []) for d in decided)
+    assert detect_flips(motion, tri0) == []
+    assert fallbacks == [(0, w.lo, w.hi) for w, d in zip(walls, decided) if d is None]
+
+
 # -- replay ----------------------------------------------------------------
 
 
@@ -406,7 +559,7 @@ ORACLE_SHAPES = [
 
 @pytest.mark.parametrize("bulge", [Fraction(1), Fraction(1, 3), Fraction(5, 2)], ids=str)
 def test_event_polys_match_rational_function_oracle(bulge):
-    from braidshear.kinetic import _collision_polys, _stage_event_polys
+    from braidshear.kinetic import _collision_polys, _padd, _pmul, _stage_event_polys, _strip_w
     from oracles import rf_collision_polys, rf_stage_event_polys
 
     for n, text, stages in ORACLE_SHAPES:
@@ -415,15 +568,15 @@ def test_event_polys_match_rational_function_oracle(bulge):
             ints = _stage_event_polys(motion, k)
             rfs = rf_stage_event_polys(motion, k)
             assert len(ints) == len(rfs)
-            for (p, lo, hi), (q, rlo, rhi) in zip(ints, rfs):
+            for (p, lo, hi, _), (q, rlo, rhi) in zip(ints, rfs):
                 assert all(type(c) is int for c in p)
                 assert (lo, hi) == (rlo, rhi)
                 assert _proportional(p, q)
             coll = _collision_polys(motion, k)
             rcoll = rf_collision_polys(motion, k)
-            assert [(i, j) for i, j, _ in coll] == [(i, j) for _, i, j, _ in rcoll]
-            for (_, _, p), (_, _, _, q) in zip(coll, rcoll):
-                assert _proportional(p, q)
+            assert [(i, j) for i, j, _, _ in coll] == [(i, j) for _, i, j, _ in rcoll]
+            for (_, _, dx, dy), (_, _, _, q) in zip(coll, rcoll):
+                assert _proportional(_strip_w(_padd(_pmul(dx, dx), _pmul(dy, dy))), q)
 
 
 def test_strip_w_divides_out_every_root_free_factor():

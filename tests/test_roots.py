@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from braidshear import roots as roots_module
 from braidshear.roots import (
+    IsolatedRoot,
     RootIsolationError,
     count_roots_closed,
     deflate_at,
@@ -163,3 +165,100 @@ def test_evaluate_is_exact_on_integer_and_fraction_coefficients():
     assert evaluate([Fraction(1, 2), 0, 1], Fraction(-1, 3)) == Fraction(11, 18)
     assert evaluate([], Fraction(5)) == 0
     assert evaluate([7], Fraction(1, 9)) == 7
+
+
+def fraction_refine_root(coeffs, root, width):
+    """Sign bisection on reduced ``Fraction`` midpoints of the squarefree
+    part: the reference the integer ``refine_root`` must match."""
+    f = squarefree_part(coeffs)
+    lo, hi = root
+    v_lo = evaluate(f, lo)
+    if v_lo == 0 or evaluate(f, hi) == 0:
+        raise RootIsolationError("isolating interval endpoint is a root")
+    while hi - lo >= width:
+        mid = (lo + hi) / 2
+        v = evaluate(f, mid)
+        if v == 0:
+            delta = min(width / 4, (hi - mid) / 2, (mid - lo) / 2)
+            return IsolatedRoot(mid - delta, mid + delta)
+        if (v > 0) == (v_lo > 0):
+            lo = mid
+        else:
+            hi = mid
+    return IsolatedRoot(lo, hi)
+
+
+def _random_root(rng):
+    # dyadic roots land on bisection midpoints; the others never do
+    den = rng.choice([1, 2, 4, 8, 16, 64, 3, 5, 7, 12])
+    return Fraction(rng.randint(-3 * den, 3 * den), den)
+
+
+def _isolating_intervals(rng, f, roots):
+    """Intervals from ``isolate_roots``, plus dyadic ones around rational
+    roots r, (r - j/2^m, r + k/2^m) with j + k a power of two, on which
+    bisection lands on r exactly."""
+    lo = Fraction(rng.randint(-70, -60), rng.choice([16, 17]))
+    hi = Fraction(rng.randint(60, 70), rng.choice([16, 19]))
+    out = []
+    if evaluate(f, lo) and evaluate(f, hi):
+        out += isolate_roots(f, lo, hi)
+    for r in set(roots):
+        step = Fraction(1, 2 ** rng.randint(4, 9))
+        j = rng.randint(1, 7)
+        a, b = r - j * step, r + (8 - j) * step
+        if evaluate(f, a) and evaluate(f, b) and count_roots_closed(f, a, b) == 1:
+            out.append(IsolatedRoot(a, b))
+    return out
+
+
+def test_integer_refine_root_matches_fraction_bisection():
+    rng = random.Random(11)
+    checked = centred_on_root = repeated = 0
+    for _ in range(80):
+        roots = [_random_root(rng) for _ in range(rng.randint(1, 4))]
+        roots += rng.choices(roots, k=rng.randint(0, 2))  # even or odd multiplicities
+        extra = rng.choice([None, [1, 0, 1], [-2, 0, 1], [3, -1, 0, 5]])
+        scale = rng.choice([1, -1, Fraction(2, 3)])
+        f = [c * scale for c in poly_from_roots(roots, extra)]
+        for iso in _isolating_intervals(rng, f, roots):
+            for width in (Fraction(1, 2 ** 20), Fraction(1, 100), Fraction(3, 7), Fraction(5)):
+                expected = fraction_refine_root(f, iso, width)
+                assert refine_root(f, iso, width) == expected
+                assert refine_root(normalize(f), iso, width) == expected
+                checked += 1
+                centred_on_root += (expected.lo + expected.hi) / 2 in roots
+        repeated += len(set(roots)) < len(roots)
+    assert checked > 1000 and centred_on_root > 200 and repeated > 30
+
+
+def test_refine_root_exact_midpoint_root():
+    # the first midpoint of (0, 1) is the root: the v == 0 branch
+    f = poly_from_roots([Fraction(1, 2)], extra=[1, 0, 1])
+    width = Fraction(1, 1024)
+    (iso,) = isolate_roots(f, Fraction(0), Fraction(1))
+    assert iso == (Fraction(0), Fraction(1))
+    refined = refine_root(f, iso, width)
+    assert refined == fraction_refine_root(f, iso, width)
+    assert refined == (Fraction(1, 2) - width / 4, Fraction(1, 2) + width / 4)
+
+
+def test_refine_root_of_even_multiplicity_root():
+    # f keeps its sign across (1/3)^2: bisection runs on the squarefree part
+    f = poly_from_roots([Fraction(1, 3), Fraction(1, 3), Fraction(4, 5)])
+    (first, second) = isolate_roots(f, Fraction(0), Fraction(1))
+    width = Fraction(1, 2 ** 16)
+    refined = refine_root(f, first, width)
+    assert refined == fraction_refine_root(f, first, width)
+    assert refined.lo < Fraction(1, 3) < refined.hi
+    assert refine_root(f, second, width) == fraction_refine_root(f, second, width)
+
+
+def test_isolate_roots_same_intervals_with_or_without_repeated_factors():
+    rng = random.Random(3)
+    for _ in range(40):
+        roots = [_random_root(rng) for _ in range(rng.randint(1, 4))]
+        f = poly_from_roots(roots, extra=[1, 0, 1])
+        g = poly_from_roots(roots + roots[: rng.randint(1, len(roots))], extra=[1, 0, 1])
+        lo, hi = Fraction(-65, 17), Fraction(67, 19)
+        assert isolate_roots(g, lo, hi) == isolate_roots(f, lo, hi)

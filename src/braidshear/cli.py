@@ -24,7 +24,6 @@ from braidshear.braid import (
     parse_braid,
 )
 from braidshear.coordinates import (
-    DEFAULT_JITTER,
     InternalInvariantError,
     InvariantMap,
     LabelSystem,
@@ -96,7 +95,13 @@ def _resolve_config(args) -> SlotConfig:
     n = args.n if args.n is not None else file_cfg.get("n")
     if n is None:
         raise CliError(EXIT_PARSE, "usage", "strand count required (--n or config file)")
-    n = int(n)
+    try:
+        # an int or its decimal string; a float such as 4.7 is not cut to 4
+        if isinstance(n, bool) or not isinstance(n, (int, str)):
+            raise ValueError
+        n = int(n)
+    except ValueError:
+        raise CliError(EXIT_PARSE, "usage", f"n must be an integer, got {n!r}")
     try:
         check_strand_count(n)
     except StrandCountError as exc:
@@ -104,11 +109,11 @@ def _resolve_config(args) -> SlotConfig:
     if args.epsilon is not None:
         epsilon = _rational_flag(args.epsilon, "--epsilon")
     else:
-        epsilon = parse_rational(str(file_cfg.get("epsilon", "1/64")))
+        epsilon = _rational_flag(str(file_cfg.get("epsilon", "1/64")), "config epsilon")
     if args.bulge is not None:
         bulge = _rational_flag(args.bulge, "--bulge")
     else:
-        bulge = parse_rational(str(file_cfg.get("bulge", "1")))
+        bulge = _rational_flag(str(file_cfg.get("bulge", "1")), "config bulge")
     try:
         return SlotConfig(n, epsilon, bulge)
     except ValueError as exc:
@@ -143,21 +148,18 @@ def _system(args) -> LabelSystem:
 def _write_output(args, text: str) -> None:
     path = getattr(args, "out", None)
     if path:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise CliError(EXIT_PARSE, "usage", f"cannot write output {path}: {exc}")
     else:
         sys.stdout.write(text)
 
 
 def _run_invariant(word_text: str, cfg: SlotConfig, system: LabelSystem) -> InvariantMap:
     word = _parse_word(word_text, cfg.n)
-    return run_invariant(
-        word,
-        cfg,
-        system,
-        max_retries=_max_retries(),
-        jitter=DEFAULT_JITTER,
-    )
+    return run_invariant(word, cfg, system, max_retries=_max_retries())
 
 
 def _cmd_invariant(args) -> int:

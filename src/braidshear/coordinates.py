@@ -430,8 +430,6 @@ def run_invariant(
     system: LabelSystem,
     *,
     max_retries: int = 3,
-    jitter: Sequence[Fraction] = DEFAULT_JITTER,
-    commutation_check: bool = True,
 ) -> InvariantMap:
     """Compute T(word): seed slot-edge variables, push them through the
     certified flip sequence, and re-key the final labels to slot edges via
@@ -444,7 +442,7 @@ def run_invariant(
     check_strand_count(cfg.n)
     tri0, _ = initial_triangulation(cfg)
     base = augment(tri0)
-    attempts = [cfg] + [cfg.with_bulge(cfg.bulge + d) for d in jitter[:max_retries]]
+    attempts = [cfg] + [cfg.with_bulge(cfg.bulge + d) for d in DEFAULT_JITTER[:max_retries]]
     last_error: Optional[Exception] = None
     events: Optional[List[FlipEvent]] = None
     motion = None
@@ -467,7 +465,7 @@ def run_invariant(
             if state.complex.quad_around(event.edge) != event.quad:
                 raise InternalInvariantError(f"event quad diverged for {event}")
             state = apply_flip(state, event.quad, system)
-        if commutation_check and len(group) > 1:
+        if len(group) > 1:
             # events sharing a bracket are simultaneous; re-apply them in
             # the opposite order and insist on the same outcome
             other = before

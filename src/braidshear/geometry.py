@@ -2,9 +2,13 @@
 
 All predicates are evaluated exactly, over Fractions or over integers (a
 point set scaled by the lcm of its denominators); no floating point
-enters any decision.  Triangulations are immutable values: geometric data
-(vertex coordinates) wraps a purely combinatorial oriented triangle
-complex that is reused by the kinetic layer.
+enters any decision.  A Delaunay triangulation is built from the
+empty-circle definition: on a generic point set (no four cocircular) it
+is the set of triangles whose circumcircle holds no other point, decided
+by one integer incircle sign per triangle and point.  Triangulations are
+immutable values: geometric data (vertex coordinates) wraps a purely
+combinatorial oriented triangle complex that is reused by the kinetic
+layer.
 """
 
 from __future__ import annotations
@@ -310,36 +314,14 @@ def _validate_generic(items: Sequence[Tuple[int, Point]]) -> None:
             raise DegenerateInputError("cocircular-4", quad)
 
 
-def _locate(
-    pts: Mapping[int, Point], triangles: set, p: Point
-) -> Tuple[Optional[Tuple[int, int, int]], Optional[Tuple[int, int]]]:
-    for tri in triangles:
-        a, b, c = tri
-        o1 = orient(pts[a], pts[b], p)
-        o2 = orient(pts[b], pts[c], p)
-        o3 = orient(pts[c], pts[a], p)
-        if o1 >= 0 and o2 >= 0 and o3 >= 0:
-            if o1 == 0:
-                return tri, (a, b)
-            if o2 == 0:
-                return tri, (b, c)
-            if o3 == 0:
-                return tri, (c, a)
-            return tri, None
-    return None, None
-
-
-def _boundary_cycle_of(directed: Dict[Tuple[int, int], tuple]) -> Dict[int, int]:
-    succ = {}
-    for (a, b) in directed:
-        if (b, a) not in directed:
-            succ[a] = b
-    return succ
-
-
 def delaunay(points: Sequence[Tuple[int, Point]]) -> Triangulation:
-    """Delaunay triangulation of generic points by incremental insertion
-    followed by exact Lawson legalization.
+    """Delaunay triangulation of generic points, built from its definition.
+
+    With no four points cocircular, the Delaunay triangles are exactly the
+    non-collinear triples whose circumcircle holds every other point
+    strictly outside (Delaunay, "Sur la sphère vide", 1934), so every
+    triple is tested against every other point: O(n^4) exact integer signs,
+    the same order as the genericity scan that precedes it.
 
     Degenerate inputs (coincident pair, fully collinear set, cocircular
     4-tuple) are rejected with the offending ids.
@@ -351,80 +333,17 @@ def delaunay(points: Sequence[Tuple[int, Point]]) -> Triangulation:
     scaled = [(i, Point(*(c.numerator * (scale // c.denominator) for c in p))) for i, p in items]
     _validate_generic(scaled)
     pts = dict(scaled)
-    ids = [i for i, _ in items]
-
-    # seed with the first non-collinear triple
-    i0, i1 = ids[0], ids[1]
-    k = next(j for j in ids[2:] if orient(pts[i0], pts[i1], pts[j]) != 0)
-    first = (i0, i1, k) if orient(pts[i0], pts[i1], pts[k]) > 0 else (i0, k, i1)
-    triangles = {_canonical(first)}
-    pending = [j for j in ids[2:] if j != k]
-
-    def rebuild_directed():
-        directed = {}
-        for tri in triangles:
-            a, b, c = tri
-            for e in ((a, b), (b, c), (c, a)):
-                directed[e] = tri
-        return directed
-
-    for j in pending:
-        p = pts[j]
-        tri, on_edge = _locate(pts, triangles, p)
-        if tri is not None and on_edge is None:
-            a, b, c = tri
-            triangles.remove(tri)
-            triangles |= {
-                _canonical((a, b, j)),
-                _canonical((b, c, j)),
-                _canonical((c, a, j)),
-            }
-        elif tri is not None:
-            a, b = on_edge
-            directed = rebuild_directed()
-            for e in ((a, b), (b, a)):
-                owner = directed.get(e)
-                if owner is None:
-                    continue
-                x = next(v for v in owner if v not in e)
-                triangles.discard(owner)
-                triangles |= {_canonical((e[0], j, x)), _canonical((j, e[1], x))}
-        else:
-            directed = rebuild_directed()
-            succ = _boundary_cycle_of(directed)
-            added = False
-            for a, b in list(succ.items()):
-                if orient(pts[a], pts[b], p) < 0:
-                    triangles.add(_canonical((b, a, j)))
-                    added = True
-            if not added:
-                raise GeometryError(f"failed to locate point {j}")
-
-    # Lawson: flip strictly illegal interior edges until none remain
-    changed = True
-    while changed:
-        changed = False
-        directed = rebuild_directed()
-        seen = set()
-        for (a, b), tri in list(directed.items()):
-            e = (min(a, b), max(a, b))
-            if e in seen:
-                continue
-            seen.add(e)
-            other = directed.get((b, a))
-            if other is None or tri not in triangles or other not in triangles:
-                continue
-            v = next(x for x in tri if x not in (a, b))
-            z = next(x for x in other if x not in (a, b))
-            if incircle(pts[a], pts[b], pts[v], pts[z]) > 0:
-                triangles -= {tri, other}
-                # tri traverses a->b, so (a, b, v) and (b, a, z) are CCW
-                triangles |= {_canonical((a, z, v)), _canonical((z, b, v))}
-                changed = True
-                break
-
-    # every triangle was oriented counterclockwise by an exact orient sign
-    # (insertion) or is half of a convex quad (Lawson)
+    triangles = []
+    for a, b, c in combinations(pts, 3):
+        o = orient(pts[a], pts[b], pts[c])
+        if o == 0:
+            continue
+        if o < 0:
+            b, c = c, b
+        pa, pb, pc = pts[a], pts[b], pts[c]
+        if all(incircle(pa, pb, pc, pts[d]) < 0 for d in pts if d not in (a, b, c)):
+            triangles.append((a, b, c))
+    # every triangle was put in counterclockwise order by an exact orient sign
     return Triangulation._trusted(dict(items), EdgeComplex(triangles))
 
 

@@ -291,12 +291,6 @@ def _pscale(a: List[int], k: int) -> List[int]:
     return [k * c for c in a]
 
 
-def _trim(a: List[int]) -> List[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
 def _strip_w(a: List[int]) -> List[int]:
     """Primitive part of ``a`` with every factor 1 + u^2 divided out; the
     result has the real roots of ``a`` (``[]`` for the zero polynomial)."""
@@ -320,7 +314,7 @@ def _compose_linear(coeffs: List[int], a: int, b: int) -> List[int]:
             nxt[i + 1] += x * a
         nxt[0] += c
         out = nxt
-    return _trim(out)
+    return roots._trim(out)
 
 
 def _homogeneous_positions(stage: Stage, half: int) -> Dict[int, Tuple[List[int], List[int]]]:
@@ -645,10 +639,10 @@ def _certified_flips(current: EdgeComplex, wall: _Wall) -> Optional[List[_Flip]]
 
 
 def _detect_stage_sturm(
-    motion: Motion, stage_idx: int, current: EdgeComplex, w_min: Fraction, events: List[FlipEvent]
+    motion: Motion, stage_idx: int, current: EdgeComplex, events: List[FlipEvent]
 ) -> EdgeComplex:
     _check_collisions(motion, stage_idx)
-    for wall in _stage_walls(motion, stage_idx, w_min):
+    for wall in _stage_walls(motion, stage_idx, DEFAULT_MIN_BRACKET):
         flips = _certified_flips(current, wall)
         if flips is None:
             current = _apply_transition(
@@ -671,22 +665,17 @@ def _detect_stage_sturm(
 
 
 def _detect_stage_bisect(
-    motion: Motion,
-    stage_idx: int,
-    current: EdgeComplex,
-    w_min: Fraction,
-    grid: int,
-    events: List[FlipEvent],
+    motion: Motion, stage_idx: int, current: EdgeComplex, events: List[FlipEvent]
 ) -> EdgeComplex:
     _check_collisions(motion, stage_idx)
     if not motion.stages[stage_idx].movers():
         return current
     samples: List[Tuple[Fraction, EdgeComplex]] = []
-    for j in range(grid + 1):
-        t = Fraction(j, grid)
-        lo = Fraction(max(0, 2 * j - 1), 2 * grid)
-        hi = Fraction(min(2 * grid, 2 * j + 1), 2 * grid)
-        if j == 0 or j == grid:
+    for j in range(DEFAULT_GRID + 1):
+        t = Fraction(j, DEFAULT_GRID)
+        lo = Fraction(max(0, 2 * j - 1), 2 * DEFAULT_GRID)
+        hi = Fraction(min(2 * DEFAULT_GRID, 2 * j + 1), 2 * DEFAULT_GRID)
+        if j == 0 or j == DEFAULT_GRID:
             samples.append((t, augmented_at(motion, stage_idx, t)))
         else:
             samples.append(_generic_complex_near(motion, stage_idx, t, lo, hi))
@@ -694,7 +683,7 @@ def _detect_stage_bisect(
     def bisect(t_a, c_a, t_b, c_b, current):
         if c_a.same_triangles(c_b):
             return current
-        if t_b - t_a < w_min:
+        if t_b - t_a < DEFAULT_MIN_BRACKET:
             return _apply_transition(current, c_a, c_b, stage_idx, t_a, t_b, events)
         t_m, c_m = _generic_complex_near(
             motion, stage_idx, (t_a + t_b) / 2, t_a, t_b
@@ -715,8 +704,6 @@ def detect_flips(
     initial: Triangulation,
     *,
     detector: str = "sturm",
-    w_min: Fraction = DEFAULT_MIN_BRACKET,
-    grid: int = DEFAULT_GRID,
 ) -> List[FlipEvent]:
     """Certified, time-ordered flip events of the hull-closure complex.
 
@@ -736,9 +723,9 @@ def detect_flips(
     events: List[FlipEvent] = []
     for stage_idx in range(len(motion.stages)):
         if detector == "sturm":
-            current = _detect_stage_sturm(motion, stage_idx, current, w_min, events)
+            current = _detect_stage_sturm(motion, stage_idx, current, events)
         else:
-            current = _detect_stage_bisect(motion, stage_idx, current, w_min, grid, events)
+            current = _detect_stage_bisect(motion, stage_idx, current, events)
     return events
 
 

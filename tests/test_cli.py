@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from braidshear.cli import main
 
 
@@ -218,6 +220,44 @@ def test_config_unknown_key_rejected(tmp_path, capsys):
     code, _, err = run(capsys, "invariant", "--system", "shear", "--config", str(cfg), "s1")
     assert code == 2
     assert "wobble" in json.loads(err)["error"]["message"]
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"n": "abc"},
+        {"n": [4]},
+        {"n": 4.7},
+        {"n": True},
+        {"n": 4, "epsilon": 0.5},
+        {"n": 4, "epsilon": "x"},
+        {"n": 4, "bulge": "x"},
+        {"n": 4, "bulge": [1]},
+    ],
+)
+def test_bad_config_values_are_usage_errors(tmp_path, capsys, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = run(capsys, "invariant", "--system", "shear", "--config", str(cfg), "s1")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["kind"] == "usage"
+
+
+def test_config_accepts_integer_strings_and_rationals(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": "3", "epsilon": "1/64", "bulge": 1}))
+    code, out, _ = run(capsys, "invariant", "--system", "shear", "--config", str(cfg), "s1")
+    assert code == 0
+    assert json.loads(out)["n"] == 3
+
+
+@pytest.mark.parametrize("command", [["invariant", "--system", "shear"], ["snapshot"]])
+def test_unwritable_out_is_usage_error(tmp_path, capsys, command):
+    path = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, *command, "--n", "3", "--out", str(path), "s1")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["kind"] == "usage"
+    assert not path.exists()
 
 
 def test_missing_n_is_usage_error(capsys):

@@ -133,6 +133,87 @@ def test_collinear_triple_inside_input_is_fine():
     }
 
 
+# -- the Delaunay lemma, checked with predicates of its own ------------------
+#
+# delaunay() and the brute-force oracle both apply the empty-circle
+# definition, so the checks below share no code with either: they evaluate
+# their own determinants on the output and test the local characterization
+# (every interior edge locally Delaunay, on a triangulation with a convex
+# boundary).
+
+
+def _cross(p, q, r):
+    return (q.x - p.x) * (r.y - p.y) - (q.y - p.y) * (r.x - p.x)
+
+
+def _in_circle_det(p, q, r, s):
+    """Positive iff s lies strictly inside the circle through the
+    counterclockwise triangle (p, q, r)."""
+    (ax, ay), (bx, by), (cx, cy) = ((a.x - s.x, a.y - s.y) for a in (p, q, r))
+    return (
+        (ax * ax + ay * ay) * (bx * cy - by * cx)
+        - (bx * bx + by * by) * (ax * cy - ay * cx)
+        + (cx * cx + cy * cy) * (ax * by - ay * bx)
+    )
+
+
+def _random_set_with_collinear_triple(rng, n):
+    """Generic rational points, one of them on the line through two others."""
+    while True:
+        pts = [
+            point(Fraction(rng.randint(-30, 30), rng.randint(1, 4)),
+                  Fraction(rng.randint(-30, 30), rng.randint(1, 4)))
+            for _ in range(n - 1)
+        ]
+        a, b = rng.sample(pts, 2)
+        r = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(2, 5))
+        pts.append(point(a.x + r * (b.x - a.x), a.y + r * (b.y - a.y)))
+        items = list(enumerate(pts, start=1))
+        if len(set(pts)) == n and is_generic(items):
+            return items
+
+
+def _assert_delaunay_lemma(pts):
+    tri = delaunay(pts)
+    coords = dict(pts)
+    n = len(coords)
+    directed = {}
+    for a, b, c in tri.triangles:
+        assert _cross(coords[a], coords[b], coords[c]) > 0, (a, b, c)
+        for e, apex in (((a, b), c), ((b, c), a), ((c, a), b)):
+            directed[e] = ((a, b, c), apex)
+    assert {v for t in tri.triangles for v in t} == set(coords)
+    succ = {}
+    for (a, b), (own, _) in directed.items():
+        other = directed.get((b, a))
+        if other is None:
+            succ[a] = b  # boundary edge, traversed counterclockwise
+            continue
+        p, q, r = (coords[v] for v in own)
+        assert _in_circle_det(p, q, r, coords[other[1]]) < 0, (own, other)
+    start = min(succ)
+    cycle = [start]
+    while succ[cycle[-1]] != start:
+        cycle.append(succ[cycle[-1]])
+        assert len(cycle) <= len(succ)
+    assert len(cycle) == len(succ), "boundary is not one cycle"
+    h = len(cycle)
+    assert len(tri.triangles) == 2 * n - h - 2
+    for i, v in enumerate(cycle):
+        u, w = cycle[i - 1], cycle[(i + 1) % h]
+        assert _cross(coords[u], coords[v], coords[w]) >= 0, (u, v, w)
+
+
+def test_delaunay_lemma_on_random_sets_with_collinear_triples():
+    rng = random.Random(2024)
+    for _ in range(60):
+        _assert_delaunay_lemma(_random_set_with_collinear_triple(rng, rng.randint(4, 9)))
+
+
+def test_delaunay_lemma_on_the_twelve_point_parabola():
+    _assert_delaunay_lemma(parabola_points(12))
+
+
 def test_degenerate_inputs_rejected():
     with pytest.raises(DegenerateInputError) as e:
         delaunay([(1, P(0, 0)), (2, P(0, 0)), (3, P(1, 1)), (4, P(2, 0))])

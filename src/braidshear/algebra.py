@@ -361,14 +361,6 @@ class Polynomial:
             bucket[key] = bucket.get(key, 0) + coeff
         return {d: Polynomial(rest, t) for d, t in buckets.items()}
 
-    @staticmethod
-    def from_coeffs_in(name: str, coeffs: Mapping[int, "Polynomial"]) -> "Polynomial":
-        total = Polynomial.zero()
-        x = Polynomial.variable(name)
-        for d, poly in coeffs.items():
-            total = total + poly * x ** d
-        return total
-
     def __str__(self) -> str:
         return poly_to_str(self)
 
@@ -444,46 +436,12 @@ def _int_image(p: Polynomial, v: str, point: Mapping[str, int]) -> Optional[list
     return out if out[-1] else None
 
 
-def _pseudo_rem(f: Polynomial, g: Polynomial, x: str) -> Polynomial:
-    """Pseudo-remainder of f by g viewed as univariate in x."""
-    fc = f.coeffs_in(x)
-    gc = g.coeffs_in(x)
-    dg = max(gc)
-    lead_g = gc[dg]
-    rem = dict(fc)
-
-    def degree(d):
-        return max(d) if d else -1
-
-    while rem and degree(rem) >= dg:
-        dr = degree(rem)
-        lead_r = rem[dr]
-        shifted = {}
-        for d, poly in rem.items():
-            shifted[d] = poly * lead_g
-        for d, poly in gc.items():
-            key = d + dr - dg
-            shifted[key] = shifted.get(key, Polynomial.zero()) - lead_r * poly
-        rem = {d: p for d, p in shifted.items() if not p.is_zero}
-    return Polynomial.from_coeffs_in(x, rem)
-
-
-def _content_in(f: Polynomial, x: str) -> Polynomial:
-    """gcd of the coefficients of f viewed as univariate in x."""
-    acc = Polynomial.zero()
-    for poly in f.coeffs_in(x).values():
-        acc = poly_gcd(acc, poly)
-        if acc.is_constant and acc.constant_value() == 1:
-            return acc
-    return acc
-
-
 def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     """Full gcd over Z (integer content included), leading coefficient > 0.
 
     Fast paths: monomial shortcut, trial division, and an evaluation
-    coprimality certificate; the complete route is a primitive
-    pseudo-remainder sequence recursing on a main variable.
+    coprimality certificate; the complete route is the heuristic gcd,
+    which recurses on the images at an integer point of one variable.
     """
     if f.is_zero:
         return _positive_lead(g) if not g.is_zero else Polynomial.zero()
@@ -510,25 +468,50 @@ def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     if len(pg.terms) < len(pf.terms) and pf.exact_div(pg) is not None:
         return Polynomial.constant(c) * _positive_lead(pg)
 
+    # the variable of least degree keeps the integers of the images small
     x = min(common, key=lambda v: (max(pf.degree_in(v), pg.degree_in(v)), _name_key(v)))
-    cont_f = _content_in(pf, x)
-    cont_g = _content_in(pg, x)
-    cont = poly_gcd(cont_f, cont_g)
-    a = pf.exact_div(cont_f)
-    b = pg.exact_div(cont_g)
-    if a.degree_in(x) < b.degree_in(x):
-        a, b = b, a
+    return Polynomial.constant(c) * _heuristic_gcd(pf, pg, x)
+
+
+def _at(p: Polynomial, x: str, xi: int) -> Polynomial:
+    """p with the integer xi put in for x."""
+    i = p.vars.index(x)
+    terms: dict = {}
+    for exps, coeff in p.terms.items():
+        key = exps[:i] + exps[i + 1:]
+        terms[key] = terms.get(key, 0) + coeff * xi ** exps[i]
+    return Polynomial(p.vars[:i] + p.vars[i + 1:], terms)
+
+
+def _heuristic_gcd(f: Polynomial, g: Polynomial, x: str) -> Polynomial:
+    """gcd of primitive f and g that share x, by GCDHEU (Char, Geddes and
+    Gonnet, 1989).
+
+    The gcd of the images at x = xi, each coefficient written in balanced
+    base-xi digits (digit k goes to x^k), is the gcd once its primitive part
+    divides f and g, since xi > 2 min(|f|, |g|) + 2.  The check fails only
+    when the cofactors' images share a factor, which divides their
+    resultant; that happens at finitely many xi, and a growing xi outgrows
+    any integer factor, so the loop ends.
+    """
+    xi = 2 * min(max(map(abs, f.terms.values())), max(map(abs, g.terms.values()))) + 29
     while True:
-        r = _pseudo_rem(a, b, x)
-        if r.is_zero:
-            break
-        if r.degree_in(x) == 0:
-            b = Polynomial.one()
-            break
-        r = r.exact_div(_content_in(r, x))
-        a, b = b, r
-    result = Polynomial.constant(c) * cont * _positive_lead(b._div_int(b.content()))
-    return _positive_lead(result)
+        h = poly_gcd(_at(f, x, xi), _at(g, x, xi))
+        terms = {}
+        for exps, coeff in h.terms.items():
+            k = 0
+            while coeff:
+                digit = coeff % xi
+                if digit > xi // 2:
+                    digit -= xi
+                coeff = (coeff - digit) // xi
+                terms[exps + (k,)] = digit
+                k += 1
+        cand = Polynomial(h.vars + (x,), terms)
+        cand = cand._div_int(cand.content())
+        if f.exact_div(cand) is not None and g.exact_div(cand) is not None:
+            return _positive_lead(cand)
+        xi = xi * 73794 * math.isqrt(math.isqrt(xi)) // 27011
 
 
 def _is_one(p: Polynomial) -> bool:

@@ -87,6 +87,22 @@ def test_gcd_sign_normalization():
     assert poly_gcd(-x - 1, -x - 1).lead_coeff() > 0
 
 
+def test_gcd_of_a_cross_sum_in_four_variables():
+    # a/b + c/d over the planted operands that once sent the recursive
+    # pseudo-remainder gcd past minutes; gcd(ad + cb, bd) = w + 4xyz
+    a = poly_from_str("-72*w*x^2*z + 48*x")
+    b = poly_from_str("4*w*x*y^2*z^2 + 4*w*x*y*z^2 + w^2*y*z + w^2*z")
+    c = poly_from_str("4*w*y^2 - 2*y^2")
+    d = poly_from_str(
+        "24*w*x^2*y^2*z^3 - 36*w*x^3*y*z^2 + 6*w^2*x*y*z^2 - 9*w^2*x^2*z"
+        " - 16*x*y^2*z^2 + 24*x^2*y*z - 4*w*y*z + 6*w*x"
+    )
+    f, g = a * d + c * b, b * d
+    h = poly_gcd(f, g)
+    assert h == poly_from_str("4*x*y*z + w")
+    assert poly_gcd(f.exact_div(h), g.exact_div(h)) == Polynomial.one()
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_coprimality_certificate_is_sound(data):

@@ -720,9 +720,13 @@ class RationalFunction:
 
 # -- canonical text form ----------------------------------------------
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z][A-Za-z0-9]*(?:_\{\d+,\d+\})?)|(?P<op>[-+*^]))"
+# an optional leading sign, then factors joined by operators; each
+# pattern skips the whitespace before its token
+_SIGN = re.compile(r"\s*([-+]?)")
+_FACTOR = re.compile(
+    r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9]*(?:_\{\d+,\d+\})?)(?:\s*\^\s*(\d+))?)"
 )
+_OPERATOR = re.compile(r"\s*([-+*])")
 
 
 def poly_to_str(p: Polynomial) -> str:
@@ -753,68 +757,24 @@ def poly_to_str(p: Polynomial) -> str:
 
 def poly_from_str(text: str) -> Polynomial:
     """Parse the canonical rendering back into a Polynomial."""
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip() == "":
-                break
-            raise PolyParseError(f"unexpected character {text[pos]!r}", pos)
-        kind = m.lastgroup
-        tokens.append((kind, m.group(kind), m.start(kind)))
+    m = _SIGN.match(text)
+    op, result, term = m.group(1) or "+", Polynomial.zero(), Polynomial.zero()
+    while m:
+        if op != "*":
+            result, term = result + term, Polynomial.constant(-1 if op == "-" else 1)
         pos = m.end()
-    if not tokens:
-        raise PolyParseError("empty polynomial text", 0)
-
-    result = Polynomial.zero()
-    i = 0
-
-    def parse_term(sign: int, i: int):
-        coeff = sign
-        factors = []
-        expect_factor = True
-        while i < len(tokens):
-            kind, value, at = tokens[i]
-            if expect_factor:
-                if kind == "int":
-                    coeff *= int(value)
-                elif kind == "name":
-                    exp = 1
-                    if i + 2 < len(tokens) and tokens[i + 1][:2] == ("op", "^"):
-                        if tokens[i + 2][0] != "int":
-                            raise PolyParseError("exponent must be an integer", tokens[i + 2][2])
-                        exp = int(tokens[i + 2][1])
-                        i += 2
-                    factors.append((value, exp))
-                else:
-                    raise PolyParseError(f"expected coefficient or variable, got {value!r}", at)
-                expect_factor = False
-            else:
-                if kind == "op" and value == "*":
-                    expect_factor = True
-                else:
-                    break
-            i += 1
-        if expect_factor:
-            raise PolyParseError("dangling operator", tokens[i - 1][2] if i else 0)
-        term = Polynomial.constant(coeff)
-        for name, exp in factors:
-            term = term * Polynomial.variable(name) ** exp
-        return term, i
-
-    sign = 1
-    kind, value, _ = tokens[0]
-    if kind == "op" and value in "+-":
-        sign = 1 if value == "+" else -1
-        i = 1
-    term, i = parse_term(sign, i)
-    result = result + term
-    while i < len(tokens):
-        kind, value, at = tokens[i]
-        if kind != "op" or value not in "+-":
-            raise PolyParseError(f"expected '+' or '-', got {value!r}", at)
-        sign = 1 if value == "+" else -1
-        term, i = parse_term(sign, i + 1)
-        result = result + term
-    return result
+        m = _FACTOR.match(text, pos)
+        if not m:
+            raise PolyParseError("expected a coefficient or variable", pos)
+        number, name, exp = m.groups()
+        if number:
+            term = term * Polynomial.constant(int(number))
+        else:
+            term = term * Polynomial.variable(name) ** int(exp or 1)
+        pos = m.end()
+        m = _OPERATOR.match(text, pos)
+        op = m and m.group(1)
+    rest = text[pos:].lstrip()
+    if rest:
+        raise PolyParseError(f"unexpected {rest[0]!r}", len(text) - len(rest))
+    return result + term

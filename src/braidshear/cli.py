@@ -138,13 +138,6 @@ def _parse_word(text: str, n: int):
         raise CliError(EXIT_PARSE, "parse", str(exc))
 
 
-def _system(args) -> LabelSystem:
-    try:
-        return LabelSystem.from_text(args.system)
-    except ValueError as exc:
-        raise CliError(EXIT_PARSE, "usage", str(exc))
-
-
 def _write_output(args, text: str) -> None:
     path = getattr(args, "out", None)
     if path:
@@ -164,7 +157,7 @@ def _run_invariant(word_text: str, cfg: SlotConfig, system: LabelSystem) -> Inva
 
 def _cmd_invariant(args) -> int:
     cfg = _resolve_config(args)
-    system = _system(args)
+    system = LabelSystem(args.system)
     inv = _run_invariant(args.word, cfg, system)
     _write_output(args, json.dumps(inv.to_json(), indent=2) + "\n")
     return EXIT_OK
@@ -172,7 +165,7 @@ def _cmd_invariant(args) -> int:
 
 def _cmd_equal(args) -> int:
     cfg = _resolve_config(args)
-    system = _system(args)
+    system = LabelSystem(args.system)
     inv_a = _run_invariant(args.word_a, cfg, system)
     inv_b = _run_invariant(args.word_b, cfg, system)
     if invariants_equal(inv_a, inv_b):
@@ -184,7 +177,7 @@ def _cmd_equal(args) -> int:
 
 
 def _cmd_verify_relations(args) -> int:
-    systems = [LabelSystem.from_text(args.system)] if args.system else list(LabelSystem)
+    systems = [LabelSystem(args.system)] if args.system else list(LabelSystem)
     all_pass = True
     for system in systems:
         checks = [
@@ -291,10 +284,7 @@ def main(argv=None) -> int:
     except CliError as exc:
         _emit_error(exc.kind, str(exc))
         return exc.code
-    except (DegeneracyError, CollisionError) as exc:
-        _emit_error("degeneracy", str(exc))
-        return EXIT_DEGENERACY
-    except DegenerateInputError as exc:
+    except (DegeneracyError, CollisionError, DegenerateInputError) as exc:
         _emit_error("degeneracy", str(exc))
         return EXIT_DEGENERACY
     except (InternalInvariantError, KineticError, GeometryError) as exc:

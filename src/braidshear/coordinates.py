@@ -49,6 +49,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from braidshear.algebra import Polynomial, RationalFunction
@@ -322,23 +323,26 @@ def convex_polygon_complex(triangles: Sequence[Tuple[int, int, int]]) -> EdgeCom
     return EdgeComplex([tuple(sorted(t)) for t in triangles])
 
 
+def _paths_agree(triangles, path_a, path_b, system: LabelSystem, mirrored: bool) -> bool:
+    """Flip the seeded convex polygon along both edge paths, insist that
+    they end on the same complex, and compare the two label states."""
+    seed = seed_state(convex_polygon_complex(triangles))
+    ends = []
+    for path in (path_a, path_b):
+        state = seed
+        for edge in path:
+            state = _flip_edge(state, edge, system, mirrored)
+        ends.append(state)
+    if ends[0].complex != ends[1].complex:
+        raise InternalInvariantError("flip paths end on different triangulations")
+    return ends[0] == ends[1]
+
+
 def check_pentagon(system: LabelSystem, mirrored: bool = False) -> bool:
     """Compare the label maps along the two flip paths (lengths 2 and 3)
     joining two triangulations of a convex pentagon."""
-    start = convex_polygon_complex([(1, 2, 3), (1, 3, 4), (1, 4, 5)])
-    seed = seed_state(start)
-    path_short = [(1, 4), (1, 3)]
-    path_long = [(1, 3), (1, 4), (2, 4)]
-    assert len(path_short) == 2 and len(path_long) == 3
-    s_short = seed
-    for edge in path_short:
-        s_short = _flip_edge(s_short, edge, system, mirrored)
-    s_long = seed
-    for edge in path_long:
-        s_long = _flip_edge(s_long, edge, system, mirrored)
-    if s_short.complex != s_long.complex:
-        raise InternalInvariantError("pentagon paths end on different triangulations")
-    return s_short.labels == s_long.labels
+    pentagon = [(1, 2, 3), (1, 3, 4), (1, 4, 5)]
+    return _paths_agree(pentagon, [(1, 4), (1, 3)], [(1, 3), (1, 4), (2, 4)], system, mirrored)
 
 
 def check_commutativity(
@@ -347,26 +351,17 @@ def check_commutativity(
     """Order-independence of two flips whose quadrilaterals are vertex
     disjoint (shared_edge=False) or share exactly one side (True)."""
     if shared_edge:
-        complex_ = convex_polygon_complex([(1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6)])
+        triangles = [(1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6)]
         e1, e2 = (1, 3), (1, 5)
     else:
-        complex_ = convex_polygon_complex(
-            [(1, 2, 3), (1, 3, 4), (1, 4, 8), (4, 5, 8), (5, 6, 7), (5, 7, 8)]
-        )
+        triangles = [(1, 2, 3), (1, 3, 4), (1, 4, 8), (4, 5, 8), (5, 6, 7), (5, 7, 8)]
         e1, e2 = (1, 3), (5, 7)
-    seed = seed_state(complex_)
-    one_way = _flip_edge(_flip_edge(seed, e1, system, mirrored), e2, system, mirrored)
-    other_way = _flip_edge(_flip_edge(seed, e2, system, mirrored), e1, system, mirrored)
-    return one_way == other_way
+    return _paths_agree(triangles, [e1, e2], [e2, e1], system, mirrored)
 
 
 def check_involution(system: LabelSystem, mirrored: bool = False) -> bool:
     """Flipping the same quadrilateral twice is the identity on labels."""
-    complex_ = convex_polygon_complex([(1, 2, 3), (1, 3, 4)])
-    seed = seed_state(complex_)
-    once = _flip_edge(seed, (1, 3), system, mirrored)
-    twice = _flip_edge(once, (2, 4), system, mirrored)
-    return twice == seed
+    return _paths_agree([(1, 2, 3), (1, 3, 4)], [(1, 3), (2, 4)], [], system, mirrored)
 
 
 # -- the braid invariant ---------------------------------------------------
@@ -436,27 +431,24 @@ def run_invariant(
     the braid's permutation.
 
     Degeneracy errors retry with deterministic bulge perturbations (at
-    most ``max_retries``); isotopic motions compute the same map, so the
-    perturbed run yields the same result.
+    most ``max_retries``, skipping any that would make the bulge
+    non-positive); isotopic motions compute the same map, so the perturbed
+    run yields the same result.
     """
     check_strand_count(cfg.n)
     tri0, _ = initial_triangulation(cfg)
     base = augment(tri0)
-    attempts = [cfg] + [cfg.with_bulge(cfg.bulge + d) for d in DEFAULT_JITTER[:max_retries]]
-    last_error: Optional[Exception] = None
-    events: Optional[List[FlipEvent]] = None
-    motion = None
-    perm = None
+    bulges = [cfg.bulge + d for d in DEFAULT_JITTER[:max_retries]]
+    attempts = [cfg] + [cfg.with_bulge(b) for b in bulges if b > 0]
     for attempt_cfg in attempts:
         motion, perm = compile_motion(word, attempt_cfg)
         try:
             events = detect_flips(motion, tri0)
             break
         except DegeneracyError as exc:
-            last_error = exc
-            continue
-    if events is None:
-        raise last_error if last_error else DegeneracyError("no attempt succeeded")
+            error = exc
+    else:
+        raise error
 
     state = seed_state(base)
     for group in _bracket_groups(events):
@@ -476,7 +468,7 @@ def run_invariant(
                     f"simultaneous events {[e.edge for e in group]} do not commute"
                 )
 
-    if motion is not None and motion.stages:
+    if motion.stages:
         final_fresh = augmented_at(motion, len(motion.stages) - 1, Fraction(1))
         if not state.complex.same_triangles(final_fresh):
             raise InternalInvariantError("final complex does not match the motion's end")
@@ -492,14 +484,5 @@ def run_invariant(
 
 
 def _bracket_groups(events: Sequence[FlipEvent]) -> List[List[FlipEvent]]:
-    groups: List[List[FlipEvent]] = []
-    for event in events:
-        if groups and (
-            groups[-1][0].stage == event.stage
-            and groups[-1][0].t_lo == event.t_lo
-            and groups[-1][0].t_hi == event.t_hi
-        ):
-            groups[-1].append(event)
-        else:
-            groups.append([event])
-    return groups
+    """Consecutive events that share a bracket ``(stage, t_lo, t_hi)``."""
+    return [list(group) for _, group in groupby(events, key=lambda e: e[:3])]

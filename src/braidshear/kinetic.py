@@ -488,8 +488,6 @@ def _stage_walls(motion: Motion, stage_idx: int, w_min: Fraction) -> List[_Wall]
     mid_seen = False
     for coeffs, d_lo, d_hi, subset in _stage_event_polys(motion, stage_idx):
         poly = roots.normalize(coeffs)
-        if not poly:
-            raise DegeneracyError(f"stage {stage_idx}: identically degenerate event polynomial")
         work = roots.squarefree_part(poly)
         for boundary in (d_lo, d_hi):
             while roots.degree(work) >= 1 and roots.evaluate(work, boundary) == 0:
@@ -538,7 +536,7 @@ def _separate_walls(walls: List[_Wall], w_min: Fraction) -> List[_Wall]:
             target = min(a.width(), b.width()) / 4
             a.shrink(target)
             b.shrink(target)
-    raise KineticError("event times failed to separate")
+    raise DegeneracyError("event times failed to separate")
 
 
 # -- transition classification (shared by both backends) ------------------

@@ -36,6 +36,14 @@ def test_invariant_empty_word_is_identity(capsys):
         assert rec["value"] == {"num": f"a_{{{i},{j}}}", "den": "1"}
 
 
+def test_invariant_small_bulge_succeeds(capsys):
+    args = ("invariant", "--n", "4", "--system", "ptolemy", "s1")
+    code, out, err = run(capsys, *args, "--bulge", "1/100")
+    assert code == 0 and err == ""
+    _, expected, _ = run(capsys, *args)
+    assert out == expected
+
+
 def test_invariant_golden_braid_relation(capsys):
     code, out_a, _ = run(capsys, "invariant", "--n", "3", "--system", "ptolemy", "s1 s2 s1")
     assert code == 0

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 import braidshear.coordinates as coordinates
 from braidshear.algebra import Polynomial, RationalFunction
-from braidshear.braid import SlotConfig, parse_braid
+from braidshear.braid import SlotConfig, initial_triangulation, parse_braid
 from braidshear.coordinates import (
+    InternalInvariantError,
     InvariantMap,
     LabelState,
     LabelSystem,
@@ -27,7 +28,7 @@ from braidshear.coordinates import (
     run_invariant,
     seed_state,
 )
-from braidshear.kinetic import DegeneracyError
+from braidshear.kinetic import DegeneracyError, FlipEvent, augment
 from oracles import rf_shear_entries, rf_shear_flip
 
 
@@ -422,6 +423,75 @@ def test_degeneracy_exhausts_retries(monkeypatch):
     monkeypatch.setattr(coordinates, "detect_flips", always_degenerate)
     with pytest.raises(DegeneracyError):
         run_invariant(parse_braid("s1", n=3), SlotConfig(3), LabelSystem.PTOLEMY)
+
+
+@pytest.mark.parametrize("system", list(LabelSystem), ids=lambda s: s.value)
+@pytest.mark.parametrize("n, text", [(4, "s1"), (4, "s2 s1 s2"), (5, "s1 s3 s4'")])
+def test_small_bulges_give_the_same_map(n, text, system):
+    # a bulge at or below 1/89 would make a jittered retry bulge non-positive
+    word = parse_braid(text, n=n)
+    expected = run_invariant(word, SlotConfig(n), system)
+    for bulge in (Fraction(1, 100), Fraction(1, 1000)):
+        assert run_invariant(word, SlotConfig(n, bulge=bulge), system) == expected
+
+
+def test_retries_skip_non_positive_bulges(monkeypatch):
+    bulges = []
+    real = coordinates.compile_motion
+
+    def recording(word, cfg):
+        bulges.append(cfg.bulge)
+        return real(word, cfg)
+
+    def always_degenerate(motion, initial, **kwargs):
+        raise DegeneracyError("synthetic degeneracy")
+
+    monkeypatch.setattr(coordinates, "compile_motion", recording)
+    monkeypatch.setattr(coordinates, "detect_flips", always_degenerate)
+    cfg = SlotConfig(4, bulge=Fraction(1, 100))
+    with pytest.raises(DegeneracyError):
+        run_invariant(parse_braid("s1", n=4), cfg, LabelSystem.PTOLEMY)
+    # 1/100 - 1/89 is negative, so that retry is skipped
+    assert bulges == [Fraction(1, 100) + d for d in (0, Fraction(1, 97), Fraction(1, 83))]
+
+
+@pytest.mark.parametrize("system", list(LabelSystem), ids=lambda s: s.value)
+def test_commuting_simultaneous_events_keep_the_map(monkeypatch, system):
+    word, cfg = parse_braid("s1", n=5), SlotConfig(5)
+    expected = run_invariant(word, cfg, system)
+    real_detect, real_groups = coordinates.detect_flips, coordinates._bracket_groups
+    sizes = []
+
+    def one_bracket(motion, initial, **kwargs):
+        events = real_detect(motion, initial, **kwargs)
+        # the quads of (1,4) and (0,2) share no triangle, and either flip
+        # may go first
+        assert [e.edge for e in events[1:3]] == [(1, 4), (0, 2)]
+        events[2] = FlipEvent(*events[1][:3], *events[2][3:])
+        return events
+
+    def recording_groups(events):
+        groups = real_groups(events)
+        sizes.extend(len(g) for g in groups)
+        return groups
+
+    monkeypatch.setattr(coordinates, "detect_flips", one_bracket)
+    monkeypatch.setattr(coordinates, "_bracket_groups", recording_groups)
+    assert run_invariant(word, cfg, system) == expected
+    assert sizes[:2] == [1, 2]
+
+
+def test_non_commuting_simultaneous_events_are_an_internal_error(monkeypatch):
+    # at n=5 the slots are the pentagon fan (1,2,3), (1,3,4), (1,4,5);
+    # flipping (1,3) then (1,4) ends on another complex than the reverse
+    cfg = SlotConfig(5)
+    base = augment(initial_triangulation(cfg)[0])
+    first = FlipEvent(0, Fraction(1, 4), Fraction(1, 3), (1, 3), base.quad_around((1, 3)))
+    after = base.flip((1, 3), first.quad)
+    second = first._replace(edge=(1, 4), quad=after.quad_around((1, 4)))
+    monkeypatch.setattr(coordinates, "detect_flips", lambda motion, initial: [first, second])
+    with pytest.raises(InternalInvariantError, match="do not commute"):
+        run_invariant(parse_braid("s1", n=5), cfg, LabelSystem.PTOLEMY)
 
 
 def test_invariants_equal_requires_same_keys():

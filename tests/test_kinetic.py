@@ -533,6 +533,16 @@ def test_separate_walls_exact_marker_merges_with_matching_interval_root():
     assert separated[0].lo < half < separated[0].hi
 
 
+def test_separate_walls_gives_up_as_a_degeneracy():
+    from braidshear.kinetic import _Wall, _separate_walls
+
+    # roots 2^-1000 and 1/(2^1000 + 1) lie about 2^-2000 apart, far below
+    # what the fixed number of refinement rounds can split
+    walls = [_Wall([-1, 2 ** 1000 + k], Fraction(0), Fraction(1)) for k in (0, 1)]
+    with pytest.raises(DegeneracyError, match="failed to separate"):
+        _separate_walls(walls, DEFAULT_MIN_BRACKET)
+
+
 # -- integer event polynomials against the rational-function oracle -------
 
 

@@ -1,9 +1,37 @@
 """Exact multivariate rational-function arithmetic over the rationals.
 
-Values are immutable. Polynomials carry integer coefficients in a sparse
-exponent-vector representation; rational functions are kept in a unique
-canonical form (gcd-reduced, denominator leading coefficient positive under
-the graded-lexicographic monomial order), so equality is structural.
+Values are immutable.  Rational functions are kept in a unique canonical
+form (gcd-reduced, denominator leading coefficient positive under the
+graded-lexicographic monomial order), so equality is structural.
+
+Polynomials carry integer coefficients on packed monomials.  A polynomial
+lives in a ring: an interned tuple of variable names in ``_name_key``
+order, with a field width w.  A monomial is one int.  Variable i owns a
+w-bit field, the first name most significant, whose top bit is a guard
+kept clear; the total degree sits above all fields:
+
+    key = deg << (n*w) | e_0 << ((n-1)*w) | ... | e_(n-1)
+
+So graded-lex order is int order, a monomial product is an int add, and
+m divides r iff ``(r - m) & guards == 0``: a field that would go negative
+borrows from the next one and sets its own guard bit.  Total degrees stay
+below 2^(w-1); a product that would reach it is computed in a ring with
+wider fields.  Operands in one ring (an identity test) are combined
+directly; others are first repacked into the ring of their merged names.
+``vars`` and ``terms`` are a tuple view over the variables actually used,
+so equality and hashing do not depend on the ring.
+
+``exact_div`` is Johnson's heap division (Monagan and Pearce, "Sparse
+polynomial division using a heap", J. Symb. Comput. 2011): the products of
+the quotient terms with the divisor's lower terms are merged through a
+heap keyed by the packed monomial, so each remainder term is formed once,
+in descending order.  It is the only
+division the Ptolemy flip needs: every Ptolemy label is a Laurent
+polynomial in the seed variables (Fomin and Zelevinsky, "Cluster algebras
+IV", 2007), so with ``x.num = m*p`` for its monomial-with-content part m,
+``(a*c + b*d)/x`` has numerator ``(a.num*c.num*b.den*d.den +
+b.num*d.num*a.den*c.den)/p * x.den``, an exact quotient, over the monomial
+``a.den*b.den*c.den*d.den*m`` (see ``coordinates.apply_ptolemy_flip``).
 
 The public constructor ``RationalFunction(num, den)`` is the full-reduction
 path: it divides arbitrary input by ``poly_gcd(num, den)``.  Arithmetic
@@ -31,6 +59,7 @@ import random
 import re
 from fractions import Fraction
 from functools import lru_cache
+from heapq import heappop, heappush
 from typing import Iterable, Mapping, Optional, Union
 
 from braidshear.roots import gcd
@@ -93,41 +122,113 @@ def format_rational(value: Fraction) -> str:
 
 IntoPoly = Union["Polynomial", int]
 
+# default field width of a packed monomial, guard bit included: total
+# degrees up to 2^15 - 1 fit before a ring is widened
+_FIELD_BITS = 16
+
+_set = object.__setattr__
+
+
+class _Ring:
+    """Packing layout of monomials over ``names`` (in ``_name_key`` order)
+    with ``bits``-wide fields; see the module docstring."""
+
+    __slots__ = ("names", "bits", "index", "shifts", "mask", "top", "guards", "cap")
+
+    def __init__(self, names: tuple, bits: int):
+        n = len(names)
+        self.names = names
+        self.bits = bits
+        self.index = {name: i for i, name in enumerate(names)}
+        self.shifts = tuple(bits * (n - 1 - i) for i in range(n))
+        self.mask = (1 << bits) - 1
+        self.top = bits * n
+        self.guards = sum(1 << (s + bits - 1) for s in self.shifts)
+        self.cap = 1 << (bits - 1)
+
+    def pack(self, exps) -> int:
+        key = sum(exps) << self.top
+        for s, e in zip(self.shifts, exps):
+            key |= e << s
+        return key
+
+
+@lru_cache(maxsize=4096)
+def _ring(names: tuple, bits: int) -> _Ring:
+    """The interned ring, so that operands in one ring are detected by an
+    identity test."""
+    return _Ring(names, bits)
+
+
+@lru_cache(maxsize=4096)
+def _layout(variables: tuple, bits: int):
+    """The ring of ``variables`` and the field shift of each of them."""
+    if len(set(variables)) != len(variables):
+        raise AlgebraError(f"duplicate variable names: {variables}")
+    ring = _ring(tuple(sorted(variables, key=_name_key)), bits)
+    return ring, tuple(ring.shifts[ring.index[name]] for name in variables)
+
+
+def _bits_for(degree: int) -> int:
+    """Field width whose exponents hold total degrees up to ``degree``."""
+    bits = _FIELD_BITS
+    while degree >= 1 << (bits - 1):
+        bits *= 2
+    return bits
+
+
+def _poly(ring: _Ring, packed: dict, p: Optional["Polynomial"] = None) -> "Polynomial":
+    """A polynomial (``p``, or a new one) on a term map packed in ``ring``
+    without zero coefficients."""
+    p = object.__new__(Polynomial) if p is None else p
+    for slot, value in zip(Polynomial.__slots__, (ring, packed, None, None, None, None)):
+        _set(p, slot, value)
+    return p
+
+
+def _least_exponents(ring: _Ring, keys) -> list:
+    """Per variable of ``ring``, its least exponent over the monomials."""
+    mask = ring.mask
+    out = []
+    for s in ring.shifts:
+        low = mask
+        for key in keys:
+            e = (key >> s) & mask
+            if e < low:
+                low = e
+                if not low:
+                    break
+        out.append(low)
+    return out
+
 
 class Polynomial:
     """Sparse multivariate polynomial with integer coefficients.
 
-    ``vars`` is the ordered tuple of variable names actually appearing;
-    ``terms`` maps exponent tuples (aligned with ``vars``) to nonzero
-    integer coefficients.  The zero polynomial has no terms.
+    Terms are kept packed in a ring (see the module docstring).  ``vars``
+    is the ordered tuple of variable names actually appearing; ``terms``
+    maps exponent tuples (aligned with ``vars``) to nonzero integer
+    coefficients.  The zero polynomial has no terms.
     """
 
-    __slots__ = ("vars", "terms", "_hash")
+    __slots__ = ("_ring", "_packed", "_lead", "_vars", "_terms", "_hash")
 
     def __init__(self, variables: Iterable[str] = (), terms: Optional[Mapping[tuple, int]] = None):
         variables = tuple(variables)
-        terms = dict(terms or {})
-        # Drop zero coefficients, then project away unused variables and
-        # re-sort the rest into the canonical name order.
-        terms = {e: c for e, c in terms.items() if c != 0}
-        if terms:
-            used = [i for i in range(len(variables)) if any(e[i] for e in terms)]
-            order = sorted(used, key=lambda i: _name_key(variables[i]))
-            if order != list(range(len(variables))):
-                remapped = {}
-                for exps, coeff in terms.items():
-                    key = tuple(exps[i] for i in order)
-                    remapped[key] = remapped.get(key, 0) + coeff
-                terms = {e: c for e, c in remapped.items() if c != 0}
-            variables = tuple(variables[i] for i in order)
-        else:
-            variables = ()
-        names = set(variables)
-        if len(names) != len(variables):
-            raise AlgebraError(f"duplicate variable names: {variables}")
-        object.__setattr__(self, "vars", variables)
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "_hash", None)
+        terms = {e: c for e, c in (terms or {}).items() if c != 0}
+        degree = 0
+        for exps in terms:
+            if len(exps) != len(variables) or any(e < 0 for e in exps):
+                raise AlgebraError(f"exponents {exps} do not fit the variables {variables}")
+            degree = max(degree, sum(exps))
+        ring, shifts = _layout(variables, _bits_for(degree))
+        packed = {}
+        for exps, coeff in terms.items():
+            key = sum(exps) << ring.top
+            for s, e in zip(shifts, exps):
+                key |= e << s
+            packed[key] = coeff
+        _poly(ring, packed, self)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -150,90 +251,145 @@ class Polynomial:
 
     @classmethod
     def variable(cls, name: str) -> "Polynomial":
-        return cls((name,), {(1,): 1})
+        return cls.variables((name,))[0]
+
+    @classmethod
+    def variables(cls, names: Iterable[str]) -> tuple:
+        """One variable per name, all in the one ring of ``names``, so that
+        arithmetic on them never repacks."""
+        ring, shifts = _layout(tuple(names), _FIELD_BITS)
+        return tuple(_poly(ring, {1 << ring.top | 1 << s: 1}) for s in shifts)
 
     # -- basic queries -------------------------------------------------
 
     @property
+    def vars(self) -> tuple:
+        found = self._vars
+        if found is None:
+            ring = self._ring
+            used = 0
+            for key in self._packed:
+                used |= key
+            found = tuple(
+                name for name, s in zip(ring.names, ring.shifts) if used >> s & ring.mask
+            )
+            _set(self, "_vars", found)
+        return found
+
+    @property
+    def terms(self) -> dict:
+        view = self._terms
+        if view is None:
+            ring = self._ring
+            mask = ring.mask
+            shifts = [ring.shifts[ring.index[name]] for name in self.vars]
+            view = {tuple(k >> s & mask for s in shifts): c for k, c in self._packed.items()}
+            _set(self, "_terms", view)
+        return view
+
+    @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._packed
 
     @property
     def is_constant(self) -> bool:
-        return all(not any(e) for e in self.terms)
+        packed = self._packed
+        return not packed or (len(packed) == 1 and 0 in packed)
 
     @property
     def is_monomial(self) -> bool:
-        return len(self.terms) == 1
+        return len(self._packed) == 1
 
     def constant_value(self) -> int:
         if self.is_zero:
             return 0
         if not self.is_constant:
             raise AlgebraError("not a constant polynomial")
-        return next(iter(self.terms.values()))
+        return self._packed[0]
+
+    def _leading(self) -> int:
+        lead = self._lead
+        if lead is None:
+            lead = max(self._packed)
+            _set(self, "_lead", lead)
+        return lead
 
     def total_degree(self) -> int:
         if self.is_zero:
             return -1
-        return max(sum(e) for e in self.terms)
+        return self._leading() >> self._ring.top
 
     def degree_in(self, name: str) -> int:
-        if name not in self.vars:
+        ring = self._ring
+        i = ring.index.get(name)
+        if i is None:
             return 0
-        i = self.vars.index(name)
-        return max((e[i] for e in self.terms), default=0)
-
-    def _lead_key(self) -> tuple:
-        # graded-lex: compare by total degree, then exponent tuple.
-        return max((sum(e), e) for e in self.terms)
+        s, mask = ring.shifts[i], ring.mask
+        return max((k >> s & mask for k in self._packed), default=0)
 
     def lead_coeff(self) -> int:
         """Coefficient of the graded-lex leading term (0 for the zero poly)."""
         if self.is_zero:
             return 0
-        return self.terms[self._lead_key()[1]]
+        return self._packed[self._leading()]
 
     def content(self) -> int:
         """Nonnegative gcd of all coefficients."""
-        return math.gcd(*self.terms.values()) if self.terms else 0
+        return math.gcd(*self._packed.values()) if self._packed else 0
+
+    def monomial_part(self) -> "Polynomial":
+        """The content times the monomial of least exponents: the largest
+        monomial that divides ``self`` (zero for zero)."""
+        if self.is_zero:
+            return self
+        ring = self._ring
+        return _poly(ring, {ring.pack(_least_exponents(ring, self._packed)): self.content()})
 
     # -- equality ------------------------------------------------------
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
-            other = Polynomial.constant(other)
+            return self._packed == ({0: other} if other else {})
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.vars == other.vars and self.terms == other.terms
+        a, b = self._packed, other._packed
+        # a constant's term map is the same in every ring
+        if self._ring is other._ring or self.is_constant or other.is_constant:
+            return a == b
+        return len(a) == len(b) and self.vars == other.vars and self.terms == other.terms
 
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
             h = hash((self.vars, frozenset(self.terms.items())))
-            object.__setattr__(self, "_hash", h)
+            _set(self, "_hash", h)
         return h
 
     # -- arithmetic ----------------------------------------------------
 
     @staticmethod
-    def _aligned(f: "Polynomial", g: "Polynomial"):
-        """Common variable tuple plus both term maps re-indexed onto it."""
-        if f.vars == g.vars:
-            return f.vars, f.terms, g.terms
-        merged = tuple(sorted(set(f.vars) | set(g.vars), key=_name_key))
-        return merged, f._reindexed(merged), g._reindexed(merged)
+    def _common_ring(f: "Polynomial", g: "Polynomial") -> _Ring:
+        fr, gr = f._ring, g._ring
+        if fr is gr or g.is_constant:
+            return fr
+        if f.is_constant:
+            return gr
+        names = tuple(sorted(set(fr.names) | set(gr.names), key=_name_key))
+        return _ring(names, max(fr.bits, gr.bits))
 
-    def _reindexed(self, merged: tuple) -> dict:
-        pos = {name: i for i, name in enumerate(merged)}
-        slots = [pos[name] for name in self.vars]
-        width = len(merged)
+    def _packed_in(self, ring: _Ring) -> dict:
+        """The term map repacked into ``ring``, which holds our variables."""
+        own = self._ring
+        if own is ring or self.is_constant:
+            return self._packed
+        moves = [(s, ring.shifts[ring.index[name]]) for name, s in zip(own.names, own.shifts)]
+        mask, top, new_top = own.mask, own.top, ring.top
         out = {}
-        for exps, coeff in self.terms.items():
-            vec = [0] * width
-            for s, e in zip(slots, exps):
-                vec[s] = e
-            out[tuple(vec)] = coeff
+        for key, coeff in self._packed.items():
+            new = key >> top << new_top
+            for s, t in moves:
+                new |= (key >> s & mask) << t
+            out[new] = coeff
         return out
 
     def _coerce(self, other) -> Optional["Polynomial"]:
@@ -247,16 +403,23 @@ class Polynomial:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        merged, a, b = self._aligned(self, other)
+        ring = self._common_ring(self, other)
+        a, b = self._packed_in(ring), other._packed_in(ring)
+        if len(a) < len(b):
+            a, b = b, a
         out = dict(a)
-        for exps, coeff in b.items():
-            out[exps] = out.get(exps, 0) + coeff
-        return Polynomial(merged, out)
+        for key, coeff in b.items():
+            total = out.get(key, 0) + coeff
+            if total:
+                out[key] = total
+            else:
+                del out[key]
+        return _poly(ring, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.vars, {e: -c for e, c in self.terms.items()})
+        return _poly(self._ring, {k: -c for k, c in self._packed.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -276,13 +439,23 @@ class Polynomial:
             return NotImplemented
         if self.is_zero or other.is_zero:
             return Polynomial.zero()
-        merged, a, b = self._aligned(self, other)
+        ring = self._common_ring(self, other)
+        degree = self.total_degree() + other.total_degree()
+        if degree >= ring.cap:
+            ring = _ring(ring.names, _bits_for(degree))
+        a, b = self._packed_in(ring), other._packed_in(ring)
+        if len(a) < len(b):
+            a, b = b, a
+        if len(b) == 1:
+            ((kb, cb),) = b.items()
+            return _poly(ring, {ka + kb: ca * cb for ka, ca in a.items()})
         out = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                key = tuple(x + y for x, y in zip(e1, e2))
-                out[key] = out.get(key, 0) + c1 * c2
-        return Polynomial(merged, out)
+        get = out.get
+        for kb, cb in b.items():
+            for ka, ca in a.items():
+                key = ka + kb
+                out[key] = get(key, 0) + ca * cb
+        return _poly(ring, {k: c for k, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -301,35 +474,63 @@ class Polynomial:
     def _div_int(self, k: int) -> "Polynomial":
         if k in (1, -1):
             return self if k == 1 else -self
-        return Polynomial(self.vars, {e: c // k for e, c in self.terms.items()})
+        return _poly(self._ring, {e: c // k for e, c in self._packed.items()})
 
     def exact_div(self, divisor: "Polynomial") -> Optional["Polynomial"]:
-        """Exact quotient over the integers, or None if it does not divide."""
+        """Exact quotient over the integers, or None if it does not divide.
+
+        Johnson's heap division: the products of the quotient terms found
+        so far with the divisor's lower terms are merged through a heap in
+        which products of one monomial share an entry (Monagan and Pearce's
+        chaining), so the remainder is never rescanned.
+        """
         if divisor.is_zero:
             raise AlgebraError("division by the zero polynomial")
         if self.is_zero:
             return Polynomial.zero()
-        merged, a, b = self._aligned(self, divisor)
-        lead_b = max((sum(e), e) for e in b)[1]
-        cb = b[lead_b]
-        rem = dict(a)
-        quot = {}
-        while rem:
-            lead_r = max((sum(e), e) for e in rem)[1]
-            cr = rem[lead_r]
-            if cr % cb != 0 or any(x < y for x, y in zip(lead_r, lead_b)):
-                return None
-            qe = tuple(x - y for x, y in zip(lead_r, lead_b))
-            qc = cr // cb
-            quot[qe] = qc
-            for e2, c2 in b.items():
-                key = tuple(x + y for x, y in zip(qe, e2))
-                nxt = rem.get(key, 0) - qc * c2
-                if nxt:
-                    rem[key] = nxt
-                else:
-                    rem.pop(key, None)
-        return Polynomial(merged, quot)
+        ring = self._common_ring(self, divisor)
+        a, b = self._packed_in(ring), divisor._packed_in(ring)
+        guards = ring.guards
+        dkeys = sorted(b, reverse=True)
+        dcoeffs = [b[k] for k in dkeys]
+        lead, cl = dkeys[0], dcoeffs[0]
+        fkeys = sorted(a, reverse=True)
+        qkeys, qcoeffs = [], []
+        # pending products q_s * d_j, chained by monomial: the heap holds
+        # each negated monomial once and ``chains`` its (s, j) pairs
+        heap, chains = [], {}
+        i, nf, nd = 0, len(fkeys), len(dkeys)
+        while i < nf or heap:
+            coeff = 0
+            if heap and (i == nf or -heap[0] >= fkeys[i]):
+                m = -heappop(heap)
+                chain = chains.pop(m)
+                for s, j in chain:
+                    coeff -= qcoeffs[s] * dcoeffs[j]
+            else:
+                m, chain = fkeys[i], []
+            if i < nf and fkeys[i] == m:
+                coeff += a[m]
+                i += 1
+            if coeff:
+                q = m - lead
+                if q & guards or coeff % cl:
+                    return None
+                chain.append((len(qkeys), 0))
+                qkeys.append(q)
+                qcoeffs.append(coeff // cl)
+            # each pair moves on to the next divisor term
+            for s, j in chain:
+                j += 1
+                if j < nd:
+                    key = qkeys[s] + dkeys[j]
+                    pending = chains.get(key)
+                    if pending is None:
+                        chains[key] = [(s, j)]
+                        heappush(heap, -key)
+                    else:
+                        pending.append((s, j))
+        return _poly(ring, dict(zip(qkeys, qcoeffs)))
 
     # -- evaluation ----------------------------------------------------
 
@@ -349,17 +550,15 @@ class Polynomial:
 
     def coeffs_in(self, name: str) -> dict:
         """View as univariate in ``name``: degree -> Polynomial in the rest."""
+        ring = self._ring
         if name not in self.vars:
             return {0: self}
-        i = self.vars.index(name)
-        rest = self.vars[:i] + self.vars[i + 1:]
+        s, mask, top = ring.shifts[ring.index[name]], ring.mask, ring.top
         buckets: dict = {}
-        for exps, coeff in self.terms.items():
-            d = exps[i]
-            key = exps[:i] + exps[i + 1:]
-            bucket = buckets.setdefault(d, {})
-            bucket[key] = bucket.get(key, 0) + coeff
-        return {d: Polynomial(rest, t) for d, t in buckets.items()}
+        for key, coeff in self._packed.items():
+            d = key >> s & mask
+            buckets.setdefault(d, {})[key - (d << s) - (d << top)] = coeff
+        return {d: _poly(ring, t) for d, t in buckets.items()}
 
     def __str__(self) -> str:
         return poly_to_str(self)
@@ -374,19 +573,9 @@ def _positive_lead(p: Polynomial) -> Polynomial:
 
 def _monomial_gcd(mono: Polynomial, other: Polynomial) -> Polynomial:
     """gcd of a one-term polynomial with any polynomial (primitive inputs)."""
-    (mexp,) = mono.terms.keys()
-    mvars = mono.vars
-    exps = []
-    for name, e in zip(mvars, mexp):
-        if e == 0:
-            continue
-        if name not in other.vars:
-            continue
-        i = other.vars.index(name)
-        low = min(t[i] for t in other.terms)
-        exps.append((name, min(e, low)))
-    terms = {tuple(e for _, e in exps): 1}
-    return Polynomial(tuple(n for n, _ in exps), terms)
+    ring = Polynomial._common_ring(mono, other)
+    keys = [*mono._packed_in(ring), *other._packed_in(ring)]
+    return _poly(ring, {ring.pack(_least_exponents(ring, keys)): 1})
 
 
 _GCD_SEED = 0x51A7E
@@ -463,9 +652,9 @@ def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
         return Polynomial.constant(c) * _monomial_gcd(pg, pf)
     if _certified_coprime(pf, pg, common):
         return Polynomial.constant(c)
-    if len(pf.terms) <= len(pg.terms) and pg.exact_div(pf) is not None:
+    if len(pf._packed) <= len(pg._packed) and pg.exact_div(pf) is not None:
         return Polynomial.constant(c) * _positive_lead(pf)
-    if len(pg.terms) < len(pf.terms) and pf.exact_div(pg) is not None:
+    if len(pg._packed) < len(pf._packed) and pf.exact_div(pg) is not None:
         return Polynomial.constant(c) * _positive_lead(pg)
 
     # the variable of least degree keeps the integers of the images small
@@ -475,12 +664,14 @@ def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
 
 def _at(p: Polynomial, x: str, xi: int) -> Polynomial:
     """p with the integer xi put in for x."""
-    i = p.vars.index(x)
+    ring = p._ring
+    s, mask, top = ring.shifts[ring.index[x]], ring.mask, ring.top
     terms: dict = {}
-    for exps, coeff in p.terms.items():
-        key = exps[:i] + exps[i + 1:]
-        terms[key] = terms.get(key, 0) + coeff * xi ** exps[i]
-    return Polynomial(p.vars[:i] + p.vars[i + 1:], terms)
+    for key, coeff in p._packed.items():
+        e = key >> s & mask
+        key -= (e << s) + (e << top)
+        terms[key] = terms.get(key, 0) + coeff * xi ** e
+    return _poly(ring, {k: c for k, c in terms.items() if c})
 
 
 def _heuristic_gcd(f: Polynomial, g: Polynomial, x: str) -> Polynomial:
@@ -494,7 +685,7 @@ def _heuristic_gcd(f: Polynomial, g: Polynomial, x: str) -> Polynomial:
     resultant; that happens at finitely many xi, and a growing xi outgrows
     any integer factor, so the loop ends.
     """
-    xi = 2 * min(max(map(abs, f.terms.values())), max(map(abs, g.terms.values()))) + 29
+    xi = 2 * min(max(map(abs, f._packed.values())), max(map(abs, g._packed.values()))) + 29
     while True:
         h = poly_gcd(_at(f, x, xi), _at(g, x, xi))
         terms = {}
@@ -515,7 +706,7 @@ def _heuristic_gcd(f: Polynomial, g: Polynomial, x: str) -> Polynomial:
 
 
 def _is_one(p: Polynomial) -> bool:
-    return not p.vars and p.terms.get(()) == 1
+    return p._packed == {0: 1}
 
 
 def _quo(p: Polynomial, g: Polynomial) -> Polynomial:
@@ -734,12 +925,14 @@ def poly_to_str(p: Polynomial) -> str:
     each as ``coef*var^k*...`` with unit coefficients suppressed."""
     if p.is_zero:
         return "0"
-    keys = sorted(p.terms, key=lambda e: (sum(e), e), reverse=True)
+    ring = p._ring
+    fields = list(zip(ring.names, ring.shifts))
     pieces = []
-    for idx, exps in enumerate(keys):
-        coeff = p.terms[exps]
+    for idx, key in enumerate(sorted(p._packed, reverse=True)):
+        coeff = p._packed[key]
         factors = []
-        for name, e in zip(p.vars, exps):
+        for name, s in fields:
+            e = key >> s & ring.mask
             if e == 1:
                 factors.append(name)
             elif e > 1:

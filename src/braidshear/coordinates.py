@@ -5,11 +5,13 @@ Two update rules are supported for the flip of a quadrilateral
 c = (w,z), d = (z,u):
 
 * Ptolemy: the new diagonal (v, z) gets (a*c + b*d)/x where x is the old
-  diagonal label; every other label is unchanged.
+  diagonal label; every other label is unchanged.  The labels are Laurent
+  polynomials, so the rule is one exact division (``apply_ptolemy_flip``).
 * shear: the new diagonal gets 1/e, the side pair {a, c} is scaled by
   (1+e) and the pair {b, d} by e/(1+e), where e is the old diagonal label.
 
-Ptolemy labels are carried as reduced rational functions (``LabelState``).
+Ptolemy labels are carried as reduced rational functions (``LabelState``);
+the rational-function rule is the test oracle in tests/oracles.py.
 The shear rule is Fock-Goncharov X-mutation (Fock and Goncharov, "Cluster
 ensembles, quantization and the dilogarithm", Ann. ENS 2009), so shear
 labels are carried in separated form (``ShearState``; Fomin and
@@ -52,7 +54,7 @@ from fractions import Fraction
 from itertools import groupby
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from braidshear.algebra import Polynomial, RationalFunction
+from braidshear.algebra import Polynomial, RationalFunction, ZeroFunctionDivision
 from braidshear.braid import BraidWord, SlotConfig, compile_motion, initial_triangulation
 from braidshear.geometry import EdgeComplex
 from braidshear.kinetic import (
@@ -134,20 +136,36 @@ class LabelState:
 
 
 def seed_state(complex_: EdgeComplex) -> LabelState:
-    """Fresh independent variables, one per edge."""
-    return LabelState(complex_, {e: edge_variable(*e) for e in complex_.edges()})
+    """Fresh independent variables, one per edge, all in the one ring of
+    the edge names."""
+    edges = sorted(complex_.edges())
+    seeds = Polynomial.variables(edge_var_name(*e) for e in edges)
+    return LabelState(complex_, {e: RationalFunction(x) for e, x in zip(edges, seeds)})
 
 
 def apply_ptolemy_flip(state: LabelState, quad: Tuple[int, int, int, int]) -> LabelState:
+    """The new diagonal (v, z) gets (a*c + b*d)/x by one exact division.
+
+    Labels are Laurent polynomials in the seed variables, so with x.num =
+    m*p for its monomial-with-content part m, p divides the numerator of
+    the sum (see the algebra module docstring) and the new label has a
+    monomial denominator.
+    """
     u, v, w, z = quad
-    x = state.label((u, w))
-    a = state.label((u, v))
-    b = state.label((v, w))
-    c = state.label((w, z))
-    d = state.label((z, u))
+    x, a, b, c, d = (state.label(e) for e in ((u, w), (u, v), (v, w), (w, z), (z, u)))
+    if not all(label.is_laurent() for label in (x, a, b, c, d)):
+        raise ValueError("Ptolemy flips need Laurent labels (monomial denominators)")
+    if x.is_zero:
+        raise ZeroFunctionDivision(f"flip of the diagonal {(u, w)} labelled 0")
+    m = x.num.monomial_part()
+    q = (a.num * c.num * (b.den * d.den) + b.num * d.num * (a.den * c.den)).exact_div(
+        x.num.exact_div(m)
+    )
+    if q is None:
+        raise InternalInvariantError(f"Ptolemy division inexact at flip of {(u, w)}")
     labels = dict(state.labels)
     del labels[_norm((u, w))]
-    labels[_norm((v, z))] = (a * c + b * d) / x
+    labels[_norm((v, z))] = RationalFunction(q * x.den, a.den * b.den * c.den * d.den * m)
     return LabelState(state.complex.flip((u, w), quad), labels)
 
 

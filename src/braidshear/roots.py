@@ -44,8 +44,11 @@ def normalize(coeffs: Sequence) -> Coeffs:
     """The primitive integer list with the roots and signs of ``coeffs``
     (int or Fraction entries; ``[]`` for the zero polynomial)."""
     out = _trim(list(coeffs))
-    m = math.lcm(*(c.denominator for c in out))
-    return _primitive([c.numerator * (m // c.denominator) for c in out])
+    try:
+        return _primitive(out)
+    except TypeError:  # math.gcd takes no Fraction: clear denominators first
+        m = math.lcm(*(c.denominator for c in out))
+        return _primitive([c.numerator * (m // c.denominator) for c in out])
 
 
 def degree(coeffs: Coeffs) -> int:

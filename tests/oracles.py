@@ -258,6 +258,22 @@ def _norm(edge):
     return tuple(sorted(edge))
 
 
+def rf_ptolemy_flip(state, quad):
+    """Ptolemy flip of a ``LabelState`` in rational-function arithmetic:
+    the new diagonal (v, z) gets (a*c + b*d)/x, where x is the old
+    diagonal's label."""
+    u, v, w, z = quad
+    x = state.label((u, w))
+    a = state.label((u, v))
+    b = state.label((v, w))
+    c = state.label((w, z))
+    d = state.label((z, u))
+    labels = dict(state.labels)
+    del labels[_norm((u, w))]
+    labels[_norm((v, z))] = (a * c + b * d) / x
+    return LabelState(state.complex.flip((u, w), quad), labels)
+
+
 def rf_shear_flip(state, quad, mirrored=False):
     """Shear flip of a ``LabelState``: the new diagonal gets 1/e, the sides
     (u,v), (w,z) are scaled by 1+e and (v,w), (z,u) by e/(1+e), where e is
@@ -278,15 +294,15 @@ def rf_shear_flip(state, quad, mirrored=False):
     return LabelState(state.complex.flip((u, w), quad), labels)
 
 
-def rf_shear_entries(word, cfg):
-    """T(word) under the shear rule by the rational-function oracle: the
-    certified events of the unperturbed motion replayed from the seed
+def rf_entries(word, cfg, flip):
+    """T(word) by a rational-function oracle rule ``flip(state, quad)``:
+    the certified events of the unperturbed motion replayed from the seed
     variables, re-keyed to slot edges as ``run_invariant`` does."""
     tri0, _ = initial_triangulation(cfg)
     motion, perm = compile_motion(word, cfg)
     state = seed_state(augment(tri0))
     for event in detect_flips(motion, tri0):
-        state = rf_shear_flip(state, event.quad)
+        state = flip(state, event.quad)
     return {
         _norm((perm[p], perm[q])): value
         for (p, q), value in state.labels.items()

@@ -4,13 +4,21 @@ sympy is a test-only oracle here; nothing under ``src/`` imports it.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from braidshear import roots
-from braidshear.algebra import Polynomial, RationalFunction, poly_gcd
+from braidshear.algebra import (
+    _FIELD_BITS,
+    Polynomial,
+    RationalFunction,
+    poly_from_str,
+    poly_gcd,
+    poly_to_str,
+)
 
 sp = pytest.importorskip("sympy")
+from sympy.polys.orderings import grlex  # noqa: E402
 
 NAMES = ("x", "y", "z")
 
@@ -41,6 +49,138 @@ def test_poly_gcd_matches_sympy_up_to_sign(data):
     ours = to_sympy(poly_gcd(f, g))
     theirs = sp.gcd(to_sympy(f), to_sympy(g))
     assert sp.expand(ours - theirs) == 0 or sp.expand(ours + theirs) == 0
+
+
+# -- the packed kernel --------------------------------------------------------
+
+POOL = ("w", "x", "y", "z")
+# the first total degree that no longer fits the default field width
+WIDE = 1 << (_FIELD_BITS - 1)
+# small exponents twice as often as exponents at and beyond a field's width
+EXPONENTS = st.one_of(
+    st.integers(0, 3), st.integers(0, 3), st.sampled_from([WIDE - 1, WIDE, 2 * WIDE + 1])
+)
+
+
+@st.composite
+def kernel_polys(draw, exponents=EXPONENTS):
+    """A polynomial over a random subset of POOL (so operands usually sit in
+    different rings), with negative coefficients and, now and then,
+    exponents at and beyond one field's width."""
+    names = draw(st.lists(st.sampled_from(POOL), unique=True, max_size=3))
+    terms = {}
+    for _ in range(draw(st.integers(0, 3))):
+        exps = tuple(draw(exponents) for _ in names)
+        terms[exps] = draw(st.integers(-6, 6))
+    return Polynomial(names, terms)
+
+
+def _grlex_terms(expr, names):
+    """The (exponents over ``names``, coefficient) terms of ``expr`` in
+    descending grlex order.  Built from sympy's expression tree: its
+    dense ``Poly`` would spend minutes on exponents of 2^16."""
+    syms = [sp.Symbol(n) for n in names]
+    terms = []
+    for term in sp.Add.make_args(sp.expand(expr)):
+        if term != 0:
+            coeff, rest = term.as_coeff_Mul()
+            powers = rest.as_powers_dict()
+            terms.append((tuple(int(powers.get(s, 0)) for s in syms), coeff))
+    return sorted(terms, key=lambda t: grlex(t[0]), reverse=True)
+
+
+def _render(terms, names):
+    """The canonical text form, written from sympy's ordered terms."""
+    pieces = []
+    for monom, coeff in terms:
+        factors = [n if e == 1 else f"{n}^{e}" for n, e in zip(names, monom) if e]
+        if abs(coeff) != 1 or not factors:
+            factors.insert(0, str(abs(coeff)))
+        sign = "-" if coeff < 0 else "+"
+        pieces.append(f"{sign} {'*'.join(factors)}")
+    if not pieces:
+        return "0"
+    first = pieces[0][2:] if pieces[0][0] == "+" else "-" + pieces[0][2:]
+    return " ".join([first] + pieces[1:])
+
+
+@settings(max_examples=80, deadline=None)
+@given(kernel_polys(), kernel_polys(), st.integers(0, 3))
+def test_kernel_arithmetic_matches_sympy(f, g, power):
+    F, G = to_sympy(f), to_sympy(g)
+    assert sp.expand(to_sympy(f + g) - (F + G)) == 0
+    assert sp.expand(to_sympy(f - g) - (F - G)) == 0
+    assert sp.expand(to_sympy(f * g) - F * G) == 0
+    assert sp.expand(to_sympy(f ** power) - F ** power) == 0
+    if not g.is_zero:
+        assert (f * g).exact_div(g) == f
+
+
+@settings(max_examples=80, deadline=None)
+@given(kernel_polys(st.integers(0, 3)), kernel_polys(st.integers(0, 3)))
+@example(poly_from_str("x^3*z"), poly_from_str("x*y^2"))
+@example(poly_from_str("x^3*z + y"), poly_from_str("x*y^2 + 1"))
+def test_kernel_exact_div_matches_sympy(f, g):
+    # None exactly when g does not divide f over Z; a borrow between
+    # fields (x^3*z / (x*y^2)) must not pass for divisibility.  Small
+    # exponents only: sympy's cancel is dense in them (wide exponents are
+    # divided in the arithmetic and field-width tests)
+    if g.is_zero:
+        return
+    F, G = to_sympy(f), to_sympy(g)
+    num, den = sp.fraction(sp.cancel(F / G))
+    q = f.exact_div(g)
+    if den == 1 and all(c.is_integer for _, c in _grlex_terms(num, POOL)):
+        assert q is not None and sp.expand(to_sympy(q) - num) == 0
+    else:
+        assert q is None
+
+
+@settings(max_examples=80, deadline=None)
+@given(kernel_polys(), kernel_polys())
+@example(poly_from_str("x*y - x*y + z"), poly_from_str("z"))
+def test_kernel_equality_and_hash_match_sympy(f, g):
+    # values built in different rings, with cancelled variables left in
+    # the ring, compare and hash by value
+    F, G = to_sympy(f), to_sympy(g)
+    assert (f == g) == (sp.expand(F - G) == 0)
+    for same in (g + f - g, f * (g + 1) - f * g):
+        assert same == f and hash(same) == hash(f)
+        assert same.vars == f.vars and same.terms == f.terms
+
+
+@settings(max_examples=80, deadline=None)
+@given(kernel_polys(), kernel_polys())
+def test_kernel_queries_and_rendering_match_sympy(f, g):
+    for p in (f, g, f * g):
+        expr = to_sympy(p)
+        terms = _grlex_terms(expr, p.vars)
+        assert p.lead_coeff() == (terms[0][1] if terms else 0)
+        assert p.total_degree() == (sum(terms[0][0]) if terms else -1)
+        for i, name in enumerate(p.vars):
+            assert p.degree_in(name) == max(exps[i] for exps, _ in terms)
+        assert p.degree_in("v") == 0
+        assert poly_to_str(p) == _render(terms, p.vars)
+        assert poly_from_str(poly_to_str(p)) == p
+
+
+def test_kernel_exponents_never_wrap_into_the_next_field():
+    # y has the least significant field, so a carry out of it would land
+    # in x's field
+    x, y = Polynomial.variables(("x", "y"))
+    big = y ** (WIDE - 1) * x
+    assert big.degree_in("y") == WIDE - 1 and big.degree_in("x") == 1
+    wider = big * y
+    assert wider.degree_in("y") == WIDE and wider.degree_in("x") == 1
+    assert wider.total_degree() == WIDE + 1
+    assert wider == Polynomial(("x", "y"), {(1, WIDE): 1})
+    huge = wider * wider * (y + 1)
+    assert huge.degree_in("y") == 2 * WIDE + 1 and huge.degree_in("x") == 2
+    assert huge == Polynomial(("x", "y"), {(2, 2 * WIDE + 1): 1, (2, 2 * WIDE): 1})
+    assert huge.exact_div(wider) == wider * (y + 1)
+    assert wider.exact_div(y ** WIDE) == x
+    assert wider.exact_div(x ** 2) is None
+    assert poly_to_str(wider) == f"x*y^{WIDE}"
 
 
 E, B, C, D = (RationalFunction.variable(n) for n in ("a_{1,2}", "a_{2,3}", "a_{3,4}", "a_{1,4}"))

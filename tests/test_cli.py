@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -55,6 +56,15 @@ def test_invariant_golden_braid_relation(capsys):
     # golden content: the permutation (1 3) re-keys the variables
     values = {tuple(r["edge"]): r["value"]["num"] for r in a["entries"]}
     assert values == {(1, 2): "a_{2,3}", (1, 3): "a_{1,3}", (2, 3): "a_{1,2}"}
+
+
+def test_invariant_ptolemy_growth_word_is_pinned(capsys):
+    # labels reach ~120 terms; the quadratic division this word once hit
+    # made it take seconds, and its output must not move
+    code, out, _ = run(capsys, "invariant", "--n", "6", "--system", "ptolemy", "s2 s5 s3 s5 s5 s5 s4'")
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "65ced37f97f72c82d5f58bc79e6cc1ee561aff49ac9739b6af3fa11b4664da55"
 
 
 def test_invariant_deterministic_output(capsys):

@@ -29,7 +29,7 @@ from braidshear.coordinates import (
     seed_state,
 )
 from braidshear.kinetic import DegeneracyError, FlipEvent, augment
-from oracles import rf_shear_entries, rf_shear_flip
+from oracles import rf_entries, rf_ptolemy_flip, rf_shear_flip
 
 
 def var(name):
@@ -63,6 +63,55 @@ def test_ptolemy_double_flip_is_identity():
     once = apply_ptolemy_flip(state, (1, 2, 3, 4))
     twice = apply_ptolemy_flip(once, once.complex.quad_around((2, 4)))
     assert twice == state
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_ptolemy_flips_match_the_rational_function_rule(data):
+    # random flip sequences on a fan-triangulated convex polygon: the
+    # exact-division rule gives the rational-function rule's labels
+    n = data.draw(st.integers(5, 8), label="polygon size")
+    state = oracle = seed_state(convex_polygon_complex([(1, i, i + 1) for i in range(2, n)]))
+    for _ in range(data.draw(st.integers(1, 10), label="flips")):
+        interior = sorted(e for e in state.complex.edges() if state.complex.is_interior(e))
+        quad = state.complex.quad_around(data.draw(st.sampled_from(interior)))
+        oracle = rf_ptolemy_flip(oracle, quad)
+        state = apply_ptolemy_flip(state, quad)
+        assert state.labels == oracle.labels
+    assert state == oracle
+
+
+def test_run_invariant_ptolemy_matches_the_oracle_on_random_words():
+    rng = random.Random(10)
+    for _ in range(8):
+        n = rng.randint(4, 6)
+        letters = [
+            f"s{rng.randint(1, n - 1)}" + ("'" if rng.random() < 0.5 else "")
+            for _ in range(rng.randint(3, 6))
+        ]
+        word = parse_braid(" ".join(letters), n=n)
+        inv = run_invariant(word, SlotConfig(n), LabelSystem.PTOLEMY)
+        assert inv.entries == rf_entries(word, SlotConfig(n), rf_ptolemy_flip), word.text()
+
+
+@pytest.mark.parametrize("edge", [(1, 3), (1, 2)])
+def test_ptolemy_flip_rejects_a_non_laurent_label(edge):
+    state = square_state()
+    labels = dict(state.labels)
+    labels[edge] = 1 / (1 + edge_variable(1, 3))
+    with pytest.raises(ValueError, match="Laurent"):
+        apply_ptolemy_flip(LabelState(state.complex, labels), (1, 2, 3, 4))
+
+
+@pytest.mark.parametrize("value", [Fraction(2), Fraction(1, 2), Fraction(-3, 4)])
+@pytest.mark.parametrize("edge", [(1, 3), (1, 2), (3, 4)])
+def test_ptolemy_flip_accepts_constant_labels(edge, value):
+    state = square_state()
+    labels = dict(state.labels)
+    labels[edge] = RationalFunction.constant(value)
+    state = LabelState(state.complex, labels)
+    flipped = apply_ptolemy_flip(state, (1, 2, 3, 4))
+    assert flipped.labels == rf_ptolemy_flip(state, (1, 2, 3, 4)).labels
 
 
 def test_shear_formulas_verbatim():
@@ -539,7 +588,7 @@ def test_run_invariant_shear_matches_the_oracle_on_random_words():
         ]
         word = parse_braid(" ".join(letters), n=n)
         inv = run_invariant(word, SlotConfig(n), LabelSystem.SHEAR)
-        assert inv.entries == rf_shear_entries(word, SlotConfig(n)), word.text()
+        assert inv.entries == rf_entries(word, SlotConfig(n), rf_shear_flip), word.text()
 
 
 def test_run_invariant_rejects_two_strands_like_the_cli():

@@ -117,6 +117,9 @@ def test_normalize_clears_denominators_and_content():
     assert normalize([Fraction(1, 2), Fraction(-1, 3), 0]) == [3, -2]
     assert normalize([0, -4, 6, 0]) == [0, -2, 3]
     assert normalize([0, 0]) == []
+    # int and Fraction entries mixed, and int-valued Fractions
+    assert normalize([1, Fraction(1, 2), 0]) == [2, 1]
+    assert normalize([Fraction(4), -6]) == [2, -3]
 
 
 def test_exact_quotient():

@@ -34,6 +34,13 @@ the quad's other diagonal is already an edge (only the n = 3 tetrahedron,
 where the transition merely reverses orientation).  Apart from these,
 ``delaunay()`` runs only at stage ends, to check the replayed complex.
 
+A stage's events depend only on its set of trajectories, so each distinct
+stage is detected once per ``detect_flips`` call.  A repeat (a repeated
+braid letter) replays the first occurrence's events, each strand relabeled
+by the trajectory it follows, checked against the current complex at its
+start and at each flip; the stage-end ``delaunay()`` check runs on every
+stage.
+
 Two detector backends share one contract: ``sturm`` is the certified
 detector above (complete); ``bisect`` samples a grid and bisects intervals
 whose complexes differ (the simpler strategy, sound on well-separated
@@ -46,7 +53,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, groupby
 from math import lcm
 from operator import mul
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
@@ -656,9 +663,6 @@ def _detect_stage_sturm(
         for edge, quad in flips:
             current = current.flip(edge, quad)
             events.append(FlipEvent(stage_idx, wall.lo, wall.hi, edge, quad))
-    end = augmented_at(motion, stage_idx, Fraction(1))
-    if not current.same_triangles(end):
-        raise KineticError(f"stage {stage_idx}: end complex mismatch")
     return current
 
 
@@ -691,9 +695,40 @@ def _detect_stage_bisect(
 
     for (t_a, c_a), (t_b, c_b) in zip(samples, samples[1:]):
         current = bisect(t_a, c_a, t_b, c_b, current)
-    end = augmented_at(motion, stage_idx, Fraction(1))
-    if not current.same_triangles(end):
-        raise KineticError(f"stage {stage_idx}: end complex mismatch")
+    return current
+
+
+def _replay_stage(
+    stage: Stage,
+    first: Stage,
+    first_start: EdgeComplex,
+    first_events: List[FlipEvent],
+    stage_idx: int,
+    current: EdgeComplex,
+    events: List[FlipEvent],
+) -> EdgeComplex:
+    """Replay ``first_events`` on a later stage with the same trajectories.
+
+    Each trajectory's strand in ``first`` maps to its strand in ``stage``
+    (the far vertex to itself); the event times are those of ``first`` and
+    the flipped edges their images, re-sorted within each bracket.
+    """
+    strand_of = {traj: s for s, traj in stage.trajectories.items()}
+    sigma = {s: strand_of[traj] for s, traj in first.trajectories.items()}
+    sigma[FAR_VERTEX] = FAR_VERTEX
+    mapped_start = {frozenset(sigma[v] for v in tri) for tri in first_start.triangle_sets()}
+    if current.triangle_sets() != mapped_start:
+        raise KineticError(f"stage {stage_idx}: start complex differs from the relabeled first one")
+    for (t_lo, t_hi), group in groupby(first_events, key=lambda ev: (ev.t_lo, ev.t_hi)):
+        flips = {
+            tuple(sorted(sigma[v] for v in ev.edge)): {sigma[v] for v in ev.quad} for ev in group
+        }
+        for edge in sorted(flips):
+            quad = current.quad_around(edge)
+            if set(quad) != flips[edge]:
+                raise KineticError(f"stage {stage_idx}: relabeled flip of {edge} has another quad")
+            current = current.flip(edge, quad)
+            events.append(FlipEvent(stage_idx, t_lo, t_hi, edge, quad))
     return current
 
 
@@ -710,6 +745,9 @@ def detect_flips(
     reproduces the complex at every bracket boundary and at the end of
     every stage; simultaneous events with disjoint supports are emitted in
     lexicographic edge order within one bracket.
+
+    Each distinct stage is detected once; a repeat replays the first
+    occurrence's events under a strand relabeling (see the module docstring).
     """
     if detector not in ("sturm", "bisect"):
         raise KineticError(f"unknown detector {detector!r}")
@@ -717,13 +755,21 @@ def detect_flips(
     if motion.stages:
         if dict(initial.vertices) != start:
             raise KineticError("initial triangulation does not match the motion's start")
+    detect = _detect_stage_sturm if detector == "sturm" else _detect_stage_bisect
     current = augment(initial)
     events: List[FlipEvent] = []
-    for stage_idx in range(len(motion.stages)):
-        if detector == "sturm":
-            current = _detect_stage_sturm(motion, stage_idx, current, events)
+    # stage trajectories -> (first occurrence, its start complex, its events)
+    detected: Dict[frozenset, Tuple[Stage, EdgeComplex, List[FlipEvent]]] = {}
+    for stage_idx, stage in enumerate(motion.stages):
+        key = frozenset(stage.trajectories.values())
+        if key in detected:
+            current = _replay_stage(stage, *detected[key], stage_idx, current, events)
         else:
-            current = _detect_stage_bisect(motion, stage_idx, current, events)
+            stage_start, begin = current, len(events)
+            current = detect(motion, stage_idx, current, events)
+            detected[key] = (stage, stage_start, events[begin:])
+        if not current.same_triangles(augmented_at(motion, stage_idx, Fraction(1))):
+            raise KineticError(f"stage {stage_idx}: end complex mismatch")
     return events
 
 

@@ -6,7 +6,7 @@ import pytest
 from braidshear import kinetic, roots
 from braidshear.braid import SlotConfig, compile_motion, initial_triangulation, parse_braid
 from braidshear.coordinates import convex_polygon_complex
-from braidshear.geometry import DegenerateInputError, delaunay, point
+from braidshear.geometry import DegenerateInputError, EdgeComplex, GeometryError, delaunay, point
 from braidshear.kinetic import (
     DEFAULT_MIN_BRACKET,
     Arc,
@@ -157,6 +157,59 @@ def test_four_strand_swap_events_are_certified():
     assert times == sorted(times)
 
 
+@pytest.mark.parametrize(
+    "n, text", [(4, "s1 s2 s1 s2 s1 s2"), (4, "s1 s1'"), (5, "s2 s2 s2")]
+)
+def test_replayed_stages_are_certified(n, text):
+    motion, tri0 = swap_motion(n, text)
+    events = certified_events(motion, tri0)
+    assert {ev.stage for ev in events} == set(range(len(motion.stages)))
+
+
+def _flipped(complex_):
+    """``complex_`` with its first flippable edge flipped."""
+    for edge in sorted(complex_.edges()):
+        try:
+            return complex_.flip(edge)
+        except GeometryError:
+            continue
+    raise AssertionError("no flippable edge")
+
+
+def test_replayed_stage_keeps_the_end_check(monkeypatch):
+    motion, tri0 = swap_motion(4, "s1 s1")
+    real = kinetic.augmented_at
+
+    def wrong_end_of_stage_1(motion, stage, t):
+        fresh = real(motion, stage, t)
+        return _flipped(fresh) if (stage, t) == (1, 1) else fresh
+
+    monkeypatch.setattr(kinetic, "augmented_at", wrong_end_of_stage_1)
+    with pytest.raises(KineticError, match="stage 1: end complex mismatch"):
+        detect_flips(motion, tri0)
+
+
+def test_replayed_stage_checks_its_relabeled_start(monkeypatch):
+    # stage 0 ends, and its end check passes, on a complex that is not
+    # stage 1's relabeled start
+    motion, tri0 = swap_motion(4, "s1 s1")
+    real_detect, real_at = kinetic._detect_stage_sturm, kinetic.augmented_at
+    wrong = {}
+
+    def detect(motion, stage, current, events):
+        wrong[stage] = _flipped(real_detect(motion, stage, current, events))
+        return wrong[stage]
+
+    def at(motion, stage, t):
+        return wrong[stage] if t == 1 and stage in wrong else real_at(motion, stage, t)
+
+    monkeypatch.setattr(kinetic, "_detect_stage_sturm", detect)
+    monkeypatch.setattr(kinetic, "augmented_at", at)
+    with pytest.raises(KineticError, match="stage 1: start complex differs"):
+        detect_flips(motion, tri0)
+    assert list(wrong) == [0]  # stage 1 was replayed, not detected
+
+
 def test_replay_prefix_matches_direct_complex_between_events():
     motion, tri0 = swap_motion(4, "s1")
     events = detect_flips(motion, tri0)
@@ -185,7 +238,7 @@ def test_dense_scan_certifies_event_history_n4():
 
 
 def test_detectors_agree():
-    for n, text in [(4, "s1"), (4, "s2"), (5, "s2")]:
+    for n, text in [(4, "s1"), (4, "s2"), (5, "s2"), (4, "s1 s2 s1")]:
         motion, tri0 = swap_motion(n, text)
         sturm = detect_flips(motion, tri0, detector="sturm")
         bisect = detect_flips(motion, tri0, detector="bisect")
@@ -301,12 +354,18 @@ def test_detect_flips_matches_full_recompute_oracle(n):
     # delaunay() at both ends of every wall gives it
     rng = random.Random(700 + n)
     for bulge in (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2)):
-        letters = [f"s{rng.randint(1, n - 1)}" + rng.choice(["", "'"]) for _ in range(rng.randint(1, 3))]
-        cfg = SlotConfig(n).with_bulge(bulge)
-        motion, _ = compile_motion(parse_braid(" ".join(letters), n=n), cfg)
-        tri0, _ = initial_triangulation(cfg)
-        expected = _outcome(full_recompute_detect_flips, motion, tri0)
-        assert _outcome(detect_flips, motion, tri0) == expected, (letters, bulge)
+        short = [f"s{rng.randint(1, n - 1)}" + rng.choice(["", "'"]) for _ in range(rng.randint(1, 3))]
+        # repeated stages, replayed from their first occurrence
+        i = rng.randint(1, n - 2)
+        repeated = [
+            f"s{rng.choice([i, i + 1])}" + rng.choice(["", "'"]) for _ in range(rng.randint(4, 8))
+        ]
+        for letters in (short, repeated):
+            cfg = SlotConfig(n).with_bulge(bulge)
+            motion, _ = compile_motion(parse_braid(" ".join(letters), n=n), cfg)
+            tri0, _ = initial_triangulation(cfg)
+            expected = _outcome(full_recompute_detect_flips, motion, tri0)
+            assert _outcome(detect_flips, motion, tri0) == expected, (letters, bulge)
 
 
 def single_stage(trajectories):
@@ -455,6 +514,25 @@ def test_disjoint_simultaneous_flips_are_emitted_in_canonical_order():
     assert result.same_triangles(target)
     assert [ev.edge for ev in events] == [(1, 3), (5, 7)]
     assert all(ev.t_lo == Fraction(1, 4) for ev in events)
+
+
+def test_replayed_simultaneous_flips_are_re_sorted_by_relabeled_edge():
+    octagon = convex_polygon_complex(
+        [(1, 2, 3), (1, 3, 4), (1, 4, 8), (4, 5, 8), (5, 6, 7), (5, 7, 8)]
+    )
+    first_events = []
+    target = octagon.flip((1, 3)).flip((5, 7))
+    _apply_transition(octagon, octagon, target, 0, Fraction(1, 4), Fraction(1, 3), first_events)
+    # strand k of the first occurrence is strand k + 4 (mod 8) of the repeat
+    sigma = {k: (k + 3) % 8 + 1 for k in range(1, 9)}
+    first = Stage({k: Stationary(point(k, k * k)) for k in range(1, 9)})
+    repeat = Stage({sigma[k]: traj for k, traj in first.trajectories.items()})
+    current = EdgeComplex(tuple(sigma[v] for v in tri) for tri in octagon.triangles)
+    events = []
+    kinetic._replay_stage(repeat, first, octagon, first_events, 1, current, events)
+    assert [ev.edge for ev in first_events] == [(1, 3), (5, 7)]
+    assert [ev.edge for ev in events] == [(1, 3), (5, 7)]  # images (5, 7), (1, 3), re-sorted
+    assert all((ev.stage, ev.t_lo, ev.t_hi) == (1, Fraction(1, 4), Fraction(1, 3)) for ev in events)
 
 
 def test_simultaneous_flips_sharing_a_triangle_are_degenerate():

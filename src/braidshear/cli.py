@@ -13,6 +13,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
 from braidshear.algebra import AlgebraError, parse_rational
@@ -169,10 +170,10 @@ def _cmd_equal(args) -> int:
     inv_a = _run_invariant(args.word_a, cfg, system)
     inv_b = _run_invariant(args.word_b, cfg, system)
     if invariants_equal(inv_a, inv_b):
-        sys.stdout.write("EQUAL\n")
+        _write_output(args, "EQUAL\n")
         return EXIT_OK
     edge = first_difference(inv_a, inv_b)
-    sys.stdout.write(f"DIFFERENT\nfirst differing edge: {list(edge)}\n")
+    _write_output(args, f"DIFFERENT\nfirst differing edge: {list(edge)}\n")
     return EXIT_DIFFERENT
 
 
@@ -221,7 +222,9 @@ def _cmd_snapshot(args) -> int:
     return EXIT_OK
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="braidshear",
         description="Braid invariants from symbolic labels of kinetic Delaunay triangulations.",

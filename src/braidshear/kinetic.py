@@ -34,12 +34,12 @@ the quad's other diagonal is already an edge (only the n = 3 tetrahedron,
 where the transition merely reverses orientation).  Apart from these,
 ``delaunay()`` runs only at stage ends, to check the replayed complex.
 
-A stage's events depend only on its set of trajectories, so each distinct
-stage is detected once per ``detect_flips`` call.  A repeat (a repeated
-braid letter) replays the first occurrence's events, each strand relabeled
-by the trajectory it follows, checked against the current complex at its
-start and at each flip; the stage-end ``delaunay()`` check runs on every
-stage.
+A stage's walls (event polynomials, separated brackets, certificates)
+depend only on its set of trajectories, so each distinct stage's walls are
+built once per ``detect_flips`` call.  A repeat (a repeated braid letter)
+takes them with each certificate's strands relabeled by the trajectory
+they follow, and then every wall is decided on the current complex as for
+a first occurrence, fallback walls and the stage-end check included.
 
 Two detector backends share one contract: ``sturm`` is the certified
 detector above (complete); ``bisect`` samples a grid and bisects intervals
@@ -53,7 +53,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, groupby
+from itertools import combinations
 from math import lcm
 from operator import mul
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
@@ -489,7 +489,7 @@ class _Wall:
         return roots.has_common_root_in(self.poly, other.poly, lo, hi)
 
 
-def _stage_walls(motion: Motion, stage_idx: int, w_min: Fraction) -> List[_Wall]:
+def _stage_walls(motion: Motion, stage_idx: int) -> List[_Wall]:
     walls: List[_Wall] = []
     half_mark = Fraction(1, 2)
     mid_seen = False
@@ -510,8 +510,8 @@ def _stage_walls(motion: Motion, stage_idx: int, w_min: Fraction) -> List[_Wall]
             for iso in roots.isolate_roots(work, d_lo, d_hi):
                 walls.append(_Wall(work, iso.lo, iso.hi, cert=(subset, poly)))
     for wall in walls:
-        wall.shrink(w_min)
-    return _separate_walls(walls, w_min)
+        wall.shrink(DEFAULT_MIN_BRACKET)
+    return _separate_walls(walls, DEFAULT_MIN_BRACKET)
 
 
 def _separate_walls(walls: List[_Wall], w_min: Fraction) -> List[_Wall]:
@@ -643,11 +643,28 @@ def _certified_flips(current: EdgeComplex, wall: _Wall) -> Optional[List[_Flip]]
     return []
 
 
+def _relabeled_walls(walls: List[_Wall], first: Stage, stage: Stage) -> List[_Wall]:
+    """``first``'s walls for a stage with the same trajectories: each
+    certificate's 4-subset maps every strand of ``first`` to the strand of
+    ``stage`` on the same trajectory (the far vertex to itself)."""
+    strand_of = {traj: s for s, traj in stage.trajectories.items()}
+    sigma = {s: strand_of[traj] for s, traj in first.trajectories.items()}
+    sigma[FAR_VERTEX] = FAR_VERTEX
+    out = []
+    for w in walls:
+        cert = w.cert and (tuple(sorted(sigma[v] for v in w.cert[0])), w.cert[1])
+        out.append(_Wall(w.poly, w.lo, w.hi, w.exact, cert))
+    return out
+
+
 def _detect_stage_sturm(
-    motion: Motion, stage_idx: int, current: EdgeComplex, events: List[FlipEvent]
+    motion: Motion,
+    stage_idx: int,
+    current: EdgeComplex,
+    events: List[FlipEvent],
+    walls: List[_Wall],
 ) -> EdgeComplex:
-    _check_collisions(motion, stage_idx)
-    for wall in _stage_walls(motion, stage_idx, DEFAULT_MIN_BRACKET):
+    for wall in walls:
         flips = _certified_flips(current, wall)
         if flips is None:
             current = _apply_transition(
@@ -698,40 +715,6 @@ def _detect_stage_bisect(
     return current
 
 
-def _replay_stage(
-    stage: Stage,
-    first: Stage,
-    first_start: EdgeComplex,
-    first_events: List[FlipEvent],
-    stage_idx: int,
-    current: EdgeComplex,
-    events: List[FlipEvent],
-) -> EdgeComplex:
-    """Replay ``first_events`` on a later stage with the same trajectories.
-
-    Each trajectory's strand in ``first`` maps to its strand in ``stage``
-    (the far vertex to itself); the event times are those of ``first`` and
-    the flipped edges their images, re-sorted within each bracket.
-    """
-    strand_of = {traj: s for s, traj in stage.trajectories.items()}
-    sigma = {s: strand_of[traj] for s, traj in first.trajectories.items()}
-    sigma[FAR_VERTEX] = FAR_VERTEX
-    mapped_start = {frozenset(sigma[v] for v in tri) for tri in first_start.triangle_sets()}
-    if current.triangle_sets() != mapped_start:
-        raise KineticError(f"stage {stage_idx}: start complex differs from the relabeled first one")
-    for (t_lo, t_hi), group in groupby(first_events, key=lambda ev: (ev.t_lo, ev.t_hi)):
-        flips = {
-            tuple(sorted(sigma[v] for v in ev.edge)): {sigma[v] for v in ev.quad} for ev in group
-        }
-        for edge in sorted(flips):
-            quad = current.quad_around(edge)
-            if set(quad) != flips[edge]:
-                raise KineticError(f"stage {stage_idx}: relabeled flip of {edge} has another quad")
-            current = current.flip(edge, quad)
-            events.append(FlipEvent(stage_idx, t_lo, t_hi, edge, quad))
-    return current
-
-
 def detect_flips(
     motion: Motion,
     initial: Triangulation,
@@ -746,8 +729,9 @@ def detect_flips(
     every stage; simultaneous events with disjoint supports are emitted in
     lexicographic edge order within one bracket.
 
-    Each distinct stage is detected once; a repeat replays the first
-    occurrence's events under a strand relabeling (see the module docstring).
+    The walls of each distinct stage are built once; a repeat reuses them
+    under a strand relabeling and decides them on its own complex (see the
+    module docstring).  ``detector="bisect"`` detects every stage afresh.
     """
     if detector not in ("sturm", "bisect"):
         raise KineticError(f"unknown detector {detector!r}")
@@ -755,19 +739,20 @@ def detect_flips(
     if motion.stages:
         if dict(initial.vertices) != start:
             raise KineticError("initial triangulation does not match the motion's start")
-    detect = _detect_stage_sturm if detector == "sturm" else _detect_stage_bisect
     current = augment(initial)
     events: List[FlipEvent] = []
-    # stage trajectories -> (first occurrence, its start complex, its events)
-    detected: Dict[frozenset, Tuple[Stage, EdgeComplex, List[FlipEvent]]] = {}
+    # stage trajectories -> (walls of the first occurrence, that stage)
+    walls_of: Dict[frozenset, Tuple[List[_Wall], Stage]] = {}
     for stage_idx, stage in enumerate(motion.stages):
-        key = frozenset(stage.trajectories.values())
-        if key in detected:
-            current = _replay_stage(stage, *detected[key], stage_idx, current, events)
+        if detector == "bisect":
+            current = _detect_stage_bisect(motion, stage_idx, current, events)
         else:
-            stage_start, begin = current, len(events)
-            current = detect(motion, stage_idx, current, events)
-            detected[key] = (stage, stage_start, events[begin:])
+            key = frozenset(stage.trajectories.values())
+            if key not in walls_of:
+                _check_collisions(motion, stage_idx)
+                walls_of[key] = (_stage_walls(motion, stage_idx), stage)
+            walls = _relabeled_walls(*walls_of[key], stage)
+            current = _detect_stage_sturm(motion, stage_idx, current, events, walls)
         if not current.same_triangles(augmented_at(motion, stage_idx, Fraction(1))):
             raise KineticError(f"stage {stage_idx}: end complex mismatch")
     return events

@@ -9,7 +9,6 @@ from braidshear.braid import compile_motion, initial_triangulation
 from braidshear.coordinates import LabelState, seed_state
 from braidshear.geometry import Point, Triangulation, incircle, orient
 from braidshear.kinetic import (
-    DEFAULT_MIN_BRACKET,
     FAR_VERTEX,
     DegeneracyError,
     KineticError,
@@ -97,7 +96,7 @@ def empty_circumcircle_holds(tri: Triangulation) -> bool:
 # -- detection by full recompute at every wall ----------------------------
 
 
-def full_recompute_detect_flips(motion, initial, w_min=DEFAULT_MIN_BRACKET):
+def full_recompute_detect_flips(motion, initial):
     """``detect_flips`` deciding every wall from scratch: the Delaunay
     complex is rebuilt at both ends of each bracket, checked against the
     replayed one, and the difference classified as a flip set."""
@@ -107,7 +106,7 @@ def full_recompute_detect_flips(motion, initial, w_min=DEFAULT_MIN_BRACKET):
     events = []
     for stage_idx in range(len(motion.stages)):
         _check_collisions(motion, stage_idx)
-        for wall in _stage_walls(motion, stage_idx, w_min):
+        for wall in _stage_walls(motion, stage_idx):
             fresh_lo = augmented_at(motion, stage_idx, wall.lo)
             fresh_hi = augmented_at(motion, stage_idx, wall.hi)
             current = _apply_transition(

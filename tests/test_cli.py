@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from braidshear import cli
 from braidshear.cli import main
 
 
@@ -74,6 +75,15 @@ def test_invariant_deterministic_output(capsys):
     assert first == second
 
 
+def test_main_builds_its_parser_once(capsys):
+    cli._build_parser.cache_clear()
+    args = ("invariant", "--n", "4", "--system", "shear", "s1 s2'")
+    first = run(capsys, *args)
+    second = run(capsys, *args)
+    assert first == second and first[0] == 0
+    assert cli._build_parser.cache_info().misses == 1
+
+
 def test_invariant_out_file(tmp_path, capsys):
     path = tmp_path / "inv.json"
     code, out, _ = run(
@@ -103,6 +113,29 @@ def test_equal_inverse_cancellation(capsys):
 def test_equal_generator_far_commutativity(capsys):
     code, out, _ = run(capsys, "equal", "--n", "4", "--system", "shear", "s1 s3", "s3 s1")
     assert code == 0 and out == "EQUAL\n"
+
+
+def test_equal_out_file(tmp_path, capsys):
+    same, different = tmp_path / "same.txt", tmp_path / "different.txt"
+    code, out, _ = run(
+        capsys, "equal", "--n", "3", "--system", "ptolemy", "--out", str(same), "s1", "s1"
+    )
+    assert code == 0 and out == "" and same.read_text() == "EQUAL\n"
+    code, out, _ = run(
+        capsys, "equal", "--n", "3", "--system", "shear", "--out", str(different), "s1", "s2"
+    )
+    assert code == 1 and out == ""
+    assert different.read_text().startswith("DIFFERENT\nfirst differing edge: [1, 2]")
+
+
+def test_equal_unwritable_out_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "missing" / "x.txt"
+    code, out, err = run(
+        capsys, "equal", "--n", "3", "--system", "ptolemy", "--out", str(path), "s1", "s1"
+    )
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["kind"] == "usage"
+    assert not path.exists()
 
 
 def test_equal_different_words(capsys):

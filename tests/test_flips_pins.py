@@ -3,7 +3,7 @@
 ``braidbench/pins.json`` pins the SHA-256 of ``braidshear flips`` for each
 ``invariant`` case; the benchmark's smoke run checks only the smallest
 case of each workload, so this checks them all.  The pins file is only
-read.  Words with repeated letters, whose later stages replay the flips of
+read.  Words with repeated letters, whose later stages reuse the walls of
 their first occurrence, are pinned here too.
 """
 
@@ -59,7 +59,7 @@ REPEATED_LETTER_PINS = [
 
 @pytest.mark.parametrize("n, word, digest", REPEATED_LETTER_PINS)
 def test_flips_of_repeated_letter_words_match_pin(n, word, digest):
-    # most stages of these words repeat an earlier one and are replayed
+    # most stages of these words repeat an earlier one and reuse its walls
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(["flips", "--n", str(n), word])

@@ -6,7 +6,7 @@ import pytest
 from braidshear import kinetic, roots
 from braidshear.braid import SlotConfig, compile_motion, initial_triangulation, parse_braid
 from braidshear.coordinates import convex_polygon_complex
-from braidshear.geometry import DegenerateInputError, EdgeComplex, GeometryError, delaunay, point
+from braidshear.geometry import DegenerateInputError, GeometryError, delaunay, point
 from braidshear.kinetic import (
     DEFAULT_MIN_BRACKET,
     Arc,
@@ -20,6 +20,7 @@ from braidshear.kinetic import (
     Stationary,
     _apply_transition,
     _certified_flips,
+    _relabeled_walls,
     _stage_walls,
     augment,
     augmented_at,
@@ -166,6 +167,30 @@ def test_replayed_stages_are_certified(n, text):
     assert {ev.stage for ev in events} == set(range(len(motion.stages)))
 
 
+@pytest.mark.parametrize("n", [4, 5])
+def test_reused_walls_equal_the_fresh_walls_of_each_repeat(n):
+    rng = random.Random(1200 + n)
+
+    def key(wall):
+        return wall.lo, wall.hi, wall.exact, wall.cert and wall.cert[0]
+
+    repeats = 0
+    for _ in range(3):
+        i = rng.randint(1, n - 2)
+        letters = range(rng.randint(4, 6))
+        word = [f"s{rng.choice([i, i + 1])}" + rng.choice(["", "'"]) for _ in letters]
+        motion, _ = swap_motion(n, " ".join(word))
+        first = {}
+        for k, stage in enumerate(motion.stages):
+            j = first.setdefault(frozenset(stage.trajectories.values()), k)
+            if j == k:
+                continue
+            reused = _relabeled_walls(_stage_walls(motion, j), motion.stages[j], stage)
+            assert [key(w) for w in reused] == [key(w) for w in _stage_walls(motion, k)], (word, k)
+            repeats += 1
+    assert repeats
+
+
 def _flipped(complex_):
     """``complex_`` with its first flippable edge flipped."""
     for edge in sorted(complex_.edges()):
@@ -187,27 +212,6 @@ def test_replayed_stage_keeps_the_end_check(monkeypatch):
     monkeypatch.setattr(kinetic, "augmented_at", wrong_end_of_stage_1)
     with pytest.raises(KineticError, match="stage 1: end complex mismatch"):
         detect_flips(motion, tri0)
-
-
-def test_replayed_stage_checks_its_relabeled_start(monkeypatch):
-    # stage 0 ends, and its end check passes, on a complex that is not
-    # stage 1's relabeled start
-    motion, tri0 = swap_motion(4, "s1 s1")
-    real_detect, real_at = kinetic._detect_stage_sturm, kinetic.augmented_at
-    wrong = {}
-
-    def detect(motion, stage, current, events):
-        wrong[stage] = _flipped(real_detect(motion, stage, current, events))
-        return wrong[stage]
-
-    def at(motion, stage, t):
-        return wrong[stage] if t == 1 and stage in wrong else real_at(motion, stage, t)
-
-    monkeypatch.setattr(kinetic, "_detect_stage_sturm", detect)
-    monkeypatch.setattr(kinetic, "augmented_at", at)
-    with pytest.raises(KineticError, match="stage 1: start complex differs"):
-        detect_flips(motion, tri0)
-    assert list(wrong) == [0]  # stage 1 was replayed, not detected
 
 
 def test_replay_prefix_matches_direct_complex_between_events():
@@ -238,7 +242,14 @@ def test_dense_scan_certifies_event_history_n4():
 
 
 def test_detectors_agree():
-    for n, text in [(4, "s1"), (4, "s2"), (5, "s2"), (4, "s1 s2 s1")]:
+    # bisect builds no walls, so on the repeated-letter pins of
+    # test_flips_pins.py it checks the reused ones
+    repeated = [
+        (6, "s2 s5 s3 s5 s5 s5 s4'"),
+        (4, "s2 s1 s3' s1 s1 s3' s2 s1 s3'"),
+        (5, "s1 s2 s3 s4 s1 s2 s3 s4 s1 s2 s3 s4"),
+    ]
+    for n, text in [(4, "s1"), (4, "s2"), (5, "s2"), (4, "s1 s2 s1")] + repeated:
         motion, tri0 = swap_motion(n, text)
         sturm = detect_flips(motion, tri0, detector="sturm")
         bisect = detect_flips(motion, tri0, detector="bisect")
@@ -355,7 +366,7 @@ def test_detect_flips_matches_full_recompute_oracle(n):
     rng = random.Random(700 + n)
     for bulge in (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2)):
         short = [f"s{rng.randint(1, n - 1)}" + rng.choice(["", "'"]) for _ in range(rng.randint(1, 3))]
-        # repeated stages, replayed from their first occurrence
+        # repeated stages, which reuse the walls of their first occurrence
         i = rng.randint(1, n - 2)
         repeated = [
             f"s{rng.choice([i, i + 1])}" + rng.choice(["", "'"]) for _ in range(rng.randint(4, 8))
@@ -409,7 +420,7 @@ def test_tangential_cocircularity_emits_no_flip(fallbacks):
     motion, tri0 = single_stage(
         unit_circle_and(Arc(point(3, 0), point(Fraction(21, 5), Fraction(8, 5)), 1))
     )
-    (wall,) = _stage_walls(motion, 0, DEFAULT_MIN_BRACKET)
+    (wall,) = _stage_walls(motion, 0)
     subset, poly = wall.cert
     assert subset == (1, 2, 3, 4)
     assert wall.lo < Fraction(2, 3) < wall.hi
@@ -421,7 +432,7 @@ def test_tangential_cocircularity_emits_no_flip(fallbacks):
 
 def test_simple_cocircularity_root_emits_one_flip(fallbacks):
     motion, tri0 = single_stage(unit_circle_and(crossing_arc()))
-    (wall,) = _stage_walls(motion, 0, DEFAULT_MIN_BRACKET)
+    (wall,) = _stage_walls(motion, 0)
     assert _certified_flips(augment(tri0), wall) == [((1, 2), (1, 3, 2, 4))]
     events = detect_flips(motion, tri0)
     assert events == [FlipEvent(0, wall.lo, wall.hi, (1, 2), (1, 3, 2, 4))]
@@ -437,7 +448,7 @@ def test_exact_half_wall_takes_the_full_recompute(fallbacks):
         3: Stationary(point(0, 2)),
         4: Arc(point(2, Fraction(1, 2)), point(3, Fraction(1, 2)), 1, Fraction(3, 2)),
     })
-    walls = _stage_walls(motion, 0, DEFAULT_MIN_BRACKET)
+    walls = _stage_walls(motion, 0)
     (marker,) = [w for w in walls if w.cert is None]
     assert marker.exact == Fraction(1, 2)
     events = detect_flips(motion, tri0)
@@ -454,7 +465,7 @@ def test_merged_wall_takes_the_full_recompute(fallbacks):
         **unit_circle_and(crossing_arc()),
         **unit_circle_and(crossing_arc(20, 7), shift=(20, 7), first=5),
     })
-    walls = _stage_walls(motion, 0, DEFAULT_MIN_BRACKET)
+    walls = _stage_walls(motion, 0)
     merged = [(0, w.lo, w.hi) for w in walls if w.cert is None]
     assert merged and all(w.exact is None for w in walls)
     events = detect_flips(motion, tri0)
@@ -470,7 +481,7 @@ def test_three_strand_walls_take_the_full_recompute(fallbacks):
     # at n = 3 the hull-closure complex is a tetrahedron: every subset is
     # all four vertices and the other diagonal of every quad is an edge
     motion, tri0 = swap_motion(3, "s1")
-    walls = _stage_walls(motion, 0, DEFAULT_MIN_BRACKET)
+    walls = _stage_walls(motion, 0)
     decided = [_certified_flips(augment(tri0), w) for w in walls]
     assert None in decided and all(d in (None, []) for d in decided)
     assert detect_flips(motion, tri0) == []
@@ -514,25 +525,6 @@ def test_disjoint_simultaneous_flips_are_emitted_in_canonical_order():
     assert result.same_triangles(target)
     assert [ev.edge for ev in events] == [(1, 3), (5, 7)]
     assert all(ev.t_lo == Fraction(1, 4) for ev in events)
-
-
-def test_replayed_simultaneous_flips_are_re_sorted_by_relabeled_edge():
-    octagon = convex_polygon_complex(
-        [(1, 2, 3), (1, 3, 4), (1, 4, 8), (4, 5, 8), (5, 6, 7), (5, 7, 8)]
-    )
-    first_events = []
-    target = octagon.flip((1, 3)).flip((5, 7))
-    _apply_transition(octagon, octagon, target, 0, Fraction(1, 4), Fraction(1, 3), first_events)
-    # strand k of the first occurrence is strand k + 4 (mod 8) of the repeat
-    sigma = {k: (k + 3) % 8 + 1 for k in range(1, 9)}
-    first = Stage({k: Stationary(point(k, k * k)) for k in range(1, 9)})
-    repeat = Stage({sigma[k]: traj for k, traj in first.trajectories.items()})
-    current = EdgeComplex(tuple(sigma[v] for v in tri) for tri in octagon.triangles)
-    events = []
-    kinetic._replay_stage(repeat, first, octagon, first_events, 1, current, events)
-    assert [ev.edge for ev in first_events] == [(1, 3), (5, 7)]
-    assert [ev.edge for ev in events] == [(1, 3), (5, 7)]  # images (5, 7), (1, 3), re-sorted
-    assert all((ev.stage, ev.t_lo, ev.t_hi) == (1, Fraction(1, 4), Fraction(1, 3)) for ev in events)
 
 
 def test_simultaneous_flips_sharing_a_triangle_are_degenerate():

@@ -64,6 +64,12 @@ class CliError(Exception):
         self.kind = kind
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # usage text, then the JSON line (subparsers too)
+        self.print_usage(sys.stderr)
+        raise CliError(EXIT_PARSE, "usage", f"{self.prog}: {message}")
+
+
 def _emit_error(kind: str, message: str) -> None:
     sys.stderr.write(json.dumps({"error": {"kind": kind, "message": message}}) + "\n")
 
@@ -225,7 +231,7 @@ def _cmd_snapshot(args) -> int:
 @lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="braidshear",
         description="Braid invariants from symbolic labels of kinetic Delaunay triangulations.",
     )
@@ -277,13 +283,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_PARSE if exc.code not in (0, None) else EXIT_OK
-    try:
+        args = _build_parser().parse_args(argv)
         return args.handler(args)
+    except SystemExit as exc:  # --help; parser errors raise CliError
+        return EXIT_PARSE if exc.code not in (0, None) else EXIT_OK
     except CliError as exc:
         _emit_error(exc.kind, str(exc))
         return exc.code

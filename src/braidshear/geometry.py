@@ -5,10 +5,10 @@ point set scaled by the lcm of its denominators); no floating point
 enters any decision.  A Delaunay triangulation is built from the
 empty-circle definition: on a generic point set (no four cocircular) it
 is the set of triangles whose circumcircle holds no other point, decided
-by one integer incircle sign per triangle and point.  Triangulations are
-immutable values: geometric data (vertex coordinates) wraps a purely
-combinatorial oriented triangle complex that is reused by the kinetic
-layer.
+in one scan over the points lifted to the paraboloid z = x^2 + y^2,
+which also finds every degeneracy.  Triangulations are immutable values:
+geometric data (vertex coordinates) wraps a purely combinatorial
+oriented triangle complex that is reused by the kinetic layer.
 """
 
 from __future__ import annotations
@@ -268,8 +268,7 @@ class Triangulation:
 
     def hull(self) -> Tuple[int, ...]:
         """Convex hull vertices in counterclockwise order."""
-        cycle = self.complex.boundary_cycle()
-        return cycle
+        return self.complex.boundary_cycle()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Triangulation):
@@ -283,66 +282,62 @@ class Triangulation:
         return f"Triangulation({len(self.vertices)} vertices, {len(self.triangles)} triangles)"
 
 
-def _validate_generic(items: Sequence[Tuple[int, Point]]) -> None:
-    if len(items) < 3:
-        raise DegenerateInputError("too-few-points", [i for i, _ in items],
-                                   "need at least 3 points")
-    seen: Dict[Point, int] = {}
-    for i, p in items:
-        if i in (0,) or not isinstance(i, int) or i < 0:
-            raise GeometryError(f"vertex ids must be positive integers, got {i}")
-        if p in seen:
-            raise DegenerateInputError("coincident-pair", [seen[p], i])
-        seen[p] = i
-    ids = [i for i, _ in items]
-    pts = {i: p for i, p in items}
-    if all(
-        orient(pts[ids[0]], pts[ids[1]], pts[k]) == 0 for k in ids[2:]
-    ) and len(ids) >= 3:
-        # first two define the only candidate line; everything on it
-        raise DegenerateInputError("collinear-set", ids)
-    for quad in combinations(ids, 4):
-        base = None
-        for triple in combinations(quad, 3):
-            if orient(pts[triple[0]], pts[triple[1]], pts[triple[2]]) != 0:
-                base = triple
-                break
-        if base is None:
-            continue  # four collinear points never share a circle
-        rest = next(i for i in quad if i not in base)
-        if incircle(pts[base[0]], pts[base[1]], pts[base[2]], pts[rest]) == 0:
-            raise DegenerateInputError("cocircular-4", quad)
-
-
 def delaunay(points: Sequence[Tuple[int, Point]]) -> Triangulation:
     """Delaunay triangulation of generic points, built from its definition.
 
     With no four points cocircular, the Delaunay triangles are exactly the
     non-collinear triples whose circumcircle holds every other point
-    strictly outside (Delaunay, "Sur la sphère vide", 1934), so every
-    triple is tested against every other point: O(n^4) exact integer signs,
-    the same order as the genericity scan that precedes it.
+    strictly outside (Delaunay, "Sur la sphère vide", 1934).  A point lies
+    inside that circle exactly when its lift (x, y, x^2 + y^2) lies below
+    the plane through the triple's lifts (Guibas and Stolfi, 1985): one
+    normal per triple, whose z-part is its orient sign, and one integer
+    dot product per other point, O(n^4) exact signs in one scan.
 
-    Degenerate inputs (coincident pair, fully collinear set, cocircular
-    4-tuple) are rejected with the offending ids.
+    Degenerate inputs are rejected with the offending ids: a coincident
+    pair, a fully collinear set, or a cocircular 4-tuple (a lift on a
+    triple's plane).  Every point is tested against every triple, in input
+    order, so the 4-tuple reported is the first one in that order.
     """
     items = [(int(i), p) for i, p in points]
-    # Scaled to integers once: orient and incircle signs are invariant
-    # under a positive uniform scaling, and integer predicates are cheap.
+    ids = [i for i, _ in items]
+    if len(items) < 3:
+        raise DegenerateInputError("too-few-points", ids, "need at least 3 points")
+    seen: Dict[Point, int] = {}
+    for i, p in items:
+        if i <= 0:
+            raise GeometryError(f"vertex ids must be positive integers, got {i}")
+        if p in seen:
+            raise DegenerateInputError("coincident-pair", [seen[p], i])
+        seen[p] = i
+    if len(set(ids)) < len(ids):
+        raise GeometryError(f"vertex ids must be distinct, got {ids}")
+    # integer-scaled: a positive uniform scaling keeps every sign below
     scale = lcm(*(c.denominator for _, p in items for c in p))
-    scaled = [(i, Point(*(c.numerator * (scale // c.denominator) for c in p))) for i, p in items]
-    _validate_generic(scaled)
-    pts = dict(scaled)
+    lifted = []
+    for _, p in items:
+        x, y = (c.numerator * (scale // c.denominator) for c in p)
+        lifted.append((x, y, x * x + y * y))
     triangles = []
-    for a, b, c in combinations(pts, 3):
-        o = orient(pts[a], pts[b], pts[c])
-        if o == 0:
+    for a, b, c in combinations(range(len(items)), 3):
+        (ax, ay, az), (bx, by, bz), (cx, cy, cz) = lifted[a], lifted[b], lifted[c]
+        ux, uy, uz = bx - ax, by - ay, bz - az
+        vx, vy, vz = cx - ax, cy - ay, cz - az
+        nz = ux * vy - uy * vx  # orient(a, b, c)
+        if nz == 0:
             continue
-        if o < 0:
-            b, c = c, b
-        pa, pb, pc = pts[a], pts[b], pts[c]
-        if all(incircle(pa, pb, pc, pts[d]) < 0 for d in pts if d not in (a, b, c)):
-            triangles.append((a, b, c))
+        nx, ny = uy * vz - uz * vy, uz * vx - ux * vz
+        if nz < 0:  # counterclockwise (a, b, c), upward normal
+            b, c, nx, ny, nz = c, b, -nx, -ny, -nz
+        k = nx * ax + ny * ay + nz * az
+        # 0 on the plane (at a, b, c too), negative strictly inside the circle
+        sides = [nx * x + ny * y + nz * z - k for x, y, z in lifted]
+        if sides.count(0) > 3:
+            d = next(d for d, s in enumerate(sides) if s == 0 and d not in (a, b, c))
+            raise DegenerateInputError("cocircular-4", [ids[j] for j in sorted((a, b, c, d))])
+        if min(sides) == 0:
+            triangles.append((ids[a], ids[b], ids[c]))
+    if not triangles:
+        raise DegenerateInputError("collinear-set", ids)
     # every triangle was put in counterclockwise order by an exact orient sign
     return Triangulation._trusted(dict(items), EdgeComplex(triangles))
 

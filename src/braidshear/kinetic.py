@@ -164,7 +164,7 @@ class Stage:
         return tuple(s for s in self.strands() if isinstance(self.trajectories[s], Arc))
 
     @cached_property
-    def numerators(self) -> Tuple[Dict[int, Tuple[List[int], List[int]]], ...]:
+    def numerators(self) -> Tuple[Dict[int, _Lifted], ...]:
         """``_homogeneous_positions`` of both half-stages, built once."""
         return (_homogeneous_positions(self, 0), _homogeneous_positions(self, 1))
 
@@ -253,7 +253,7 @@ def augmented_at(motion: Motion, stage: int, t: Fraction) -> EdgeComplex:
     basis = (q * q, p * q, p * p)  # p^i q^(2-i)
     points = [
         (s, Point(sum(map(mul, xs, basis)), sum(map(mul, ys, basis))))
-        for s, (xs, ys) in sorted(motion.stages[stage].numerators[half].items())
+        for s, (xs, ys, _) in sorted(motion.stages[stage].numerators[half].items())
     ]
     return augment(delaunay(points))
 
@@ -263,9 +263,12 @@ def augmented_at(motion: Motion, stage: int, t: Fraction) -> EdgeComplex:
 # On half-stage h every strand sits at (X(u), Y(u)) / (D * W) with
 # W = 1 + u^2, D the stage's common denominator and X, Y integer
 # polynomials of degree <= 2 (u = 2t on the first half, u = 2t - 1 on the
-# second).  Polynomials are dense int lists, ascending degree.
+# second), lifted once to (X, Y, X^2 + Y^2): an incircle determinant is
+# the orient determinant of the lifts, with no squared differences per
+# 4-subset.  Polynomials are dense int lists, ascending degree.
 
 _W = [1, 0, 1]
+_Lifted = Tuple[List[int], List[int], List[int]]  # (X, Y, X^2 + Y^2)
 # (cos, sin) numerators over W on each half of a half-turn
 _HALF_COS_SIN = (([1, 0, -1], [0, 2]), ([0, -2], [1, 0, -1]))
 
@@ -324,8 +327,9 @@ def _compose_linear(coeffs: List[int], a: int, b: int) -> List[int]:
     return roots._trim(out)
 
 
-def _homogeneous_positions(stage: Stage, half: int) -> Dict[int, Tuple[List[int], List[int]]]:
-    """Integer numerators (X, Y) of every strand's position over D * W."""
+def _homogeneous_positions(stage: Stage, half: int) -> Dict[int, _Lifted]:
+    """Integer numerators (X, Y) of every strand's position over D * W,
+    lifted to (X, Y, X^2 + Y^2)."""
     cos, sin = _HALF_COS_SIN[half]
     strands = stage.strands()
     trajs = [stage.trajectories[s] for s in strands]
@@ -341,17 +345,16 @@ def _homogeneous_positions(stage: Stage, half: int) -> Dict[int, Tuple[List[int]
     out = {}
     for strand, traj in zip(strands, trajs):
         if isinstance(traj, Stationary):
-            out[strand] = (_pscale(_W, scaled(traj.point.x)), _pscale(_W, scaled(traj.point.y)))
-            continue
-        cx, cy = scaled(traj.center.x), scaled(traj.center.y)
-        rx, ry = scaled(traj.start.x) - cx, scaled(traj.start.y) - cy
-        # direction * scale * (rx, ry); exact, as scale_den divides rx and ry
-        k = traj.direction * traj.scale.numerator
-        sx, sy = k * rx // traj.scale.denominator, k * ry // traj.scale.denominator
-        out[strand] = (
-            _padd(_padd(_pscale(_W, cx), _pscale(cos, rx)), _pscale(sin, -sy)),
-            _padd(_padd(_pscale(_W, cy), _pscale(cos, ry)), _pscale(sin, sx)),
-        )
+            xs, ys = _pscale(_W, scaled(traj.point.x)), _pscale(_W, scaled(traj.point.y))
+        else:
+            cx, cy = scaled(traj.center.x), scaled(traj.center.y)
+            rx, ry = scaled(traj.start.x) - cx, scaled(traj.start.y) - cy
+            # direction * scale * (rx, ry); exact, as scale_den divides rx and ry
+            k = traj.direction * traj.scale.numerator
+            sx, sy = k * rx // traj.scale.denominator, k * ry // traj.scale.denominator
+            xs = _padd(_padd(_pscale(_W, cx), _pscale(cos, rx)), _pscale(sin, -sy))
+            ys = _padd(_padd(_pscale(_W, cy), _pscale(cos, ry)), _pscale(sin, sx))
+        out[strand] = (xs, ys, _padd(_pmul(xs, xs), _pmul(ys, ys)))
     return out
 
 
@@ -363,18 +366,13 @@ def _orient_num(p, q, r) -> List[int]:
 
 
 def _incircle_num(p, q, r, s) -> List[int]:
-    ax, ay = _psub(p[0], s[0]), _psub(p[1], s[1])
-    bx, by = _psub(q[0], s[0]), _psub(q[1], s[1])
-    cx, cy = _psub(r[0], s[0]), _psub(r[1], s[1])
-    a2 = _padd(_pmul(ax, ax), _pmul(ay, ay))
-    b2 = _padd(_pmul(bx, bx), _pmul(by, by))
-    c2 = _padd(_pmul(cx, cx), _pmul(cy, cy))
+    # The lifts' determinant along its third column.  |p|^2 - |s|^2 differs
+    # from |p - s|^2 by 2 (p - s) . s, a combination of the first two
+    # columns, so this is the incircle determinant of the plane points.
+    a2, b2, c2 = (_psub(v[2], s[2]) for v in (p, q, r))
     return _padd(
-        _psub(
-            _pmul(a2, _psub(_pmul(bx, cy), _pmul(by, cx))),
-            _pmul(b2, _psub(_pmul(ax, cy), _pmul(ay, cx))),
-        ),
-        _pmul(c2, _psub(_pmul(ax, by), _pmul(ay, bx))),
+        _psub(_pmul(a2, _orient_num(s, q, r)), _pmul(b2, _orient_num(s, p, r))),
+        _pmul(c2, _orient_num(s, p, q)),
     )
 
 
@@ -494,8 +492,8 @@ def _stage_walls(motion: Motion, stage_idx: int) -> List[_Wall]:
     half_mark = Fraction(1, 2)
     mid_seen = False
     for coeffs, d_lo, d_hi, subset in _stage_event_polys(motion, stage_idx):
-        poly = roots.normalize(coeffs)
-        work = roots.squarefree_part(poly)
+        # not made squarefree: isolate_roots counts distinct roots anyway
+        poly = work = roots.normalize(coeffs)
         for boundary in (d_lo, d_hi):
             while roots.degree(work) >= 1 and roots.evaluate(work, boundary) == 0:
                 if boundary in (Fraction(0), Fraction(1)):

@@ -63,11 +63,25 @@ def random_generic_points(rng: random.Random, n: int, span: int = 40):
             return pts
 
 
-def is_generic(points):
+def first_degeneracy(points):
+    """The first degeneracy of a point set as ``(kind, ids)``, or None.
+
+    A scan of its own, in input order: a coincident pair, then a fully
+    collinear set, then the first cocircular 4-subset, each found by the
+    Fraction predicates of ``geometry``; ``delaunay()`` must reject a
+    degenerate set with exactly this kind and these ids.
+    """
+    ids = [i for i, _ in points]
+    if len(ids) < 3:
+        return "too-few-points", tuple(ids)
+    seen = {}
+    for i, p in points:
+        if p in seen:
+            return "coincident-pair", (seen[p], i)
+        seen[p] = i
     pts = dict(points)
-    ids = sorted(pts)
     if all(orient(pts[ids[0]], pts[ids[1]], pts[k]) == 0 for k in ids[2:]):
-        return False
+        return "collinear-set", tuple(ids)
     for quad in combinations(ids, 4):
         base = None
         for triple in combinations(quad, 3):
@@ -75,11 +89,15 @@ def is_generic(points):
                 base = triple
                 break
         if base is None:
-            continue
+            continue  # four collinear points never share a circle
         rest = next(i for i in quad if i not in base)
         if incircle(pts[base[0]], pts[base[1]], pts[base[2]], pts[rest]) == 0:
-            return False
-    return True
+            return "cocircular-4", quad
+    return None
+
+
+def is_generic(points):
+    return first_degeneracy(points) is None
 
 
 def empty_circumcircle_holds(tri: Triangulation) -> bool:

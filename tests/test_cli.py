@@ -317,6 +317,28 @@ def test_missing_n_is_usage_error(capsys):
     assert json.loads(err)["error"]["kind"] == "usage"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["invariant", "--n", "4", "s1"],
+        ["invariant", "--n", "4", "--system", "bogus", "s1"],
+        ["invariant", "--n", "x", "--system", "shear", "s1"],
+        ["bogus"],
+        ["invariant", "--n", "4", "--system", "shear", "--epsilon", "-1/2", "s1"],
+    ],
+)
+def test_parser_errors_end_with_a_usage_json_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("usage: ")
+    assert json.loads(err.splitlines()[-1])["error"]["kind"] == "usage"
+
+
+def test_help_exits_zero(capsys):
+    code, out, err = run(capsys, "invariant", "--help")
+    assert code == 0 and "--system" in out and err == ""
+
+
 def test_max_retries_env_validation(capsys, monkeypatch):
     monkeypatch.setenv("BRAIDSHEAR_MAX_RETRIES", "not-a-number")
     code, _, err = run(capsys, "invariant", "--n", "3", "--system", "shear", "s1")

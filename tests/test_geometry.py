@@ -7,6 +7,7 @@ from braidshear.geometry import (
     CollinearTripleError,
     DegenerateInputError,
     EdgeComplex,
+    GeometryError,
     HullEdgeError,
     NonConvexQuadError,
     Triangulation,
@@ -20,6 +21,7 @@ from braidshear.geometry import (
 from oracles import (
     brute_force_delaunay_triangles,
     empty_circumcircle_holds,
+    first_degeneracy,
     is_generic,
     random_generic_points,
 )
@@ -231,6 +233,31 @@ def test_degenerate_inputs_rejected():
 
     with pytest.raises(DegenerateInputError):
         delaunay([(1, P(0, 0)), (2, P(1, 0))])
+
+
+def test_repeated_ids_rejected():
+    with pytest.raises(GeometryError, match="distinct"):
+        delaunay([(1, P(0, 0)), (2, P(1, 0)), (1, P(0, 1))])
+
+
+def test_lifted_scan_matches_the_oracles_or_their_first_degeneracy():
+    # small grids with some half-integer coordinates make every kind of
+    # degeneracy common; ids are shuffled so input order is not id order
+    rng = random.Random(13)
+    kinds = set()
+    for _ in range(400):
+        n, span = rng.randint(3, 8), rng.randint(1, 3)
+        coords = [Fraction(rng.randint(-span, span), rng.choice((1, 1, 2))) for _ in range(2 * n)]
+        pts = list(zip(rng.sample(range(1, 40), n), map(point, coords[::2], coords[1::2])))
+        fault = first_degeneracy(pts)
+        kinds.add(fault and fault[0])
+        if fault is None:
+            assert delaunay(pts).complex.triangle_sets() == brute_force_delaunay_triangles(pts)
+            continue
+        with pytest.raises(DegenerateInputError) as e:
+            delaunay(pts)
+        assert (e.value.kind, e.value.ids) == fault
+    assert kinds == {None, "coincident-pair", "collinear-set", "cocircular-4"}
 
 
 # -- integer scaling inside delaunay ----------------------------------------

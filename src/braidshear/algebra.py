@@ -102,7 +102,7 @@ def _name_key(name: str):
     )
 
 
-_RATIONAL = re.compile(r"[+-]?\d+(?:/[1-9]\d*)?\Z")
+_RATIONAL = re.compile(r"[+-]?\d+(?:/[1-9]\d*)?\Z", re.ASCII)
 
 
 def parse_rational(text: str) -> Fraction:

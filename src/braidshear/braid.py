@@ -46,7 +46,7 @@ class BraidWord:
         return " ".join(f"s{i}" if s == 1 else f"s{i}'" for i, s in self.letters)
 
 
-_ITEM = re.compile(r"s(\d+)('|\^-1)?")
+_ITEM = re.compile(r"s(\d+)('|\^-1)?", re.ASCII)
 
 
 def parse_braid(text: str, n: Optional[int] = None) -> BraidWord:
@@ -145,14 +145,6 @@ def compile_motion(word: BraidWord, cfg: SlotConfig) -> Tuple[Motion, Dict[int, 
         occupant[index], occupant[index + 1] = b, a
     permutation = {strand: slot for slot, strand in occupant.items()}
     return Motion(cfg.n, tuple(stages)), permutation
-
-
-def word_permutation(word: BraidWord) -> Dict[int, int]:
-    """The underlying symmetric-group image: strand -> final slot."""
-    occupant = {slot: slot for slot in range(1, word.n + 1)}
-    for index, _ in word.letters:
-        occupant[index], occupant[index + 1] = occupant[index + 1], occupant[index]
-    return {strand: slot for slot, strand in occupant.items()}
 
 
 def swap_clearance_ok(cfg: SlotConfig) -> bool:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -90,6 +89,16 @@ def _load_config(path: Optional[str]) -> dict:
     return data
 
 
+def _n_flag(text: str) -> int:
+    # int() also takes non-ASCII digits such as "\uff14"
+    if text.isascii():
+        try:
+            return int(text)
+        except ValueError:
+            pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 def _rational_flag(value: str, flag: str) -> Fraction:
     try:
         return parse_rational(value)
@@ -103,8 +112,8 @@ def _resolve_config(args) -> SlotConfig:
     if n is None:
         raise CliError(EXIT_PARSE, "usage", "strand count required (--n or config file)")
     try:
-        # an int or its decimal string; a float such as 4.7 is not cut to 4
-        if isinstance(n, bool) or not isinstance(n, (int, str)):
+        # an int or its ASCII decimal string; a float such as 4.7 is not cut to 4
+        if isinstance(n, bool) or not isinstance(n, (int, str)) or not str(n).isascii():
             raise ValueError
         n = int(n)
     except ValueError:
@@ -125,17 +134,6 @@ def _resolve_config(args) -> SlotConfig:
         return SlotConfig(n, epsilon, bulge)
     except ValueError as exc:
         raise CliError(EXIT_PARSE, "usage", str(exc))
-
-
-def _max_retries() -> int:
-    raw = os.environ.get("BRAIDSHEAR_MAX_RETRIES", "3")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise CliError(EXIT_PARSE, "usage", f"BRAIDSHEAR_MAX_RETRIES must be an integer, got {raw!r}")
-    if value < 0:
-        raise CliError(EXIT_PARSE, "usage", "BRAIDSHEAR_MAX_RETRIES must be nonnegative")
-    return value
 
 
 def _parse_word(text: str, n: int):
@@ -159,7 +157,7 @@ def _write_output(args, text: str) -> None:
 
 def _run_invariant(word_text: str, cfg: SlotConfig, system: LabelSystem) -> InvariantMap:
     word = _parse_word(word_text, cfg.n)
-    return run_invariant(word, cfg, system, max_retries=_max_retries())
+    return run_invariant(word, cfg, system)
 
 
 def _cmd_invariant(args) -> int:
@@ -238,7 +236,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, word_args=1, with_system=True):
-        p.add_argument("--n", type=int, default=None, help="strand count")
+        p.add_argument("--n", type=_n_flag, default=None, help="strand count")
         p.add_argument("--epsilon", default=None, help="parabola flattening, rational like 1/64")
         p.add_argument("--bulge", default=None, help="arc height factor, rational like 1")
         p.add_argument("--config", default=None, help="JSON config file {n, epsilon, bulge}")

@@ -441,22 +441,20 @@ def run_invariant(
     word: BraidWord,
     cfg: SlotConfig,
     system: LabelSystem,
-    *,
-    max_retries: int = 3,
 ) -> InvariantMap:
     """Compute T(word): seed slot-edge variables, push them through the
     certified flip sequence, and re-key the final labels to slot edges via
     the braid's permutation.
 
-    Degeneracy errors retry with deterministic bulge perturbations (at
-    most ``max_retries``, skipping any that would make the bulge
-    non-positive); isotopic motions compute the same map, so the perturbed
-    run yields the same result.
+    A degeneracy error retries at the bulge plus each ``DEFAULT_JITTER``
+    offset in turn, skipping any that would make the bulge non-positive;
+    isotopic motions compute the same map, so the perturbed run yields the
+    same result.
     """
     check_strand_count(cfg.n)
     tri0, _ = initial_triangulation(cfg)
     base = augment(tri0)
-    bulges = [cfg.bulge + d for d in DEFAULT_JITTER[:max_retries]]
+    bulges = [cfg.bulge + d for d in DEFAULT_JITTER]
     attempts = [cfg] + [cfg.with_bulge(b) for b in bulges if b > 0]
     for attempt_cfg in attempts:
         motion, perm = compile_motion(word, attempt_cfg)

@@ -9,13 +9,14 @@ transition, a cocircularity of four strands or a collinearity of three
 hull strands, is a single edge flip, so a braid's whole history is a
 certified, ordered flip sequence.
 
-The event polynomials live in Z[u], u the tangent-half-angle parameter of
-one half-stage: with every position written over the common denominator
-D * (1 + u^2), each orient (far vertex plus three strands), incircle (four
-strands) and squared-distance (collision) determinant is an integer
-polynomial numerator.  Its factors 1 + u^2, which have no real roots, are
-divided out exactly and the primitive part is kept, so no rational
-arithmetic enters their construction.
+The event polynomials live in Z[t], t the stage-local time, one per
+half-stage: with every position of a half-stage written over the common
+denominator D * W(t) (W = 1 + 4t^2 on the first half, 1 - 2t + 2t^2 on the
+second, both without real roots), each orient (far vertex plus three
+strands), incircle (four strands) and squared-distance (collision)
+determinant is an integer polynomial numerator.  Its factors W are divided
+out exactly and the primitive part is kept, so no rational arithmetic
+enters their construction.
 
 Every real root of every event polynomial in a stage is isolated in a
 bracket (a wall), and the brackets are refined until pairwise disjoint,
@@ -236,11 +237,11 @@ def augment(tri: Triangulation) -> EdgeComplex:
 def augmented_at(motion: Motion, stage: int, t: Fraction) -> EdgeComplex:
     """Hull-closure complex of the positions at stage-local time t.
 
-    Built from the integer numerators of the positions: at u = p/q every
-    strand of a half-stage sits at (X_h(p, q), Y_h(p, q)) / (D (p^2 + q^2)),
-    with X_h, Y_h the numerators made homogeneous of degree 2, so all
-    share one positive denominator and every predicate sign is that of
-    the integer points (X_h, Y_h).
+    Built from the integer numerators of the positions: at t = p/q every
+    strand of a half-stage sits at (X_h(p, q), Y_h(p, q)) / (D W_h(p, q)),
+    with X_h, Y_h, W_h the half's numerators and W made homogeneous of
+    degree 2, so all share one positive denominator and every predicate
+    sign is that of the integer points (X_h, Y_h).
     """
     if not 0 <= stage < len(motion.stages):
         raise KineticError(f"stage {stage} out of range")
@@ -248,8 +249,7 @@ def augmented_at(motion: Motion, stage: int, t: Fraction) -> EdgeComplex:
     if not 0 <= t <= 1:
         raise KineticError(f"time {t} outside [0, 1]")
     half = 0 if t <= Fraction(1, 2) else 1  # as Arc._cos_sin
-    u = 2 * t - half
-    p, q = u.numerator, u.denominator
+    p, q = t.numerator, t.denominator
     basis = (q * q, p * q, p * p)  # p^i q^(2-i)
     points = [
         (s, Point(sum(map(mul, xs, basis)), sum(map(mul, ys, basis))))
@@ -258,19 +258,24 @@ def augmented_at(motion: Motion, stage: int, t: Fraction) -> EdgeComplex:
     return augment(delaunay(points))
 
 
-# -- event polynomials over Z[u] (sturm backend) ---------------------------
+# -- event polynomials over Z[t] (sturm backend) ---------------------------
 #
-# On half-stage h every strand sits at (X(u), Y(u)) / (D * W) with
-# W = 1 + u^2, D the stage's common denominator and X, Y integer
-# polynomials of degree <= 2 (u = 2t on the first half, u = 2t - 1 on the
-# second), lifted once to (X, Y, X^2 + Y^2): an incircle determinant is
-# the orient determinant of the lifts, with no squared differences per
-# 4-subset.  Polynomials are dense int lists, ascending degree.
+# On half-stage h every strand sits at (X(t), Y(t)) / (D * W) with D the
+# stage's common denominator and W, X, Y integer polynomials of degree <= 2
+# in stage time t (the tangent-half-angle u = 2t - h substituted once, in
+# the constants below), lifted once to (X, Y, X^2 + Y^2): an incircle
+# determinant is the orient determinant of the lifts, with no squared
+# differences per 4-subset.  Polynomials are dense int lists, ascending
+# degree.
 
-_W = [1, 0, 1]
 _Lifted = Tuple[List[int], List[int], List[int]]  # (X, Y, X^2 + Y^2)
-# (cos, sin) numerators over W on each half of a half-turn
-_HALF_COS_SIN = (([1, 0, -1], [0, 2]), ([0, -2], [1, 0, -1]))
+# (W, cos, sin) numerators in t on each half of a half-turn: (1 + u^2,
+# 1 - u^2, 2u) at u = 2t, then (1 + u^2, -2u, 1 - u^2) / 2 at u = 2t - 1,
+# so that each W is primitive
+_HALF_COS_SIN = (
+    ([1, 0, 4], [1, 0, -4], [0, 4]),
+    ([1, -2, 2], [1, -2], [0, 2, -2]),
+)
 
 
 def _padd(a: List[int], b: List[int]) -> List[int]:
@@ -301,36 +306,24 @@ def _pscale(a: List[int], k: int) -> List[int]:
     return [k * c for c in a]
 
 
-def _strip_w(a: List[int]) -> List[int]:
-    """Primitive part of ``a`` with every factor 1 + u^2 divided out; the
-    result has the real roots of ``a`` (``[]`` for the zero polynomial)."""
+def _strip_w(a: List[int], half: int) -> List[int]:
+    """Primitive part of ``a`` with every factor W of the half divided out;
+    the result has the real roots of ``a`` (``[]`` for the zero
+    polynomial)."""
     a = roots.normalize(a)
+    w = _HALF_COS_SIN[half][0]
     while len(a) >= 3:
-        q = roots.exact_quotient(a, _W)
+        q = roots.exact_quotient(a, w)
         if q is None:
             break
         a = q
     return a
 
 
-def _compose_linear(coeffs: List[int], a: int, b: int) -> List[int]:
-    """Coefficients of p(a*t + b) from those of p(u)."""
-    out: List[int] = []
-    for c in reversed(coeffs):
-        # out = out * (a*t + b) + c
-        nxt = [0] * (len(out) + 1)
-        for i, x in enumerate(out):
-            nxt[i] += x * b
-            nxt[i + 1] += x * a
-        nxt[0] += c
-        out = nxt
-    return roots._trim(out)
-
-
 def _homogeneous_positions(stage: Stage, half: int) -> Dict[int, _Lifted]:
-    """Integer numerators (X, Y) of every strand's position over D * W,
-    lifted to (X, Y, X^2 + Y^2)."""
-    cos, sin = _HALF_COS_SIN[half]
+    """Integer numerators (X, Y) in t of every strand's position over
+    D * W on the half-stage, lifted to (X, Y, X^2 + Y^2)."""
+    w, cos, sin = _HALF_COS_SIN[half]
     strands = stage.strands()
     trajs = [stage.trajectories[s] for s in strands]
     arcs = [t for t in trajs if isinstance(t, Arc)]
@@ -345,15 +338,15 @@ def _homogeneous_positions(stage: Stage, half: int) -> Dict[int, _Lifted]:
     out = {}
     for strand, traj in zip(strands, trajs):
         if isinstance(traj, Stationary):
-            xs, ys = _pscale(_W, scaled(traj.point.x)), _pscale(_W, scaled(traj.point.y))
+            xs, ys = _pscale(w, scaled(traj.point.x)), _pscale(w, scaled(traj.point.y))
         else:
             cx, cy = scaled(traj.center.x), scaled(traj.center.y)
             rx, ry = scaled(traj.start.x) - cx, scaled(traj.start.y) - cy
             # direction * scale * (rx, ry); exact, as scale_den divides rx and ry
             k = traj.direction * traj.scale.numerator
             sx, sy = k * rx // traj.scale.denominator, k * ry // traj.scale.denominator
-            xs = _padd(_padd(_pscale(_W, cx), _pscale(cos, rx)), _pscale(sin, -sy))
-            ys = _padd(_padd(_pscale(_W, cy), _pscale(cos, ry)), _pscale(sin, sx))
+            xs = _padd(_padd(_pscale(w, cx), _pscale(cos, rx)), _pscale(sin, -sy))
+            ys = _padd(_padd(_pscale(w, cy), _pscale(cos, ry)), _pscale(sin, sx))
         out[strand] = (xs, ys, _padd(_pmul(xs, xs), _pmul(ys, ys)))
     return out
 
@@ -403,21 +396,22 @@ def _stage_event_polys(
                 det = _orient_num(*(pos[s] for s in finite))
             else:
                 det = _incircle_num(*(pos[s] for s in finite))
-            coeffs = _strip_w(det)
+            coeffs = _strip_w(det, half)
             if not coeffs:
                 raise DegeneracyError(
                     f"stage {stage_idx}: subset {subset} degenerate throughout"
                 )
             if len(coeffs) == 1:
                 continue  # constant sign, no events
-            # u = 2t - half maps the half's time range onto [0, 1]
-            polys.append((_compose_linear(coeffs, 2, -half), d_lo, d_hi, subset))
+            polys.append((coeffs, d_lo, d_hi, subset))
     return polys
 
 
-def _collision_polys(motion: Motion, stage_idx: int) -> List[Tuple[int, int, List[int], List[int]]]:
-    """Coordinate differences in u, ``(i, j, dx, dy)`` per half-stage and
-    strand pair with a moving member (numerators over D * (1 + u^2))."""
+def _collision_polys(
+    motion: Motion, stage_idx: int
+) -> List[Tuple[int, int, int, List[int], List[int]]]:
+    """Coordinate differences in t, ``(half, i, j, dx, dy)`` per half-stage
+    and strand pair with a moving member (numerators over D * W)."""
     stage = motion.stages[stage_idx]
     movers = set(stage.movers())
     out = []
@@ -428,16 +422,16 @@ def _collision_polys(motion: Motion, stage_idx: int) -> List[Tuple[int, int, Lis
         for i, j in combinations(stage.strands(), 2):
             if i not in movers and j not in movers:
                 continue
-            out.append((i, j, _psub(pos[i][0], pos[j][0]), _psub(pos[i][1], pos[j][1])))
+            out.append((half, i, j, _psub(pos[i][0], pos[j][0]), _psub(pos[i][1], pos[j][1])))
     return out
 
 
 def _check_collisions(motion: Motion, stage_idx: int) -> None:
     # the squared distance dx^2 + dy^2 vanishes exactly where dx and dy do
-    for i, j, dx, dy in _collision_polys(motion, stage_idx):
+    for half, i, j, dx, dy in _collision_polys(motion, stage_idx):
         if not any(dx) and not any(dy):
             raise CollisionError(f"strands {i} and {j} coincide throughout stage {stage_idx}")
-        if roots.has_common_root_in(dx, dy, Fraction(0), Fraction(1)):
+        if roots.has_common_root_in(dx, dy, Fraction(half, 2), Fraction(half + 1, 2)):
             raise CollisionError(f"strands {i} and {j} collide during stage {stage_idx}")
 
 
@@ -770,64 +764,6 @@ def replay(initial: Union[Triangulation, EdgeComplex], events: Sequence[FlipEven
 
 
 # -- JSON wire formats ----------------------------------------------------
-
-
-def _point_to_json(p: Point) -> List[str]:
-    return [format_rational(p.x), format_rational(p.y)]
-
-
-def _point_from_json(data: Sequence[str]) -> Point:
-    return Point(parse_rational(data[0]), parse_rational(data[1]))
-
-
-def motion_to_json(motion: Motion) -> dict:
-    stages = []
-    for stage in motion.stages:
-        records = []
-        for strand in stage.strands():
-            traj = stage.trajectories[strand]
-            if isinstance(traj, Stationary):
-                records.append(
-                    {"strand": strand, "kind": "stationary", "start": _point_to_json(traj.point)}
-                )
-            else:
-                records.append(
-                    {
-                        "strand": strand,
-                        "kind": "arc",
-                        "center": _point_to_json(traj.center),
-                        "start": _point_to_json(traj.start),
-                        "turns": "+half" if traj.direction == 1 else "-half",
-                        "scale": format_rational(traj.scale),
-                    }
-                )
-        stages.append(records)
-    return {"n": motion.n, "stages": stages}
-
-
-def motion_from_json(data: Mapping) -> Motion:
-    stages = []
-    for records in data["stages"]:
-        trajectories: Dict[int, Trajectory] = {}
-        for rec in records:
-            strand = int(rec["strand"])
-            kind = rec["kind"]
-            if kind == "stationary":
-                trajectories[strand] = Stationary(_point_from_json(rec["start"]))
-            elif kind == "arc":
-                turns = rec["turns"].replace("−", "-")
-                if turns not in ("+half", "-half"):
-                    raise KineticError(f"unsupported turns {rec['turns']!r}")
-                trajectories[strand] = Arc(
-                    center=_point_from_json(rec["center"]),
-                    start=_point_from_json(rec["start"]),
-                    direction=1 if turns == "+half" else -1,
-                    scale=parse_rational(rec.get("scale", "1")),
-                )
-            else:
-                raise KineticError(f"unknown trajectory kind {kind!r}")
-        stages.append(Stage(trajectories))
-    return Motion(int(data["n"]), tuple(stages))
 
 
 def events_to_json(events: Sequence[FlipEvent]) -> list:

@@ -11,7 +11,6 @@ from braidshear.braid import (
     parse_braid,
     slot_position,
     swap_clearance_ok,
-    word_permutation,
 )
 from braidshear.kinetic import Arc, positions_at
 from oracles import brute_force_delaunay_triangles
@@ -138,12 +137,10 @@ def test_permutation_composition():
     w1 = parse_braid("s1 s2", n=4)
     w2 = parse_braid("s3 s1", n=4)
     combined = BraidWord(4, w1.letters + w2.letters)
-    p1 = word_permutation(w1)
-    p2 = word_permutation(w2)
-    expected = {s: p2[p1[s]] for s in p1}
-    assert word_permutation(combined) == expected
+    _, p1 = compile_motion(w1, SlotConfig(4))
+    _, p2 = compile_motion(w2, SlotConfig(4))
     _, compiled = compile_motion(combined, SlotConfig(4))
-    assert compiled == expected
+    assert compiled == {s: p2[p1[s]] for s in p1}
 
 
 def test_inverse_pair_returns_strands_home_exactly():

@@ -339,7 +339,23 @@ def test_help_exits_zero(capsys):
     assert code == 0 and "--system" in out and err == ""
 
 
-def test_max_retries_env_validation(capsys, monkeypatch):
-    monkeypatch.setenv("BRAIDSHEAR_MAX_RETRIES", "not-a-number")
-    code, _, err = run(capsys, "invariant", "--n", "3", "--system", "shear", "s1")
-    assert code == 2
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["invariant", "--n", "4", "--system", "shear", "s\u0661"], None),
+        (["invariant", "--n", "4", "--system", "shear", "--bulge", "\u0661", "s1"], None),
+        (["invariant", "--n", "\uff14", "--system", "shear", "s1"], None),
+        (["snapshot", "--n", "4", "--t", "\u0661/\u0662", "s1"], None),
+        (["flips", "s1"], {"n": "\uff14"}),
+    ],
+    ids=["word", "bulge", "n", "t", "config-n"],
+)
+def test_non_ascii_digits_are_rejected(tmp_path, capsys, argv, config):
+    # int() and re's \d take any Unicode digit; the CLI takes ASCII only
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv = argv + ["--config", str(path)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "error" in json.loads(err.splitlines()[-1])

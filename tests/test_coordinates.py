@@ -466,12 +466,17 @@ def test_degeneracy_retries_with_jittered_bulge(monkeypatch):
 
 
 def test_degeneracy_exhausts_retries(monkeypatch):
+    attempts = []
+
     def always_degenerate(motion, initial, **kwargs):
+        attempts.append(motion)
         raise DegeneracyError("synthetic degeneracy")
 
     monkeypatch.setattr(coordinates, "detect_flips", always_degenerate)
     with pytest.raises(DegeneracyError):
         run_invariant(parse_braid("s1", n=3), SlotConfig(3), LabelSystem.PTOLEMY)
+    # the given bulge, then every jittered one
+    assert len(attempts) == 1 + len(coordinates.DEFAULT_JITTER)
 
 
 @pytest.mark.parametrize("system", list(LabelSystem), ids=lambda s: s.value)

@@ -27,8 +27,6 @@ from braidshear.kinetic import (
     detect_flips,
     events_from_json,
     events_to_json,
-    motion_from_json,
-    motion_to_json,
     position_at,
     positions_at,
     replay,
@@ -334,6 +332,18 @@ def test_collision_is_detected():
         detect_flips(motion, tri0)
 
 
+def test_collision_on_the_second_half_is_detected():
+    # strand 1 passes (9/5, -3/5) at t = 3/4 only, inside the second half
+    motion = Motion(3, (Stage({
+        1: Arc(center=point(1, 0), start=point(0, 0), direction=1),
+        2: Stationary(point(5, 5)),
+        3: Stationary(point(Fraction(9, 5), Fraction(-3, 5))),
+    }),))
+    assert position_at(motion, 1, 0, Fraction(3, 4)) == point(Fraction(9, 5), Fraction(-3, 5))
+    with pytest.raises(CollisionError, match="strands 1 and 3 collide during stage 0"):
+        kinetic._check_collisions(motion, 0)
+
+
 def test_collision_needs_both_coordinate_differences_to_vanish(monkeypatch):
     # at t = 1/2 strand 1 passes (1, -1), straight above strand 3: dx = 0, dy = 1
     motion = Motion(3, (Stage({
@@ -344,7 +354,7 @@ def test_collision_needs_both_coordinate_differences_to_vanish(monkeypatch):
     kinetic._check_collisions(motion, 0)
     # a Motion rejects coincident starts, so identically zero differences
     # are fed in directly
-    monkeypatch.setattr(kinetic, "_collision_polys", lambda motion, k: [(1, 2, [0, 0, 0], [])])
+    monkeypatch.setattr(kinetic, "_collision_polys", lambda motion, k: [(0, 1, 2, [0, 0, 0], [])])
     with pytest.raises(CollisionError, match="strands 1 and 2 coincide throughout stage 0"):
         kinetic._check_collisions(motion, 0)
 
@@ -640,7 +650,7 @@ ORACLE_SHAPES = [
 @pytest.mark.parametrize("bulge", [Fraction(1), Fraction(1, 3), Fraction(5, 2)], ids=str)
 def test_event_polys_match_rational_function_oracle(bulge):
     from braidshear.kinetic import _collision_polys, _padd, _pmul, _stage_event_polys, _strip_w
-    from oracles import rf_collision_polys, rf_stage_event_polys
+    from oracles import _compose_linear, rf_collision_polys, rf_stage_event_polys
 
     for n, text, stages in ORACLE_SHAPES:
         motion, _ = compile_motion(parse_braid(text, n=n), SlotConfig(n).with_bulge(bulge))
@@ -654,46 +664,30 @@ def test_event_polys_match_rational_function_oracle(bulge):
                 assert _proportional(p, q)
             coll = _collision_polys(motion, k)
             rcoll = rf_collision_polys(motion, k)
-            assert [(i, j) for i, j, _, _ in coll] == [(i, j) for _, i, j, _ in rcoll]
-            for (_, _, dx, dy), (_, _, _, q) in zip(coll, rcoll):
-                assert _proportional(_strip_w(_padd(_pmul(dx, dx), _pmul(dy, dy))), q)
+            assert [c[:3] for c in coll] == [c[:3] for c in rcoll]
+            for (half, _, _, dx, dy), (_, _, _, q) in zip(coll, rcoll):
+                # the oracle is in u = 2t - half
+                q = _compose_linear(q, 2, -half)
+                assert _proportional(_strip_w(_padd(_pmul(dx, dx), _pmul(dy, dy)), half), q)
 
 
 def test_strip_w_divides_out_every_root_free_factor():
-    from braidshear.kinetic import _pmul, _strip_w
+    from braidshear.kinetic import _pmul, _pscale, _strip_w
 
-    w = [1, 0, 1]
-    core = [-6, 3, 0, 9]  # 3 (3u^3 + u - 2)
-    assert _strip_w(_pmul(_pmul(w, w), core)) == [-2, 1, 0, 3]
-    assert _strip_w(_pmul(w, [0, 0, 5])) == [0, 0, 1]
-    assert _strip_w([0, 0, 0]) == []
-    assert _strip_w([4, 0, 4]) == [1]
-
-
-def test_compose_linear_over_integers():
-    from braidshear.kinetic import _compose_linear
-
-    p = [1, -3, 2]  # (1 - u)(1 - 2u)
-    assert _compose_linear(p, 2, 0) == [1, -6, 8]
-    assert _compose_linear(p, 2, -1) == [6, -14, 8]  # (2 - 2t)(3 - 4t)
+    core = [-6, 3, 0, 9]  # 3 (3t^3 + t - 2)
+    # W = 1 + 4t^2 on the first half, 1 - 2t + 2t^2 on the second
+    for half, w in ((0, [1, 0, 4]), (1, [1, -2, 2])):
+        assert _strip_w(_pmul(_pmul(w, w), core), half) == [-2, 1, 0, 3]
+        assert _strip_w(_pmul(w, [0, 0, 5]), half) == [0, 0, 1]
+        assert _strip_w([0, 0, 0], half) == []
+        assert _strip_w(_pscale(w, 3), half) == [1]
+    # each half divides out its own W only
+    assert _strip_w([1, 0, 4], 1) == [1, 0, 4]
+    assert _strip_w([2, -4, 4], 0) == [1, -2, 2]
+    assert _strip_w([2, -4, 4], 1) == [1]
 
 
 # -- wire formats -----------------------------------------------------------
-
-
-def test_motion_json_round_trip():
-    motion, _ = swap_motion(4, "s1 s2'")
-    data = motion_to_json(motion)
-    again = motion_from_json(data)
-    assert again == motion
-    assert data["stages"][0][0]["turns"] in ("+half", "-half")
-
-
-def test_motion_json_accepts_unicode_minus():
-    motion, _ = swap_motion(3, "s1'")
-    data = motion_to_json(motion)
-    data["stages"][0][0]["turns"] = data["stages"][0][0]["turns"].replace("-", "−")
-    assert motion_from_json(data) == motion
 
 
 def test_events_json_round_trip():

@@ -1,8 +1,12 @@
-"""Exact multivariate rational-function arithmetic over the rationals.
+"""Exact multivariate polynomials over Z, their gcd, and rational-function
+values.
 
-Values are immutable.  Rational functions are kept in a unique canonical
-form (gcd-reduced, denominator leading coefficient positive under the
-graded-lexicographic monomial order), so equality is structural.
+Values are immutable.  A ``RationalFunction`` is a value, not an
+arithmetic type: its constructor reduces ``num/den`` to a unique
+canonical form (gcd-reduced, denominator leading coefficient positive
+under the graded-lexicographic monomial order), so equality is
+structural.  The label rules in ``coordinates`` do their arithmetic on
+polynomials and build each label through that constructor.
 
 Polynomials carry integer coefficients on packed monomials.  A polynomial
 lives in a ring: an interned tuple of variable names in ``_name_key``
@@ -33,23 +37,10 @@ IV", 2007), so with ``x.num = m*p`` for its monomial-with-content part m,
 b.num*d.num*a.den*c.den)/p * x.den``, an exact quotient, over the monomial
 ``a.den*b.den*c.den*d.den*m`` (see ``coordinates.apply_ptolemy_flip``).
 
-The public constructor ``RationalFunction(num, den)`` is the full-reduction
-path: it divides arbitrary input by ``poly_gcd(num, den)``.  Arithmetic
-never takes that path.  Its operands are reduced, and reduced operands give
-a reduced result from gcds of the small operands alone (Henrici's
-cross-cancellation; Knuth, TAOCP vol. 2, 4.5.1):
-
-* ``(a/b)·(c/d) = ((a/g1)(c/g2)) / ((b/g2)(d/g1))`` with ``g1 = gcd(a, d)``
-  and ``g2 = gcd(c, b)``; division swaps ``c`` and ``d``;
-* ``a/b + c/d`` with ``g = gcd(b, d)``: ``(ad + cb)/(bd)`` if ``g = 1``,
-  else ``(t/g2) / ((b/g)(d/g2))`` with ``t = a(d/g) + c(b/g)`` and
-  ``g2 = gcd(t, g)``;
-* negation, inversion, powers and constants need no gcd at all.
-
-``poly_gcd`` returns the full gcd over Z, so these results are coprime
-with integer content included; only the sign is then normalized.  Z[x] is
-a unique factorization domain, so the result is the same canonical form
-the constructor would produce.
+``poly_gcd`` returns the full gcd over Z, so the constructor's ``num``
+and ``den`` divided by it are coprime, integer content included; only
+the sign is then normalized.  Z[x] is a unique factorization domain, so
+the form is unique.
 """
 
 from __future__ import annotations
@@ -60,7 +51,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heappop, heappush
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, Optional
 
 from braidshear.roots import gcd
 
@@ -70,15 +61,7 @@ class AlgebraError(Exception):
 
 
 class ZeroFunctionDivision(AlgebraError, ZeroDivisionError):
-    """Division by the zero rational function."""
-
-
-class PoleError(AlgebraError):
-    """Evaluation hit a zero of the denominator."""
-
-
-class MissingVariableError(AlgebraError):
-    """Evaluation point does not cover every variable."""
+    """A zero denominator, or a flip dividing by a label that is zero."""
 
 
 class PolyParseError(AlgebraError):
@@ -119,8 +102,6 @@ def format_rational(value: Fraction) -> str:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
 
-
-IntoPoly = Union["Polynomial", int]
 
 # default field width of a packed monomial, guard bit included: total
 # degrees up to 2^15 - 1 fit before a ring is widened
@@ -299,13 +280,6 @@ class Polynomial:
     @property
     def is_monomial(self) -> bool:
         return len(self._packed) == 1
-
-    def constant_value(self) -> int:
-        if self.is_zero:
-            return 0
-        if not self.is_constant:
-            raise AlgebraError("not a constant polynomial")
-        return self._packed[0]
 
     def _leading(self) -> int:
         lead = self._lead
@@ -532,34 +506,6 @@ class Polynomial:
                         pending.append((s, j))
         return _poly(ring, dict(zip(qkeys, qcoeffs)))
 
-    # -- evaluation ----------------------------------------------------
-
-    def evaluate(self, assignment: Mapping[str, Union[int, Fraction]]) -> Fraction:
-        missing = [v for v in self.vars if v not in assignment]
-        if missing:
-            raise MissingVariableError(f"missing variables: {missing}")
-        total = Fraction(0)
-        values = [Fraction(assignment[v]) for v in self.vars]
-        for exps, coeff in self.terms.items():
-            term = Fraction(coeff)
-            for val, e in zip(values, exps):
-                if e:
-                    term *= val ** e
-            total += term
-        return total
-
-    def coeffs_in(self, name: str) -> dict:
-        """View as univariate in ``name``: degree -> Polynomial in the rest."""
-        ring = self._ring
-        if name not in self.vars:
-            return {0: self}
-        s, mask, top = ring.shifts[ring.index[name]], ring.mask, ring.top
-        buckets: dict = {}
-        for key, coeff in self._packed.items():
-            d = key >> s & mask
-            buckets.setdefault(d, {})[key - (d << s) - (d << top)] = coeff
-        return {d: _poly(ring, t) for d, t in buckets.items()}
-
     def __str__(self) -> str:
         return poly_to_str(self)
 
@@ -709,38 +655,19 @@ def _is_one(p: Polynomial) -> bool:
     return p._packed == {0: 1}
 
 
-def _quo(p: Polynomial, g: Polynomial) -> Polynomial:
-    """p / g for a g known to divide p."""
-    return p if _is_one(g) else p.exact_div(g)
-
-
-def _cross_product(
-    a: Polynomial, b: Polynomial, c: Polynomial, d: Polynomial
-) -> "RationalFunction":
-    """(a/b)·(c/d) for coprime pairs (a, b) and (c, d), by cross-cancellation."""
-    g1 = poly_gcd(a, d)
-    g2 = poly_gcd(c, b)
-    return RationalFunction._coprime(_quo(a, g1) * _quo(c, g2), _quo(b, g2) * _quo(d, g1))
-
-
-IntoRF = Union["RationalFunction", Polynomial, int, Fraction]
-
-
 class RationalFunction:
     """Quotient of integer polynomials in canonical reduced form.
 
     Invariants: gcd(num, den) = 1 (integer content included), den != 0,
     and den's graded-lex leading coefficient is positive.  Because the
-    form is unique, equality and hashing are structural.
-
-    The constructor reduces arbitrary input with a full gcd.  Arithmetic
-    relies on its operands already being reduced and builds results
-    through ``_coprime`` after cross-cancellation (see the module docstring).
+    form is unique, equality and hashing are structural.  The value has
+    no arithmetic: callers compute on ``num`` and ``den`` and construct.
     """
 
     __slots__ = ("num", "den", "_hash")
 
-    def __init__(self, num: Polynomial, den: Optional[Polynomial] = None):
+    def __new__(cls, num: Polynomial, den: Optional[Polynomial] = None):
+        """The canonical form of ``num/den``: both divided by their full gcd."""
         if den is None:
             den = Polynomial.one()
         if den.is_zero:
@@ -750,125 +677,36 @@ class RationalFunction:
             if not _is_one(g):
                 num = num.exact_div(g)
                 den = den.exact_div(g)
-        self._set(num, den)
+        return cls._coprime(num, den)
 
-    def _set(self, num: Polynomial, den: Polynomial) -> None:
-        # num and den are coprime here; fix the sign (zero becomes 0/1)
+    @classmethod
+    def _coprime(cls, num: Polynomial, den: Polynomial) -> "RationalFunction":
+        """Wrap a pair already known to be coprime: no gcd, sign only (zero
+        becomes 0/1)."""
         if num.is_zero:
             num, den = Polynomial.zero(), Polynomial.one()
         elif den.lead_coeff() < 0:
             num, den = -num, -den
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "_hash", None)
-
-    @classmethod
-    def _coprime(cls, num: Polynomial, den: Polynomial) -> "RationalFunction":
-        """Wrap a pair already known to be coprime: no gcd, sign only."""
         obj = object.__new__(cls)
-        obj._set(num, den)
+        _set(obj, "num", num)
+        _set(obj, "den", den)
+        _set(obj, "_hash", None)
         return obj
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalFunction is immutable")
 
-    @classmethod
-    def constant(cls, value: Union[int, Fraction]) -> "RationalFunction":
-        frac = Fraction(value)
-        return cls._coprime(
-            Polynomial.constant(frac.numerator), Polynomial.constant(frac.denominator)
-        )
-
-    @classmethod
-    def variable(cls, name: str) -> "RationalFunction":
-        return cls._coprime(Polynomial.variable(name), Polynomial.one())
-
     @property
     def is_zero(self) -> bool:
         return self.num.is_zero
 
-    @property
-    def is_one(self) -> bool:
-        return self.num == Polynomial.one() and self.den == Polynomial.one()
-
-    def variables(self) -> frozenset:
-        return frozenset(self.num.vars) | frozenset(self.den.vars)
-
-    @staticmethod
-    def _coerce(value) -> Optional["RationalFunction"]:
-        if isinstance(value, RationalFunction):
-            return value
-        if isinstance(value, Polynomial):
-            return RationalFunction._coprime(value, Polynomial.one())
-        if isinstance(value, (int, Fraction)):
-            return RationalFunction.constant(value)
-        return None
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        a, b, c, d = self.num, self.den, other.num, other.den
-        g = poly_gcd(b, d)
-        if _is_one(g):
-            return RationalFunction._coprime(a * d + c * b, b * d)
-        b_g, d_g = b.exact_div(g), d.exact_div(g)
-        t = a * d_g + c * b_g
-        g2 = poly_gcd(t, g)
-        return RationalFunction._coprime(_quo(t, g2), b_g * _quo(d, g2))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RationalFunction._coprime(-self.num, self.den)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return _cross_product(self.num, self.den, other.num, other.den)
-
-    __rmul__ = __mul__
-
-    def inv(self) -> "RationalFunction":
-        if self.is_zero:
-            raise ZeroFunctionDivision("inverse of the zero function")
-        return RationalFunction._coprime(self.den, self.num)
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        if other.is_zero:
-            raise ZeroFunctionDivision("division by the zero function")
-        return _cross_product(self.num, self.den, other.den, other.num)
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other / self
-
-    def __pow__(self, power: int):
-        if power < 0:
-            return self.inv() ** (-power)
-        return RationalFunction._coprime(self.num ** power, self.den ** power)
+    def is_laurent(self) -> bool:
+        """True iff the denominator is a single monomial (any integer
+        coefficient), i.e. the value is a Laurent polynomial."""
+        return self.den.is_monomial
 
     def __eq__(self, other) -> bool:
-        other = self._coerce(other)
-        if other is None:
+        if not isinstance(other, RationalFunction):
             return NotImplemented
         return self.num == other.num and self.den == other.den
 
@@ -876,22 +714,8 @@ class RationalFunction:
         h = self._hash
         if h is None:
             h = hash((self.num, self.den))
-            object.__setattr__(self, "_hash", h)
+            _set(self, "_hash", h)
         return h
-
-    def is_laurent(self) -> bool:
-        """True iff the denominator is a single monomial (any integer
-        coefficient), i.e. the value is a Laurent polynomial."""
-        return self.den.is_monomial
-
-    def evaluate(self, assignment: Mapping[str, Union[int, Fraction]]) -> Fraction:
-        missing = [v for v in sorted(self.variables(), key=_name_key) if v not in assignment]
-        if missing:
-            raise MissingVariableError(f"missing variables: {missing}")
-        bottom = self.den.evaluate(assignment)
-        if bottom == 0:
-            raise PoleError("denominator vanishes at the evaluation point")
-        return self.num.evaluate(assignment) / bottom
 
     def to_json(self) -> dict:
         return {"num": poly_to_str(self.num), "den": poly_to_str(self.den)}

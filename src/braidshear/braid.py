@@ -9,6 +9,7 @@ zero), and near-collinearity keeps swap arcs clear of bystander strands.
 from __future__ import annotations
 
 import re
+import string
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
@@ -51,11 +52,11 @@ _ITEM = re.compile(r"s(\d+)('|\^-1)?", re.ASCII)
 
 def parse_braid(text: str, n: Optional[int] = None) -> BraidWord:
     """Parse a braid word: items like ``s2`` / ``s2'`` / ``s2^-1`` separated
-    by whitespace.  The strand count is ``n`` or, if omitted, max(index)+1."""
+    by ASCII whitespace.  The strand count is ``n`` or, if omitted, max(index)+1."""
     letters: List[Tuple[int, int, int]] = []
     pos = 0
     while pos < len(text):
-        if text[pos].isspace():
+        if text[pos] in string.whitespace:
             pos += 1
             continue
         match = _ITEM.match(text, pos)

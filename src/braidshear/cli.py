@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -89,14 +90,22 @@ def _load_config(path: Optional[str]) -> dict:
     return data
 
 
+# int() also takes underscores and non-ASCII digits such as "\uff14"
+_INT = re.compile(r"[+-]?[0-9]+\Z")
+
+
+def _parse_int(text: str) -> Optional[int]:
+    """An ASCII decimal integer, surrounding whitespace stripped as
+    ``parse_rational`` strips it; None for anything else."""
+    text = text.strip()
+    return int(text) if _INT.match(text) else None
+
+
 def _n_flag(text: str) -> int:
-    # int() also takes non-ASCII digits such as "\uff14"
-    if text.isascii():
-        try:
-            return int(text)
-        except ValueError:
-            pass
-    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    n = _parse_int(text)
+    if n is None:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return n
 
 
 def _rational_flag(value: str, flag: str) -> Fraction:
@@ -111,13 +120,11 @@ def _resolve_config(args) -> SlotConfig:
     n = args.n if args.n is not None else file_cfg.get("n")
     if n is None:
         raise CliError(EXIT_PARSE, "usage", "strand count required (--n or config file)")
-    try:
-        # an int or its ASCII decimal string; a float such as 4.7 is not cut to 4
-        if isinstance(n, bool) or not isinstance(n, (int, str)) or not str(n).isascii():
-            raise ValueError
-        n = int(n)
-    except ValueError:
+    # an int or its ASCII decimal string; a float such as 4.7 is not cut to 4
+    value = n if type(n) is int else _parse_int(n) if isinstance(n, str) else None
+    if value is None:
         raise CliError(EXIT_PARSE, "usage", f"n must be an integer, got {n!r}")
+    n = value
     try:
         check_strand_count(n)
     except StrandCountError as exc:

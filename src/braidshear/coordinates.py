@@ -10,8 +10,11 @@ c = (w,z), d = (z,u):
 * shear: the new diagonal gets 1/e, the side pair {a, c} is scaled by
   (1+e) and the pair {b, d} by e/(1+e), where e is the old diagonal label.
 
-Ptolemy labels are carried as reduced rational functions (``LabelState``);
-the rational-function rule is the test oracle in tests/oracles.py.
+A label is read as a ``RationalFunction``, a canonical value without
+arithmetic.  Ptolemy labels are carried as those values (``LabelState``):
+the rule computes on their numerator and denominator polynomials and
+builds the new label through the reducing constructor.
+
 The shear rule is Fock-Goncharov X-mutation (Fock and Goncharov, "Cluster
 ensembles, quantization and the dilogarithm", Ann. ENS 2009), so shear
 labels are carried in separated form (``ShearState``; Fomin and
@@ -35,8 +38,8 @@ and one exact polynomial division for the new diagonal,
 
 No gcd is taken on the flip path.  A label becomes a rational function
 only when it is read, through the full-reduction constructor, so labels
-stay exact and their canonical forms are the ones the rational-function
-rule produces (that rule is the test oracle in tests/oracles.py).
+stay exact and canonical.  Both rules, written directly in sympy's
+polynomial arithmetic, are the test oracles in tests/oracles.py.
 
 The side-pair assignment for shear is frozen by a fixture test.  The
 mirrored assignment (the pairs swapped, that is b negated) is conjugate to
@@ -102,10 +105,6 @@ Edge = Tuple[int, int]
 def edge_var_name(i: int, j: int) -> str:
     lo, hi = sorted((i, j))
     return f"a_{{{lo},{hi}}}"
-
-
-def edge_variable(i: int, j: int) -> RationalFunction:
-    return RationalFunction.variable(edge_var_name(i, j))
 
 
 def _norm(edge: Edge) -> Edge:

@@ -1,12 +1,20 @@
-"""Independent brute-force oracles shared by the test suite."""
+"""Independent brute-force and sympy oracles shared by the test suite.
+
+sympy is a test-only dependency: nothing under ``src/`` imports it.
+"""
 
 from fractions import Fraction
 from itertools import combinations
 import random
+from typing import NamedTuple
 
-from braidshear.algebra import RationalFunction
+import sympy as sp
+from sympy import ZZ
+from sympy.polys.fields import field
+from sympy.polys.rings import ring
+
 from braidshear.braid import compile_motion, initial_triangulation
-from braidshear.coordinates import LabelState, seed_state
+from braidshear.coordinates import LabelSystem, seed_state
 from braidshear.geometry import Point, Triangulation, incircle, orient
 from braidshear.kinetic import (
     FAR_VERTEX,
@@ -135,30 +143,55 @@ def full_recompute_detect_flips(motion, initial):
     return events
 
 
-# -- event polynomials through the multivariate rational-function engine --
+# -- sympy helpers -------------------------------------------------------------
+
+
+def to_sympy(p):
+    """A ``Polynomial`` as a sympy expression, read off its terms."""
+    syms = [sp.Symbol(name) for name in p.vars]
+    return sp.Add(
+        *(c * sp.Mul(*(s ** e for s, e in zip(syms, exps))) for exps, c in p.terms.items())
+    )
+
+
+def _in_ring(R, p):
+    """A ``Polynomial`` as an element of the sympy ring ``R``, read off its
+    terms."""
+    index = [R.symbols.index(sp.Symbol(name)) for name in p.vars]
+    terms = {}
+    for exps, coeff in p.terms.items():
+        monom = [0] * R.ngens
+        for i, e in zip(index, exps):
+            monom[i] = e
+        terms[tuple(monom)] = coeff
+    return R.from_dict(terms)
+
+
+# -- event polynomials in sympy ------------------------------------------------
 #
-# The kinetic layer builds its event polynomials over Z[u]; these build the
-# same polynomials as rational functions of u, independently, to check them
-# against.  Each returns Fraction coefficient lists (ascending degree).
+# The kinetic layer builds its event polynomials over Z[t] from integer
+# numerators; these build them in sympy's rational-function field in t,
+# whose every operation cancels, from each trajectory's rational functions
+# of the half-angle parameter u = 2t - half.  Each returns the numerator's integer
+# coefficients (ascending degree).
+
+_T_FIELD, _T = field("t", ZZ)
 
 
 def _position_functions(stage, half):
-    u = RationalFunction.variable("u")
+    u = 2 * _T - half
     den = u * u + 1
     if half == 0:
         cos = (1 - u * u) / den
-        sin = (2 * u) / den
+        sin = 2 * u / den
     else:
-        cos = (-2 * u) / den
+        cos = -2 * u / den
         sin = (1 - u * u) / den
     out = {}
     for strand in stage.strands():
         traj = stage.trajectories[strand]
         if isinstance(traj, Stationary):
-            out[strand] = (
-                RationalFunction.constant(traj.point.x),
-                RationalFunction.constant(traj.point.y),
-            )
+            out[strand] = (_T_FIELD(traj.point.x), _T_FIELD(traj.point.y))
         else:
             rx = traj.start.x - traj.center.x
             ry = traj.start.y - traj.center.y
@@ -188,34 +221,11 @@ def _incircle_rf(p, q, r, s):
     )
 
 
-def _dense_in_u(f):
-    """Numerator of a rational function of u as a dense coefficient list."""
-    num = f.num
-    if num.is_zero:
-        return []
-    out = [Fraction(0)] * (num.total_degree() + 1)
-    for exps, coeff in num.terms.items():
-        out[exps[0] if exps else 0] = Fraction(coeff)
-    return out
+def _numerator(f):
+    return [int(c) for c in reversed(f.numer.to_dense())]
 
 
-def _compose_linear(coeffs, a, b):
-    """Coefficients of p(a*t + b) from those of p(u)."""
-    out = []
-    for c in reversed(list(coeffs)):
-        # out = out * (a*t + b) + c
-        nxt = [Fraction(0)] * (len(out) + 1)
-        for i, x in enumerate(out):
-            nxt[i] += x * b
-            nxt[i + 1] += x * a
-        nxt[0] += Fraction(c)
-        while nxt and nxt[-1] == 0:
-            nxt.pop()
-        out = nxt
-    return out
-
-
-def rf_stage_event_polys(motion, stage_idx):
+def sympy_stage_event_polys(motion, stage_idx):
     """Event polynomials of one stage in stage-local time with their
     domains, in the kinetic layer's order (half-stage, then 4-subset of
     {far} + strands with a moving member); constant ones are skipped."""
@@ -236,19 +246,17 @@ def rf_stage_event_polys(motion, stage_idx):
                 det = _orient_rf(*(funcs[s] for s in finite))
             else:
                 det = _incircle_rf(*(funcs[s] for s in finite))
-            coeffs = _dense_in_u(det)
+            coeffs = _numerator(det)
             if not coeffs:
                 raise DegeneracyError(f"stage {stage_idx}: subset {subset} degenerate")
-            if len(coeffs) == 1:
-                continue
-            b = Fraction(0) if half == 0 else Fraction(-1)
-            polys.append((_compose_linear(coeffs, Fraction(2), b), d_lo, d_hi))
+            if len(coeffs) > 1:
+                polys.append((coeffs, d_lo, d_hi))
     return polys
 
 
-def rf_collision_polys(motion, stage_idx):
-    """Squared-distance numerators in u (one per half-stage and strand pair
-    with a moving member), as ``(half, i, j, coeffs)``."""
+def sympy_collision_polys(motion, stage_idx):
+    """Squared-distance numerators in stage-local time (one per half-stage
+    and strand pair with a moving member), as ``(half, i, j, coeffs)``."""
     stage = motion.stages[stage_idx]
     movers = set(stage.movers())
     out = []
@@ -261,63 +269,110 @@ def rf_collision_polys(motion, stage_idx):
                 continue
             dx = funcs[i][0] - funcs[j][0]
             dy = funcs[i][1] - funcs[j][1]
-            out.append((half, i, j, _dense_in_u(dx * dx + dy * dy)))
+            out.append((half, i, j, _numerator(dx * dx + dy * dy)))
     return out
 
 
-# -- the shear rule on rational functions ---------------------------------
+# -- the label rules in sympy --------------------------------------------------
 #
-# The product carries shear labels as c-vectors and F-polynomials; this is
-# the rule written directly on reduced rational functions, to check it.
+# The product carries Ptolemy labels as reduced rational functions updated by
+# its own exact division, and shear labels as c-vectors and F-polynomials;
+# these write each rule directly in sympy's polynomial arithmetic, to check
+# them.  A product label n/d agrees with an oracle label p/q iff n*q == p*d.
 
 
 def _norm(edge):
     return tuple(sorted(edge))
 
 
-def rf_ptolemy_flip(state, quad):
-    """Ptolemy flip of a ``LabelState`` in rational-function arithmetic:
-    the new diagonal (v, z) gets (a*c + b*d)/x, where x is the old
-    diagonal's label."""
+class SympyState(NamedTuple):
+    """A complex with one sympy label per edge: a ``(numerator,
+    denominator)`` pair in ``ring(seed variables, ZZ)`` for Ptolemy, an
+    element of ``field(seed variables, ZZ)`` for shear."""
+
+    complex: object
+    labels: dict
+
+    def label(self, edge):
+        return self.labels[_norm(edge)]
+
+    def flipped(self, quad, changes):
+        """The flip of ``quad``'s diagonal, with the labels in ``changes``."""
+        u, _, w, _ = quad
+        labels = dict(self.labels)
+        del labels[_norm((u, w))]
+        labels.update((_norm(edge), value) for edge, value in changes.items())
+        return SympyState(self.complex.flip((u, w), quad), labels)
+
+
+def sympy_state(state, system):
+    """The labels of a ``LabelState`` in sympy, over the variables they use."""
+    names = sorted({v for f in state.labels.values() for v in (*f.num.vars, *f.den.vars)})
+    symbols = [sp.Symbol(name) for name in names]
+    if system is LabelSystem.PTOLEMY:
+        R = ring(symbols, ZZ)[0]
+        labels = {e: (_in_ring(R, f.num), _in_ring(R, f.den)) for e, f in state.labels.items()}
+    else:
+        K = field(symbols, ZZ)[0]
+        labels = {
+            e: K.new(_in_ring(K.ring, f.num), _in_ring(K.ring, f.den))
+            for e, f in state.labels.items()
+        }
+    return SympyState(state.complex, labels)
+
+
+def sympy_ptolemy_flip(state, quad):
+    """Ptolemy flip: the new diagonal (v, z) gets (a*c + b*d)/x, where x is
+    the old diagonal's label.  Labels are Laurent polynomials, so the old
+    diagonal's numerator with its monomial part (content and least
+    exponents) taken out divides the numerator of a*c + b*d; ``exquo``
+    raises if it does not."""
     u, v, w, z = quad
-    x = state.label((u, w))
-    a = state.label((u, v))
-    b = state.label((v, w))
-    c = state.label((w, z))
-    d = state.label((z, u))
-    labels = dict(state.labels)
-    del labels[_norm((u, w))]
-    labels[_norm((v, z))] = (a * c + b * d) / x
-    return LabelState(state.complex.flip((u, w), quad), labels)
+    (xn, xd), (an, ad), (bn, bd), (cn, cd), (dn, dd) = (
+        state.label(e) for e in ((u, w), (u, v), (v, w), (w, z), (z, u))
+    )
+    m = xn.ring.from_dict({xn.tail_degrees(): xn.content()})
+    num = (an * cn * bd * dd + bn * dn * ad * cd).exquo(xn.exquo(m)) * xd
+    return state.flipped(quad, {(v, z): (num, ad * bd * cd * dd * m)})
 
 
-def rf_shear_flip(state, quad, mirrored=False):
-    """Shear flip of a ``LabelState``: the new diagonal gets 1/e, the sides
-    (u,v), (w,z) are scaled by 1+e and (v,w), (z,u) by e/(1+e), where e is
-    the old diagonal's label (the pairs swapped when ``mirrored``)."""
+def sympy_shear_flip(state, quad, mirrored=False):
+    """Shear flip: the new diagonal gets 1/e, the sides (u,v), (w,z) are
+    scaled by 1+e and (v,w), (z,u) by e/(1+e), where e is the old
+    diagonal's label (the pairs swapped when ``mirrored``)."""
     u, v, w, z = quad
     e = state.label((u, w))
     grow = 1 + e
     shrink = e / grow
     if mirrored:
         grow, shrink = shrink, grow
-    labels = dict(state.labels)
-    del labels[_norm((u, w))]
-    labels[_norm((v, z))] = e.inv()
-    labels[_norm((u, v))] = state.label((u, v)) * grow
-    labels[_norm((w, z))] = state.label((w, z)) * grow
-    labels[_norm((v, w))] = state.label((v, w)) * shrink
-    labels[_norm((z, u))] = state.label((z, u)) * shrink
-    return LabelState(state.complex.flip((u, w), quad), labels)
+    changes = {(v, z): 1 / e}
+    for edge, scale in (((u, v), grow), ((w, z), grow), ((v, w), shrink), ((z, u), shrink)):
+        changes[edge] = state.label(edge) * scale
+    return state.flipped(quad, changes)
 
 
-def rf_entries(word, cfg, flip):
-    """T(word) by a rational-function oracle rule ``flip(state, quad)``:
-    the certified events of the unperturbed motion replayed from the seed
-    variables, re-keyed to slot edges as ``run_invariant`` does."""
+def labels_match(ours, theirs):
+    """Whether product labels (``RationalFunction``s) and sympy labels,
+    keyed alike, are equal, by cross-multiplication."""
+    if set(ours) != set(theirs):
+        return False
+    for edge, f in ours.items():
+        value = theirs[edge]
+        p, q = value if isinstance(value, tuple) else (value.numer, value.denom)
+        if _in_ring(p.ring, f.num) * q != p * _in_ring(p.ring, f.den):
+            return False
+    return True
+
+
+def sympy_entries(word, cfg, system):
+    """T(word) by the sympy rule of ``system``: the certified events of the
+    unperturbed motion replayed from the seed variables, re-keyed to slot
+    edges as ``run_invariant`` does."""
     tri0, _ = initial_triangulation(cfg)
     motion, perm = compile_motion(word, cfg)
-    state = seed_state(augment(tri0))
+    state = sympy_state(seed_state(augment(tri0)), system)
+    flip = sympy_ptolemy_flip if system is LabelSystem.PTOLEMY else sympy_shear_flip
     for event in detect_flips(motion, tri0):
         state = flip(state, event.quad)
     return {

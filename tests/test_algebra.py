@@ -1,12 +1,12 @@
+import math
 from fractions import Fraction
 
 import pytest
+import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braidshear.algebra import (
-    MissingVariableError,
-    PoleError,
     Polynomial,
     PolyParseError,
     RationalFunction,
@@ -15,10 +15,7 @@ from braidshear.algebra import (
     poly_gcd,
     poly_to_str,
 )
-
-
-def var(name):
-    return RationalFunction.variable(name)
+from oracles import to_sympy
 
 
 def pvar(name):
@@ -53,14 +50,6 @@ def test_exact_div():
     assert p.exact_div(x + y) == x - y
     assert p.exact_div(x + 1) is None
     assert (2 * x).exact_div(x) == Polynomial.constant(2)
-
-
-def test_evaluate_polynomial():
-    x, y = pvar("x"), pvar("y")
-    p = x * x + 2 * y
-    assert p.evaluate({"x": 3, "y": Fraction(1, 2)}) == 10
-    with pytest.raises(MissingVariableError):
-        p.evaluate({"x": 1})
 
 
 # -- gcd ---------------------------------------------------------------
@@ -162,107 +151,97 @@ def test_gcd_divides_and_cofactors_coprime(data):
     q2 = f2.exact_div(d)
     assert q1 is not None and q2 is not None
     if not g.is_zero:
-        assert g.exact_div(poly_gcd(g, d)) is not None  # d contains g up to content
-        assert d.exact_div(poly_gcd(g, d)) is not None or True
+        assert d.exact_div(g) is not None
     cof = poly_gcd(q1, q2)
-    assert cof.is_constant and cof.constant_value() in (0, 1)
+    assert cof == 1
 
 
 # -- rational function canonical form ----------------------------------
+#
+# A RationalFunction is a value: each test builds one through the reducing
+# constructor on polynomials.
 
 
 def test_additive_identity():
-    x = var("x")
-    zero = RationalFunction.constant(0)
-    assert x + zero == x
+    # zero has the one canonical form 0/1, whatever the denominator
+    x = pvar("x")
+    zero = RationalFunction(Polynomial.zero(), 3 * x + 1)
+    assert zero.is_zero
+    assert zero.num == Polynomial.zero() and zero.den == Polynomial.one()
+    assert zero == RationalFunction(Polynomial.zero())
 
 
 def test_ptolemy_numerator_structure():
-    a, b, c, d = (var(n) for n in "abcd")
-    num = a * c + b * d
+    a, b, c, d = Polynomial.variables("abcd")
+    num = RationalFunction(a * c + b * d)
     assert len(num.num.terms) == 2
     assert num.den == Polynomial.one()
 
 
 def test_like_terms_add():
-    x = var("x")
-    f = x.inv() + x.inv()
-    assert f == RationalFunction(Polynomial.constant(2), pvar("x"))
+    # 1/x + 1/x over the common denominator x^2 reduces to 2/x
+    x = pvar("x")
+    f = RationalFunction(x + x, x * x)
+    assert f == RationalFunction(Polynomial.constant(2), x)
+    assert f.num == Polynomial.constant(2) and f.den == x
 
 
 def test_inverse_and_product():
-    e, b = var("e"), var("b")
-    assert e.inv() == RationalFunction(Polynomial.one(), pvar("e"))
-    assert b * (e / (1 + e)) == RationalFunction(
-        pvar("b") * pvar("e"), pvar("e") + 1
-    )
-    x = var("x")
-    assert x / x == RationalFunction.constant(1)
-    assert (x * x.inv()).is_one
+    b, e, x = Polynomial.variables("bex")
+    # b * (e/(1 + e)) with the factor 1 + e left in both parts
+    assert RationalFunction(b * e * (1 + e), (1 + e) ** 2) == RationalFunction(b * e, e + 1)
+    assert RationalFunction(x, x) == RationalFunction(Polynomial.one())
+    # the sign moves to the numerator: the denominator's lead is positive
+    f = RationalFunction(x, -x * e)
+    assert f.num == Polynomial.constant(-1) and f.den == e
 
 
 def test_division_by_zero_function():
-    x = var("x")
-    zero = RationalFunction.constant(0)
+    x = pvar("x")
     with pytest.raises(ZeroFunctionDivision):
-        x / zero
+        RationalFunction(x, Polynomial.zero())
     with pytest.raises(ZeroFunctionDivision):
-        zero.inv()
+        RationalFunction(Polynomial.zero(), Polynomial.zero())
 
 
 def test_cancellation_equality():
-    x = var("x")
-    f = (x * x - 1) / (x - 1)
-    assert f == x + 1
+    x = pvar("x")
+    f = RationalFunction(x * x - 1, x - 1)
+    assert f == RationalFunction(x + 1)
 
 
 def test_commutativity_equality():
-    a, b, c, d, x = (var(n) for n in "abcdx")
-    assert (a * c + b * d) / x == (b * d + a * c) / x
+    a, b, c, d, x = Polynomial.variables("abcdx")
+    f = RationalFunction(a * c + b * d, x)
+    g = RationalFunction(b * d + a * c, x)
+    assert f == g and hash(f) == hash(g)
 
 
 def test_distinct_functions_unequal():
-    a, e = var("a"), var("e")
-    assert a * (1 + e) != a + a * e + e
+    a, e = Polynomial.variables("ae")
+    assert RationalFunction(a * (1 + e)) != RationalFunction(a + a * e + e)
+    # a RationalFunction equals RationalFunctions only
+    assert RationalFunction(a) != a
+    assert RationalFunction(Polynomial.one()) != 1
 
 
 def test_is_laurent():
-    a, b, c, d, e, x = (var(n) for n in "abcdex")
-    assert ((a * c + b * d) / x).is_laurent()
-    assert (a * (1 + e)).is_laurent()
-    assert not (b * e / (1 + e)).is_laurent()
-    assert ((a + b) / (2 * x)).is_laurent()  # integer coefficient allowed
+    a, b, c, d, e, x = Polynomial.variables("abcdex")
+    assert RationalFunction(a * c + b * d, x).is_laurent()
+    assert RationalFunction(a * (1 + e)).is_laurent()
+    assert not RationalFunction(b * e, 1 + e).is_laurent()
+    assert RationalFunction(a + b, 2 * x).is_laurent()  # integer coefficient allowed
 
 
 def test_laurent_monomial_scaling_invariant():
-    a, b, e = var("a"), var("b"), var("e")
-    f = b * e / (1 + e)
+    a, b, e = Polynomial.variables("abe")
     m = a * a * b
-    assert f.is_laurent() == (f * m).is_laurent()
-    g = (a + b) / (a * b)
-    assert g.is_laurent() and (g * m).is_laurent()
-
-
-def test_evaluate_rational_function():
-    a, b, c, d, x = (var(n) for n in "abcdx")
-    f = (a * c + b * d) / x
-    assert f.evaluate({"a": 1, "b": 1, "c": 1, "d": 1, "x": 2}) == 1
-    e = var("e")
-    with pytest.raises(PoleError):
-        e.inv().evaluate({"e": 0})
-    g = a * (1 + e)
-    assert g.evaluate({"a": 3, "e": 1}) == 6
-    with pytest.raises(MissingVariableError):
-        f.evaluate({"a": 1})
-
-
-def test_pole_and_missing_are_distinct():
-    e = var("e")
-    f = e.inv()
-    with pytest.raises(MissingVariableError):
-        f.evaluate({})
-    with pytest.raises(PoleError):
-        f.evaluate({"e": 0})
+    assert not RationalFunction(b * e * m, 1 + e).is_laurent()
+    assert not RationalFunction(b * e, (1 + e) * m).is_laurent()
+    g = (a + b, a * b)
+    assert RationalFunction(*g).is_laurent()
+    assert RationalFunction(g[0] * m, g[1]).is_laurent()
+    assert RationalFunction(g[0], g[1] * m).is_laurent()
 
 
 # -- algebraic properties ----------------------------------------------
@@ -287,14 +266,17 @@ def _rf_strategy(names=("x", "y")):
     return rf()
 
 
-@settings(max_examples=40, deadline=None)
-@given(_rf_strategy(), _rf_strategy(), _rf_strategy())
-def test_field_axioms(f, g, h):
-    assert (f + g) + h == f + (g + h)
-    assert f * (g + h) == f * g + f * h
-    assert f + g == g + f
-    if not f.is_zero:
-        assert (f * f.inv()).is_one
+def _value(f, point):
+    """f at an integer point, evaluated term by term (None at a pole)."""
+
+    def at(p):
+        return sum(
+            c * math.prod(point[v] ** e for v, e in zip(p.vars, exps))
+            for exps, c in p.terms.items()
+        )
+
+    bottom = at(f.den)
+    return Fraction(at(f.num), bottom) if bottom else None
 
 
 @settings(max_examples=30, deadline=None)
@@ -303,10 +285,12 @@ def test_canonical_idempotence_and_eval_agreement(f, g):
     again = RationalFunction(f.num, f.den)
     assert again.num == f.num and again.den == f.den
     points = [{"x": x, "y": y} for x, y in [(2, 3), (-5, 7), (11, -13), (17, 19)]]
-    pole_free = [p for p in points if f.den.evaluate(p) and g.den.evaluate(p)]
+    values = [(_value(f, p), _value(g, p)) for p in points]
+    pole_free = [(a, b) for a, b in values if a is not None and b is not None]
     if f == g:
-        assert all(f.evaluate(p) == g.evaluate(p) for p in pole_free)
-    if any(f.evaluate(p) != g.evaluate(p) for p in pole_free):
+        assert hash(f) == hash(g)
+        assert all(a == b for a, b in pole_free)
+    if any(a != b for a, b in pole_free):
         assert f != g
 
 
@@ -316,62 +300,6 @@ def _small_poly(draw, names=("w", "x", "y", "z"), max_terms=2, max_exp=1):
         exps = tuple(draw(st.integers(0, max_exp)) for _ in names)
         terms[exps] = draw(st.integers(-4, 4))
     return Polynomial(tuple(names), terms)
-
-
-@st.composite
-def _planted_pair(draw):
-    """Two reduced operands a/b and c/d whose cross gcds (a, d), (c, b) and
-    whose denominators (b, d) share planted factors, so every cancellation
-    branch of the arithmetic is exercised."""
-    constants = st.sampled_from(
-        [Fraction(-3, 4), Fraction(0), Fraction(1), Fraction(5), Fraction(-1, 6)]
-    )
-    h1, h2, h3 = (_small_poly(draw) for _ in range(3))
-    content = st.sampled_from([1, -1, 2, -3, 6])
-
-    def operand(top, bottom):
-        if draw(st.integers(0, 5)) == 0:
-            return RationalFunction.constant(draw(constants))
-        num = draw(content) * top * _small_poly(draw)
-        den = draw(content) * bottom * h3 * _small_poly(draw)
-        if den.is_zero:
-            den = Polynomial.constant(draw(content))
-        return RationalFunction(num, den)
-
-    f = operand(h1, h2)
-    g = operand(h2, h1)
-    pick = draw(st.integers(0, 7))
-    if pick == 0:
-        g = f
-    elif pick == 1:
-        g = -f
-    return f, g
-
-
-@settings(max_examples=60, deadline=None)
-@given(_planted_pair(), st.integers(-3, 3))
-def test_cross_cancellation_matches_full_reduction(pair, power):
-    # every operation on reduced operands must give exactly what the
-    # full-reduction constructor makes of the unreduced result
-    f, g = pair
-    a, b, c, d = f.num, f.den, g.num, g.den
-    cases = [
-        (f + g, a * d + c * b, b * d),
-        (f - g, a * d - c * b, b * d),
-        (f * g, a * c, b * d),
-        (-f, -a, b),
-    ]
-    if not g.is_zero:
-        cases.append((f / g, a * d, b * c))
-        cases.append((g.inv(), d, c))
-    if power >= 0:
-        cases.append((f ** power, a ** power, b ** power))
-    elif not f.is_zero:
-        cases.append((f ** power, b ** -power, a ** -power))
-    for got, raw_num, raw_den in cases:
-        want = RationalFunction(raw_num, raw_den)
-        assert got.num == want.num and got.den == want.den
-        assert got.num.vars == want.num.vars and got.den.vars == want.den.vars
 
 
 def test_int_image_agrees_with_coefficient_evaluation():
@@ -396,14 +324,14 @@ def test_int_image_random(data):
         return
     v = data.draw(st.sampled_from(p.vars))
     point = {w: data.draw(st.integers(-3, 3)) for w in names if w != v}
-    coeffs = p.coeffs_in(v)
-    top = max(coeffs)
-    want = [int(coeffs[k].evaluate(point)) if k in coeffs else 0 for k in range(top + 1)]
+    # the reference: sympy's coefficients in v, with the point put in
+    at = {sp.Symbol(w): value for w, value in point.items()}
+    want = [c.subs(at) for c in reversed(sp.Poly(to_sympy(p), sp.Symbol(v)).all_coeffs())]
     got = _int_image(p, v, point)
-    if coeffs[top].evaluate(point) == 0:
+    if want[-1] == 0:
         assert got is None
     else:
-        assert got == want
+        assert got == [int(c) for c in want]
 
 
 # -- rendering / parsing ------------------------------------------------
@@ -461,7 +389,13 @@ def test_parse_round_trip_random(data):
 
 
 def test_rf_json_round_trip():
-    a, e = var("a"), var("e")
-    f = a * (1 + e) / (1 - e)
+    a, e = Polynomial.variables("ae")
+    f = RationalFunction(a * (1 + e), 1 - e)
     data = f.to_json()
+    assert data == {"num": "-a*e - a", "den": "e - 1"}
     assert RationalFunction.from_json(data) == f
+    # the reading constructor reduces
+    assert RationalFunction.from_json({"num": "2*a*e", "den": "4*e"}).to_json() == {
+        "num": "a",
+        "den": "2",
+    }

@@ -1,11 +1,14 @@
-"""Differential tests of the gcd and canonical form against sympy.
+"""Differential tests of the gcd, the polynomial kernel, the canonical form,
+the univariate gcd and the root counts against sympy.
 
 sympy is a test-only oracle here; nothing under ``src/`` imports it.
 """
 
 import pytest
+import sympy as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from sympy.polys.orderings import grlex
 
 from braidshear import roots
 from braidshear.algebra import (
@@ -16,18 +19,9 @@ from braidshear.algebra import (
     poly_gcd,
     poly_to_str,
 )
-
-sp = pytest.importorskip("sympy")
-from sympy.polys.orderings import grlex  # noqa: E402
+from oracles import to_sympy
 
 NAMES = ("x", "y", "z")
-
-
-def to_sympy(p: Polynomial):
-    syms = [sp.Symbol(name) for name in p.vars]
-    return sp.Add(
-        *(c * sp.Mul(*(s ** e for s, e in zip(syms, exps))) for exps, c in p.terms.items())
-    )
 
 
 def sparse_poly(draw, max_terms=3, max_exp=2):
@@ -183,38 +177,33 @@ def test_kernel_exponents_never_wrap_into_the_next_field():
     assert poly_to_str(wider) == f"x*y^{WIDE}"
 
 
-E, B, C, D = (RationalFunction.variable(n) for n in ("a_{1,2}", "a_{2,3}", "a_{3,4}", "a_{1,4}"))
+LABEL_NAMES = ("a_{1,2}", "a_{2,3}", "a_{3,4}", "a_{1,4}")
 
 
-@settings(max_examples=25, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, 3), st.permutations(range(4))), min_size=1, max_size=5))
-def test_label_like_functions_are_canonical(steps):
-    # shear- and Ptolemy-style updates, mirrored in sympy: the result must
-    # equal sympy's value, be reduced, and have a positive graded-lex
-    # leading denominator coefficient
-    ours = [E, B, C, D]
-    theirs = [to_sympy(f.num) / to_sympy(f.den) for f in ours]
-    for rule, (i, j, k, m) in steps:
-        if rule == 0:
-            ours[i] = ours[j] * (1 + ours[k])
-            theirs[i] = theirs[j] * (1 + theirs[k])
-        elif rule == 1:
-            ours[i] = ours[j] * (ours[k] / (1 + ours[k]))
-            theirs[i] = theirs[j] * (theirs[k] / (1 + theirs[k]))
-        elif rule == 2:
-            ours[i] = (ours[i] * ours[k] + ours[j] * ours[m]) / ours[j]
-            theirs[i] = (theirs[i] * theirs[k] + theirs[j] * theirs[m]) / theirs[j]
-        else:
-            ours[i] = ours[i].inv()
-            theirs[i] = 1 / theirs[i]
-    for f, expr in zip(ours, theirs):
-        num, den = to_sympy(f.num), to_sympy(f.den)
-        want_num, want_den = sp.fraction(sp.cancel(expr))
-        assert sp.expand(num * want_den - want_num * den) == 0
-        assert sp.gcd(num, den) in (1, -1)
-        gens = [sp.Symbol(name) for name in f.den.vars]
-        lead = sp.Poly(den, *gens).LC(order="grlex") if gens else den
-        assert lead > 0
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_label_like_functions_are_canonical(data):
+    # the constructor on num = g*a and den = g*b over edge variables: the
+    # result must equal sympy's cancel, be reduced, and have a positive
+    # graded-lex leading denominator coefficient
+    def draw(max_terms):
+        terms = {}
+        for _ in range(data.draw(st.integers(1, max_terms))):
+            exps = tuple(data.draw(st.integers(0, 2)) for _ in LABEL_NAMES)
+            terms[exps] = data.draw(st.integers(-6, 6))
+        return Polynomial(LABEL_NAMES, terms)
+
+    g, a, b = draw(2), draw(3), draw(3)
+    if (g * b).is_zero:
+        return
+    f = RationalFunction(g * a, g * b)
+    num, den = to_sympy(f.num), to_sympy(f.den)
+    want_num, want_den = sp.fraction(sp.cancel(to_sympy(g * a) / to_sympy(g * b)))
+    assert sp.expand(num * want_den - want_num * den) == 0
+    assert sp.gcd(num, den) in (1, -1)
+    gens = [sp.Symbol(name) for name in f.den.vars]
+    lead = sp.Poly(den, *gens).LC(order="grlex") if gens else den
+    assert lead > 0
 
 
 def _times(p, q):

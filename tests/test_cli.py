@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -347,11 +351,25 @@ def test_help_exits_zero(capsys):
         (["invariant", "--n", "\uff14", "--system", "shear", "s1"], None),
         (["snapshot", "--n", "4", "--t", "\u0661/\u0662", "s1"], None),
         (["flips", "s1"], {"n": "\uff14"}),
+        (["flips", "--n", "1_0", "s1"], None),
+        (["flips", "s1"], {"n": "1_0"}),
+        (["flips", "--n", "4", "s1\u3000s2"], None),
     ],
-    ids=["word", "bulge", "n", "t", "config-n"],
+    ids=[
+        "word",
+        "bulge",
+        "n",
+        "t",
+        "config-n",
+        "n-underscore",
+        "config-n-underscore",
+        "word-ideographic-space",
+    ],
 )
 def test_non_ascii_digits_are_rejected(tmp_path, capsys, argv, config):
-    # int() and re's \d take any Unicode digit; the CLI takes ASCII only
+    # int() takes any Unicode digit and underscores, re's \d any Unicode
+    # digit and str.isspace() any Unicode space; the CLI takes ASCII
+    # decimal digits and ASCII whitespace only
     if config is not None:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config))
@@ -359,3 +377,34 @@ def test_non_ascii_digits_are_rejected(tmp_path, capsys, argv, config):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert "error" in json.loads(err.splitlines()[-1])
+
+
+def test_the_runtime_never_imports_sympy():
+    # sympy is a test-only oracle: a fresh interpreter runs every command
+    # that computes labels or events and must not have loaded it
+    script = """
+import io, sys
+from contextlib import redirect_stdout
+from braidshear.cli import main
+runs = [
+    ["invariant", "--n", "4", "--system", "ptolemy", "s1 s2 s1"],
+    ["invariant", "--n", "4", "--system", "shear", "s1 s2 s1"],
+    ["equal", "--n", "4", "--system", "shear", "s1 s2 s1", "s2 s1 s2"],
+    ["flips", "--n", "4", "s1 s2'"],
+    ["verify-relations"],
+]
+with redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in runs]
+assert codes == [0] * len(runs), codes
+loaded = sorted(m for m in sys.modules if m == "sympy" or m.startswith("sympy."))
+assert not loaded, loaded
+"""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

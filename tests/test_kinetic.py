@@ -650,24 +650,22 @@ ORACLE_SHAPES = [
 @pytest.mark.parametrize("bulge", [Fraction(1), Fraction(1, 3), Fraction(5, 2)], ids=str)
 def test_event_polys_match_rational_function_oracle(bulge):
     from braidshear.kinetic import _collision_polys, _padd, _pmul, _stage_event_polys, _strip_w
-    from oracles import _compose_linear, rf_collision_polys, rf_stage_event_polys
+    from oracles import sympy_collision_polys, sympy_stage_event_polys
 
     for n, text, stages in ORACLE_SHAPES:
         motion, _ = compile_motion(parse_braid(text, n=n), SlotConfig(n).with_bulge(bulge))
         for k in stages:
             ints = _stage_event_polys(motion, k)
-            rfs = rf_stage_event_polys(motion, k)
-            assert len(ints) == len(rfs)
-            for (p, lo, hi, _), (q, rlo, rhi) in zip(ints, rfs):
+            oracle = sympy_stage_event_polys(motion, k)
+            assert len(ints) == len(oracle)
+            for (p, lo, hi, _), (q, rlo, rhi) in zip(ints, oracle):
                 assert all(type(c) is int for c in p)
                 assert (lo, hi) == (rlo, rhi)
                 assert _proportional(p, q)
             coll = _collision_polys(motion, k)
-            rcoll = rf_collision_polys(motion, k)
-            assert [c[:3] for c in coll] == [c[:3] for c in rcoll]
-            for (half, _, _, dx, dy), (_, _, _, q) in zip(coll, rcoll):
-                # the oracle is in u = 2t - half
-                q = _compose_linear(q, 2, -half)
+            ocoll = sympy_collision_polys(motion, k)
+            assert [c[:3] for c in coll] == [c[:3] for c in ocoll]
+            for (half, _, _, dx, dy), (_, _, _, q) in zip(coll, ocoll):
                 assert _proportional(_strip_w(_padd(_pmul(dx, dx), _pmul(dy, dy)), half), q)
 
 

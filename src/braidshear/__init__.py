@@ -38,10 +38,8 @@ from braidshear.geometry import (
     Point,
     Triangulation,
     delaunay,
-    flip,
     incircle,
     orient,
-    quad_around,
 )
 from braidshear.kinetic import (
     Arc,
@@ -81,10 +79,8 @@ __all__ = [
     "Point",
     "Triangulation",
     "delaunay",
-    "flip",
     "incircle",
     "orient",
-    "quad_around",
     "Arc",
     "FlipEvent",
     "Motion",

@@ -48,6 +48,7 @@ from __future__ import annotations
 import math
 import random
 import re
+import string
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heappop, heappush
@@ -90,7 +91,7 @@ _RATIONAL = re.compile(r"[+-]?\d+(?:/[1-9]\d*)?\Z", re.ASCII)
 
 def parse_rational(text: str) -> Fraction:
     """Parse an exact rational in 'p/q' or integer form (no decimals)."""
-    text = text.strip()
+    text = text.strip(string.whitespace)
     if not _RATIONAL.match(text):
         raise AlgebraError(f"not a rational in p/q form: {text!r}")
     return Fraction(text)

@@ -147,25 +147,3 @@ def compile_motion(word: BraidWord, cfg: SlotConfig) -> Tuple[Motion, Dict[int, 
     permutation = {strand: slot for slot, strand in occupant.items()}
     return Motion(cfg.n, tuple(stages)), permutation
 
-
-def swap_clearance_ok(cfg: SlotConfig) -> bool:
-    """Exact check that every swap ellipse keeps all other slots strictly
-    outside (no collision is possible whatever the stage order)."""
-    for index in range(1, cfg.n):
-        pa = slot_position(cfg, index)
-        pb = slot_position(cfg, index + 1)
-        cx, cy = (pa.x + pb.x) / 2, (pa.y + pb.y) / 2
-        rx, ry = pa.x - cx, pa.y - cy
-        r2 = rx * rx + ry * ry
-        b2 = cfg.bulge * cfg.bulge
-        for k in range(1, cfg.n + 1):
-            if k in (index, index + 1):
-                continue
-            p = slot_position(cfg, k)
-            dx, dy = p.x - cx, p.y - cy
-            along = dx * rx + dy * ry
-            across = -dx * ry + dy * rx
-            # outside the ellipse with semi-axes |r| and bulge*|r|
-            if b2 * along * along + across * across <= b2 * r2 * r2:
-                return False
-    return True

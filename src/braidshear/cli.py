@@ -3,7 +3,7 @@ event dumps, and SVG snapshots.
 
 Exit codes: 0 success (and EQUAL), 1 DIFFERENT, 2 parse/usage errors,
 3 degeneracy or collision after retries, 4 internal invariant violation.
-Errors are mirrored as one-line JSON objects on standard error.
+Errors are also written as one-line JSON objects on standard error.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import re
+import string
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -97,7 +98,7 @@ _INT = re.compile(r"[+-]?[0-9]+\Z")
 def _parse_int(text: str) -> Optional[int]:
     """An ASCII decimal integer, surrounding whitespace stripped as
     ``parse_rational`` strips it; None for anything else."""
-    text = text.strip()
+    text = text.strip(string.whitespace)
     return int(text) if _INT.match(text) else None
 
 

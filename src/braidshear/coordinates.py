@@ -41,11 +41,12 @@ only when it is read, through the full-reduction constructor, so labels
 stay exact and canonical.  Both rules, written directly in sympy's
 polynomial arithmetic, are the test oracles in tests/oracles.py.
 
-The side-pair assignment for shear is frozen by a fixture test.  The
-mirrored assignment (the pairs swapped, that is b negated) is conjugate to
-it under orientation reversal of the complex, so it satisfies the pentagon
-identity too (see check_pentagon); only a non-alternating assignment,
-scaling an adjacent side pair, fails it (see
+The side-pair assignment for shear is frozen by a fixture test, and it is
+the only one: swapping the pairs, that is negating b, gives this rule on
+the orientation-reversed complex, whose triangles (a, b, c) read
+(a, c, b), so it satisfies the pentagon identity too (see check_pentagon).
+Only a non-alternating assignment, scaling an adjacent side pair, fails
+it (see
 tests/test_coordinates.py::test_pentagon_detects_wrong_side_assignment).
 """
 
@@ -128,11 +129,6 @@ class LabelState:
     def label(self, edge: Edge) -> RationalFunction:
         return self.labels[_norm(edge)]
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LabelState):
-            return NotImplemented
-        return self.complex == other.complex and self.labels == other.labels
-
 
 def seed_state(complex_: EdgeComplex) -> LabelState:
     """Fresh independent variables, one per edge, all in the one ring of
@@ -171,10 +167,9 @@ def apply_ptolemy_flip(state: LabelState, quad: Tuple[int, int, int, int]) -> La
 class ShearState:
     """A triangle complex with shear labels in separated form: a c-vector
     over the seed variables ``names`` and an F-polynomial per edge (see
-    the module docstring).  ``mirrored`` negates b, in the flip rule and
-    when a label is read."""
+    the module docstring)."""
 
-    __slots__ = ("complex", "names", "c", "F", "mirrored", "_labels")
+    __slots__ = ("complex", "names", "c", "F", "_labels")
 
     def __init__(
         self,
@@ -182,7 +177,6 @@ class ShearState:
         names: Tuple[str, ...],
         c: Mapping[Edge, Tuple[int, ...]],
         F: Mapping[Edge, Polynomial],
-        mirrored: bool = False,
     ):
         if set(c) != set(complex_.edges()) or set(F) != set(c):
             raise InternalInvariantError("shear data keys do not match the edge set")
@@ -190,19 +184,16 @@ class ShearState:
         self.names = names
         self.c = c
         self.F = F
-        self.mirrored = mirrored
         self._labels: Dict[Edge, RationalFunction] = {}
 
     @classmethod
-    def seed(cls, state: LabelState, mirrored: bool = False) -> "ShearState":
-        """The separated form of a state whose labels are distinct
-        variables: unit c-vectors and F = 1."""
-        edges = sorted(state.labels)
-        names = tuple(_variable_name(state.labels[e]) for e in edges)
-        if None in names or len(set(names)) != len(names):
-            raise ValueError("shear flips need a seed of distinct variables, one per edge")
+    def seed(cls, complex_: EdgeComplex) -> "ShearState":
+        """Fresh variables named as by ``seed_state``, one per edge: unit
+        c-vectors and F = 1."""
+        edges = sorted(complex_.edges())
+        names = tuple(edge_var_name(*e) for e in edges)
         c = {e: tuple(int(i == k) for i in range(len(edges))) for k, e in enumerate(edges)}
-        return cls(state.complex, names, c, dict.fromkeys(edges, _ONE), mirrored)
+        return cls(complex_, names, c, dict.fromkeys(edges, _ONE))
 
     def label(self, edge: Edge) -> RationalFunction:
         edge = _norm(edge)
@@ -223,33 +214,21 @@ class ShearState:
         den = [_monomial(self.names, [max(-x, 0) for x in c])]
         for tri in self.complex.edge_triangles(j):
             after, before = _neighbour_sides(tri, j)
-            if self.mirrored:
-                after, before = before, after
             num.append(self.F[after])
             den.append(self.F[before])
         return RationalFunction(_product(num), _product(den))
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, (ShearState, LabelState)):
+        if not isinstance(other, ShearState):
             return NotImplemented
         if self.complex != other.complex:
             return False
-        if (
-            isinstance(other, ShearState)
-            and (self.names, self.mirrored, self.c, self.F)
-            == (other.names, other.mirrored, other.c, other.F)
-        ):
+        if (self.names, self.c, self.F) == (other.names, other.c, other.F):
             return True
         return self.labels == other.labels
 
 
 _ONE = Polynomial.one()
-
-
-def _variable_name(value: RationalFunction) -> Optional[str]:
-    if value.den == _ONE and len(value.num.vars) == 1 and value.num.terms == {(1,): 1}:
-        return value.num.vars[0]
-    return None
 
 
 def _monomial(names: Tuple[str, ...], exps: Sequence[int]) -> Polynomial:
@@ -274,25 +253,14 @@ def _neighbour_sides(tri: Tuple[int, int, int], edge: Edge) -> Tuple[Edge, Edge]
     raise InternalInvariantError(f"edge {edge} is not a side of {tri}")
 
 
-def apply_shear_flip(
-    state: Union[LabelState, ShearState],
-    quad: Tuple[int, int, int, int],
-    mirrored: bool = False,
-) -> ShearState:
+def apply_shear_flip(state: ShearState, quad: Tuple[int, int, int, int]) -> ShearState:
     """X-mutation at the diagonal of ``quad`` on separated labels: integer
-    c-vector updates and one exact division, no gcd.  A ``LabelState``
-    of distinct variables is taken as the seed."""
-    if not isinstance(state, ShearState):
-        state = ShearState.seed(state, mirrored)
-    elif state.mirrored != mirrored:
-        raise ValueError("a shear state flips only under the convention it was seeded with")
+    c-vector updates and one exact division, no gcd."""
     u, v, w, z = quad
     k = _norm((u, w))
     # b_kj = -1 on `grow` (scaled by 1 + e), +1 on `shrink` (by e/(1 + e))
     grow = (_norm((u, v)), _norm((w, z)))
     shrink = (_norm((v, w)), _norm((z, u)))
-    if mirrored:
-        grow, shrink = shrink, grow
     ck = state.c[k]
     pos = [max(x, 0) for x in ck]
     neg = [min(x, 0) for x in ck]
@@ -313,22 +281,22 @@ def apply_shear_flip(
     new = _norm((v, z))
     c[new] = tuple(-x for x in ck)
     F[new] = f_new
-    return ShearState(state.complex.flip(k, quad), state.names, c, F, mirrored)
+    return ShearState(state.complex.flip(k, quad), state.names, c, F)
 
 
 def apply_flip(
     state: Union[LabelState, ShearState],
     quad: Tuple[int, int, int, int],
     system: LabelSystem,
-    mirrored: bool = False,
 ) -> Union[LabelState, ShearState]:
     if system is LabelSystem.PTOLEMY:
         return apply_ptolemy_flip(state, quad)
-    return apply_shear_flip(state, quad, mirrored=mirrored)
+    return apply_shear_flip(state, quad)
 
 
-def _flip_edge(state, edge: Edge, system: LabelSystem, mirrored=False):
-    return apply_flip(state, state.complex.quad_around(edge), system, mirrored=mirrored)
+def _seed(complex_: EdgeComplex, system: LabelSystem) -> Union[LabelState, ShearState]:
+    """The seed state that ``system``'s flip rule takes."""
+    return seed_state(complex_) if system is LabelSystem.PTOLEMY else ShearState.seed(complex_)
 
 
 # -- executable identity checks -------------------------------------------
@@ -340,15 +308,15 @@ def convex_polygon_complex(triangles: Sequence[Tuple[int, int, int]]) -> EdgeCom
     return EdgeComplex([tuple(sorted(t)) for t in triangles])
 
 
-def _paths_agree(triangles, path_a, path_b, system: LabelSystem, mirrored: bool) -> bool:
-    """Flip the seeded convex polygon along both edge paths, insist that
-    they end on the same complex, and compare the two label states."""
-    seed = seed_state(convex_polygon_complex(triangles))
+def _paths_agree(complex_: EdgeComplex, path_a, path_b, system: LabelSystem) -> bool:
+    """Flip the seeded complex along both edge paths, insist that they end
+    on the same complex, and compare the two label states."""
+    seed = _seed(complex_, system)
     ends = []
     for path in (path_a, path_b):
         state = seed
         for edge in path:
-            state = _flip_edge(state, edge, system, mirrored)
+            state = apply_flip(state, state.complex.quad_around(edge), system)
         ends.append(state)
     if ends[0].complex != ends[1].complex:
         raise InternalInvariantError("flip paths end on different triangulations")
@@ -357,14 +325,18 @@ def _paths_agree(triangles, path_a, path_b, system: LabelSystem, mirrored: bool)
 
 def check_pentagon(system: LabelSystem, mirrored: bool = False) -> bool:
     """Compare the label maps along the two flip paths (lengths 2 and 3)
-    joining two triangulations of a convex pentagon."""
+    joining two triangulations of a convex pentagon.  ``mirrored`` runs
+    them on the pentagon with its triangles reversed, which is the
+    mirrored shear convention."""
     pentagon = [(1, 2, 3), (1, 3, 4), (1, 4, 5)]
-    return _paths_agree(pentagon, [(1, 4), (1, 3)], [(1, 3), (1, 4), (2, 4)], system, mirrored)
+    if mirrored:
+        pentagon = [(a, c, b) for a, b, c in pentagon]
+    return _paths_agree(
+        EdgeComplex(pentagon), [(1, 4), (1, 3)], [(1, 3), (1, 4), (2, 4)], system
+    )
 
 
-def check_commutativity(
-    system: LabelSystem, shared_edge: bool, mirrored: bool = False
-) -> bool:
+def check_commutativity(system: LabelSystem, shared_edge: bool) -> bool:
     """Order-independence of two flips whose quadrilaterals are vertex
     disjoint (shared_edge=False) or share exactly one side (True)."""
     if shared_edge:
@@ -373,12 +345,13 @@ def check_commutativity(
     else:
         triangles = [(1, 2, 3), (1, 3, 4), (1, 4, 8), (4, 5, 8), (5, 6, 7), (5, 7, 8)]
         e1, e2 = (1, 3), (5, 7)
-    return _paths_agree(triangles, [e1, e2], [e2, e1], system, mirrored)
+    return _paths_agree(convex_polygon_complex(triangles), [e1, e2], [e2, e1], system)
 
 
-def check_involution(system: LabelSystem, mirrored: bool = False) -> bool:
+def check_involution(system: LabelSystem) -> bool:
     """Flipping the same quadrilateral twice is the identity on labels."""
-    return _paths_agree([(1, 2, 3), (1, 3, 4)], [(1, 3), (2, 4)], [], system, mirrored)
+    square = convex_polygon_complex([(1, 2, 3), (1, 3, 4)])
+    return _paths_agree(square, [(1, 3), (2, 4)], [], system)
 
 
 # -- the braid invariant ---------------------------------------------------
@@ -465,7 +438,7 @@ def run_invariant(
     else:
         raise error
 
-    state = seed_state(base)
+    state = _seed(base, system)
     for group in _bracket_groups(events):
         before = state
         for event in group:

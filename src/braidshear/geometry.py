@@ -44,10 +44,6 @@ class HullEdgeError(GeometryError):
     """The edge has a single incident triangle."""
 
 
-class NonConvexQuadError(GeometryError):
-    """The quadrilateral around the edge is not strictly convex."""
-
-
 class NonSimplicialFlipError(GeometryError):
     """Flipping would create a duplicate edge."""
 
@@ -341,17 +337,3 @@ def delaunay(points: Sequence[Tuple[int, Point]]) -> Triangulation:
     # every triangle was put in counterclockwise order by an exact orient sign
     return Triangulation._trusted(dict(items), EdgeComplex(triangles))
 
-
-def quad_around(tri: Triangulation, edge: Tuple[int, int]) -> Tuple[int, int, int, int]:
-    """Counterclockwise quadrilateral (u, v, w, z) around an interior edge,
-    with the edge = (u, w) and u its smaller endpoint."""
-    return tri.complex.quad_around(edge)
-
-
-def flip(tri: Triangulation, edge: Tuple[int, int]) -> Triangulation:
-    """Replace the diagonal ``edge`` of its strictly convex quadrilateral."""
-    u, v, w, z = tri.complex.quad_around(edge)
-    pts = tri.vertices
-    if orient(pts[u], pts[v], pts[z]) <= 0 or orient(pts[v], pts[w], pts[z]) <= 0:
-        raise NonConvexQuadError(f"quad {(u, v, w, z)} around {edge} is not strictly convex")
-    return Triangulation(pts, tri.complex.flip(edge, (u, v, w, z)))

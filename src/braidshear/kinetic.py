@@ -60,7 +60,7 @@ from operator import mul
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from braidshear import roots
-from braidshear.algebra import format_rational, parse_rational
+from braidshear.algebra import format_rational
 from braidshear.geometry import (
     DegenerateInputError,
     EdgeComplex,
@@ -778,15 +778,3 @@ def events_to_json(events: Sequence[FlipEvent]) -> list:
         for ev in events
     ]
 
-
-def events_from_json(data: Sequence[Mapping]) -> List[FlipEvent]:
-    return [
-        FlipEvent(
-            int(rec["stage"]),
-            parse_rational(rec["t_lo"]),
-            parse_rational(rec["t_hi"]),
-            tuple(rec["edge"]),
-            tuple(rec["quad"]),
-        )
-        for rec in data
-    ]

@@ -13,7 +13,7 @@ from sympy import ZZ
 from sympy.polys.fields import field
 from sympy.polys.rings import ring
 
-from braidshear.braid import compile_motion, initial_triangulation
+from braidshear.braid import compile_motion, initial_triangulation, slot_position
 from braidshear.coordinates import LabelSystem, seed_state
 from braidshear.geometry import Point, Triangulation, incircle, orient
 from braidshear.kinetic import (
@@ -141,6 +141,32 @@ def full_recompute_detect_flips(motion, initial):
         if not current.same_triangles(augmented_at(motion, stage_idx, Fraction(1))):
             raise KineticError(f"stage {stage_idx}: end complex mismatch")
     return events
+
+
+# -- arc safety of the compiled motion ----------------------------------------
+
+
+def swap_clearance_ok(cfg) -> bool:
+    """Exact check that every swap ellipse keeps all other slots strictly
+    outside (no collision is possible whatever the stage order)."""
+    for index in range(1, cfg.n):
+        pa = slot_position(cfg, index)
+        pb = slot_position(cfg, index + 1)
+        cx, cy = (pa.x + pb.x) / 2, (pa.y + pb.y) / 2
+        rx, ry = pa.x - cx, pa.y - cy
+        r2 = rx * rx + ry * ry
+        b2 = cfg.bulge * cfg.bulge
+        for k in range(1, cfg.n + 1):
+            if k in (index, index + 1):
+                continue
+            p = slot_position(cfg, k)
+            dx, dy = p.x - cx, p.y - cy
+            along = dx * rx + dy * ry
+            across = -dx * ry + dy * rx
+            # outside the ellipse with semi-axes |r| and bulge*|r|
+            if b2 * along * along + across * across <= b2 * r2 * r2:
+                return False
+    return True
 
 
 # -- sympy helpers -------------------------------------------------------------

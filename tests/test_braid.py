@@ -10,10 +10,9 @@ from braidshear.braid import (
     initial_triangulation,
     parse_braid,
     slot_position,
-    swap_clearance_ok,
 )
 from braidshear.kinetic import Arc, positions_at
-from oracles import brute_force_delaunay_triangles
+from oracles import brute_force_delaunay_triangles, swap_clearance_ok
 
 
 # -- parsing ---------------------------------------------------------------

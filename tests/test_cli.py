@@ -379,6 +379,35 @@ def test_non_ascii_digits_are_rejected(tmp_path, capsys, argv, config):
     assert "error" in json.loads(err.splitlines()[-1])
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["flips", "--n", "\u30004", "s1"],
+        ["flips", "--n", "4\u00a0", "s1"],
+        ["flips", "--n", "4", "--bulge", "1\u3000", "s1"],
+        ["flips", "--n", "4", "--bulge", "\u20281/2", "s1"],
+    ],
+    ids=[
+        "n-ideographic-space",
+        "n-no-break-space",
+        "bulge-ideographic-space",
+        "bulge-line-separator",
+    ],
+)
+def test_flags_strip_ascii_whitespace_only(capsys, argv):
+    # str.strip() also strips Unicode spaces; --n and --bulge strip only
+    # ASCII whitespace, as words are split on it
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert json.loads(err.splitlines()[-1])["error"]["kind"] == "usage"
+
+
+def test_flags_take_surrounding_ascii_whitespace(capsys):
+    plain = run(capsys, "flips", "--n", "4", "--bulge", "1", "s1")
+    assert plain[0] == 0
+    assert run(capsys, "flips", "--n", " 4 ", "--bulge", "\t1 ", "s1") == plain
+
+
 def test_the_runtime_never_imports_sympy():
     # sympy is a test-only oracle: a fresh interpreter runs every command
     # that computes labels or events and must not have loaded it

@@ -3,12 +3,12 @@ from fractions import Fraction
 
 import pytest
 import sympy as sp
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import braidshear.coordinates as coordinates
 from braidshear.algebra import Polynomial, RationalFunction
-from braidshear.braid import SlotConfig, initial_triangulation, parse_braid
+from braidshear.braid import SlotConfig, compile_motion, initial_triangulation, parse_braid
 from braidshear.coordinates import (
     InternalInvariantError,
     InvariantMap,
@@ -29,7 +29,8 @@ from braidshear.coordinates import (
     run_invariant,
     seed_state,
 )
-from braidshear.kinetic import DegeneracyError, FlipEvent, augment
+from braidshear.geometry import EdgeComplex
+from braidshear.kinetic import DegeneracyError, FlipEvent, augment, detect_flips
 from oracles import (
     labels_match,
     sympy_entries,
@@ -48,8 +49,21 @@ def edge_variable(i, j):
     return RationalFunction(pvar(i, j))
 
 
+def square_complex():
+    return convex_polygon_complex([(1, 2, 3), (1, 3, 4)])
+
+
 def square_state():
-    return seed_state(convex_polygon_complex([(1, 2, 3), (1, 3, 4)]))
+    return seed_state(square_complex())
+
+
+def square_shear():
+    return ShearState.seed(square_complex())
+
+
+def reversed_complex(complex_):
+    """The orientation-reversed complex: each triangle (a, b, c) as (a, c, b)."""
+    return EdgeComplex([(a, c, b) for a, b, c in complex_.triangles])
 
 
 # -- flip rules --------------------------------------------------------------
@@ -128,7 +142,7 @@ def test_ptolemy_flip_accepts_constant_labels(edge, value):
 
 
 def test_shear_formulas_verbatim():
-    state = square_state()
+    state = square_shear()
     flipped = apply_shear_flip(state, (1, 2, 3, 4))
     e = pvar(1, 3)
     assert flipped.label((2, 4)) == RationalFunction(Polynomial.one(), e)
@@ -147,7 +161,7 @@ def _read_at(state, edge, point):
 
 def test_shear_numeric_specialization():
     # with e = 1 the diagonal stays 1, grown sides double, shrunk halve
-    flipped = apply_shear_flip(square_state(), (1, 2, 3, 4))
+    flipped = apply_shear_flip(square_shear(), (1, 2, 3, 4))
     a = {e: sp.Symbol(edge_var_name(*e)) for e in [(1, 2), (2, 3), (3, 4), (1, 4)]}
     point = {"a_{1,3}": 1}
     assert _read_at(flipped, (2, 4), point) == 1
@@ -159,7 +173,7 @@ def test_shear_numeric_specialization():
 
 def test_shear_numeric_specialization_separated():
     # the same flip read at a point of every seed variable
-    flipped = apply_shear_flip(square_state(), (1, 2, 3, 4))
+    flipped = apply_shear_flip(square_shear(), (1, 2, 3, 4))
     point = {
         "a_{1,2}": sp.Rational(2, 3),
         "a_{2,3}": sp.Rational(5, 7),
@@ -174,30 +188,29 @@ def test_shear_numeric_specialization_separated():
     assert _read_at(flipped, (1, 4), point) == point["a_{1,4}"] / 2
 
 
-def test_shear_flip_rejects_a_specialized_seed():
-    complex_ = convex_polygon_complex([(1, 2, 3), (1, 3, 4)])
-    labels = {e: edge_variable(*e) for e in complex_.edges()}
-    labels[(1, 3)] = RationalFunction(Polynomial.one())
-    with pytest.raises(ValueError):
-        apply_shear_flip(LabelState(complex_, labels), (1, 2, 3, 4))
+def test_shear_seed_reads_the_ptolemy_seed_variables():
+    complex_ = convex_polygon_complex([(1, 2, 3), (1, 3, 4), (1, 4, 5)])
+    assert ShearState.seed(complex_).labels == seed_state(complex_).labels
 
 
 def test_shear_double_flip_is_identity():
-    state = square_state()
+    state = square_shear()
     once = apply_shear_flip(state, (1, 2, 3, 4))
     twice = apply_shear_flip(once, once.complex.quad_around((2, 4)))
     assert twice == state
 
 
 def test_flip_locality():
-    octagon = seed_state(
-        convex_polygon_complex(
-            [(1, 2, 3), (1, 3, 4), (1, 4, 8), (4, 5, 8), (5, 6, 7), (5, 7, 8)]
-        )
+    complex_ = convex_polygon_complex(
+        [(1, 2, 3), (1, 3, 4), (1, 4, 8), (4, 5, 8), (5, 6, 7), (5, 7, 8)]
     )
-    quad = octagon.complex.quad_around((1, 3))
+    quad = complex_.quad_around((1, 3))
     support = {(1, 2), (2, 3), (3, 4), (1, 4), (1, 3)}
-    for system in LabelSystem:
+    seeds = {
+        LabelSystem.PTOLEMY: seed_state(complex_),
+        LabelSystem.SHEAR: ShearState.seed(complex_),
+    }
+    for system, octagon in seeds.items():
         flipped = apply_flip(octagon, quad, system)
         for edge in octagon.complex.edges():
             if edge in support:
@@ -210,15 +223,14 @@ def test_flip_locality():
 def test_separated_shear_labels_match_the_rational_function_rule(data):
     # random flip sequences on a fan-triangulated convex polygon
     n = data.draw(st.integers(5, 8), label="polygon size")
-    mirrored = data.draw(st.booleans(), label="mirrored")
-    state = seed_state(convex_polygon_complex([(1, i, i + 1) for i in range(2, n)]))
-    oracle = sympy_state(state, LabelSystem.SHEAR)
+    complex_ = convex_polygon_complex([(1, i, i + 1) for i in range(2, n)])
+    state = ShearState.seed(complex_)
+    oracle = sympy_state(seed_state(complex_), LabelSystem.SHEAR)
     for _ in range(data.draw(st.integers(1, 10), label="flips")):
         interior = sorted(e for e in state.complex.edges() if state.complex.is_interior(e))
         quad = state.complex.quad_around(data.draw(st.sampled_from(interior)))
-        oracle = sympy_shear_flip(oracle, quad, mirrored)
-        state = apply_shear_flip(state, quad, mirrored)
-        assert isinstance(state, ShearState)
+        oracle = sympy_shear_flip(oracle, quad)
+        state = apply_shear_flip(state, quad)
         assert state.complex == oracle.complex
         u, v, w, z = quad
         touched = [tuple(sorted(e)) for e in [(v, z), (u, v), (v, w), (w, z), (z, u)]]
@@ -228,14 +240,27 @@ def test_separated_shear_labels_match_the_rational_function_rule(data):
     assert labels_match(state.labels, oracle.labels)
 
 
-def test_shear_state_keeps_its_convention():
-    once = apply_shear_flip(square_state(), (1, 2, 3, 4), mirrored=True)
-    with pytest.raises(ValueError):
-        apply_shear_flip(once, once.complex.quad_around((2, 4)))
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_mirrored_rule_is_the_frozen_rule_on_the_reversed_complex(data):
+    # the oracle's mirrored side assignment on a convex polygon gives the
+    # labels of the product's frozen rule on the same polygon with its
+    # orientation reversed
+    n = data.draw(st.integers(4, 8), label="polygon size")
+    complex_ = convex_polygon_complex([(1, i, i + 1) for i in range(2, n)])
+    oracle = sympy_state(seed_state(complex_), LabelSystem.SHEAR)
+    state = ShearState.seed(reversed_complex(complex_))
+    for _ in range(data.draw(st.integers(1, 7), label="flips")):
+        interior = sorted(e for e in state.complex.edges() if state.complex.is_interior(e))
+        edge = data.draw(st.sampled_from(interior))
+        oracle = sympy_shear_flip(oracle, oracle.complex.quad_around(edge), mirrored=True)
+        state = apply_shear_flip(state, state.complex.quad_around(edge))
+        assert state.complex == reversed_complex(oracle.complex)
+    assert labels_match(state.labels, oracle.labels)
 
 
 def test_inexact_f_polynomial_division_is_an_internal_error():
-    seed = ShearState.seed(square_state())
+    seed = square_shear()
     F = dict(seed.F)
     F[(1, 3)] = Polynomial.variable("a_{1,2}") + 2  # not an F-polynomial of this seed
     broken = ShearState(seed.complex, seed.names, seed.c, F)
@@ -245,14 +270,76 @@ def test_inexact_f_polynomial_division_is_an_internal_error():
 
 def test_shear_state_equality_falls_back_to_labels():
     # equal labels under different seed variable orders compare equal
-    state = apply_shear_flip(square_state(), (1, 2, 3, 4))
+    state = apply_shear_flip(square_shear(), (1, 2, 3, 4))
     order = list(reversed(state.names))
     perm = [state.names.index(name) for name in order]
     c = {e: tuple(v[i] for i in perm) for e, v in state.c.items()}
     other = ShearState(state.complex, tuple(order), c, state.F)
     assert other.c != state.c
     assert other == state
-    assert apply_shear_flip(square_state(), (1, 2, 3, 4), mirrored=True) != state
+    negated = {e: tuple(-x for x in v) for e, v in state.c.items()}
+    assert ShearState(state.complex, state.names, negated, state.F) != state
+
+
+# -- label properties backed by theorems -----------------------------------------
+
+
+@st.composite
+def random_words(draw):
+    n = draw(st.integers(4, 6), label="n")
+    letters = draw(
+        st.lists(st.tuples(st.integers(1, n - 1), st.booleans()), min_size=1, max_size=5),
+        label="letters",
+    )
+    return n, " ".join(f"s{i}" + ("'" if inverse else "") for i, inverse in letters)
+
+
+def flip_states(n, text, system):
+    """(event, state after it) along the certified flips of the word's
+    unperturbed motion, from the seed that ``system``'s rule takes."""
+    cfg = SlotConfig(n)
+    tri0, _ = initial_triangulation(cfg)
+    motion, _ = compile_motion(parse_braid(text, n=n), cfg)
+    try:
+        events = detect_flips(motion, tri0)
+    except DegeneracyError:
+        assume(False)
+    base = augment(tri0)
+    state = seed_state(base) if system is LabelSystem.PTOLEMY else ShearState.seed(base)
+    for event in events:
+        state = apply_flip(state, event.quad, system)
+        yield event, state
+
+
+@settings(max_examples=10, deadline=None)
+@given(random_words())
+def test_shear_f_polynomials_and_c_vectors_obey_the_theorems(word):
+    # each F-polynomial has constant term 1 and positive coefficients
+    # (Derksen, Weyman and Zelevinsky, JAMS 2010; Lee and Schiffler, Ann.
+    # Math. 2015); every c-vector is sign-coherent (DWZ 2010; Gross,
+    # Hacking, Keel and Kontsevich, JAMS 2018)
+    for event, state in flip_states(*word, LabelSystem.SHEAR):
+        _, v, _, z = event.quad
+        c = state.c[tuple(sorted((v, z)))]
+        assert all(x >= 0 for x in c) or all(x <= 0 for x in c), (word, event)
+        for F in state.F.values():
+            terms = F.terms
+            assert terms.get((0,) * len(F.vars)) == 1, (word, event)
+            assert all(coeff > 0 for coeff in terms.values()), (word, event)
+
+
+@settings(max_examples=10, deadline=None)
+@given(random_words())
+def test_ptolemy_labels_are_positive_laurent_polynomials(word):
+    # Laurent phenomenon (Fomin and Zelevinsky, JAMS 2002) and positivity
+    # (Musiker, Schiffler and Williams, Invent. Math. 2011; Lee and
+    # Schiffler, Ann. Math. 2015)
+    for event, state in flip_states(*word, LabelSystem.PTOLEMY):
+        _, v, _, z = event.quad
+        label = state.label((v, z))
+        assert label.is_laurent(), (word, event)
+        assert all(coeff > 0 for coeff in label.num.terms.values()), (word, event)
+        assert all(coeff > 0 for coeff in label.den.terms.values()), (word, event)
 
 
 # -- relation checks -----------------------------------------------------------
@@ -296,16 +383,17 @@ def test_pentagon_detects_wrong_side_assignment():
 
 
 def test_pentagon_fixture_pins_the_convention():
-    # the mirrored convention yields different composite labels, so the
-    # frozen-convention fixture distinguishes them
-    def pentagon_labels(mirrored):
-        state = seed_state(convex_polygon_complex([(1, 2, 3), (1, 3, 4), (1, 4, 5)]))
+    # the mirrored convention, the frozen rule on the reversed pentagon,
+    # yields different composite labels, so the frozen-convention fixture
+    # distinguishes them
+    def pentagon_labels(complex_):
+        state = ShearState.seed(complex_)
         for edge in [(1, 4), (1, 3)]:
-            quad = state.complex.quad_around(edge)
-            state = apply_shear_flip(state, quad, mirrored=mirrored)
+            state = apply_shear_flip(state, state.complex.quad_around(edge))
         return state.labels
 
-    assert pentagon_labels(False) != pentagon_labels(True)
+    pentagon = convex_polygon_complex([(1, 2, 3), (1, 3, 4), (1, 4, 5)])
+    assert pentagon_labels(pentagon) != pentagon_labels(reversed_complex(pentagon))
 
 
 def test_commutativity_all_variants():

@@ -9,14 +9,11 @@ from braidshear.geometry import (
     EdgeComplex,
     GeometryError,
     HullEdgeError,
-    NonConvexQuadError,
     Triangulation,
     delaunay,
-    flip,
     incircle,
     orient,
     point,
-    quad_around,
 )
 from oracles import (
     brute_force_delaunay_triangles,
@@ -344,16 +341,22 @@ def test_edge_complex_rejects_nonmanifold_input():
         EdgeComplex([(1, 2, 2)])
 
 
+def flip(tri, edge):
+    """The flipped triangulation, through the checking constructor: a
+    quad that is not strictly convex leaves a clockwise triangle."""
+    return Triangulation(tri.vertices, tri.complex.flip(edge))
+
+
 def test_quad_around_square():
     tri = square_triangulation()
-    assert quad_around(tri, (1, 3)) == (1, 2, 3, 4)
-    assert quad_around(tri, (3, 1)) == (1, 2, 3, 4)
+    assert tri.complex.quad_around((1, 3)) == (1, 2, 3, 4)
+    assert tri.complex.quad_around((3, 1)) == (1, 2, 3, 4)
 
 
 def test_quad_around_hull_edge_error():
     tri = square_triangulation()
     with pytest.raises(HullEdgeError):
-        quad_around(tri, (1, 2))
+        tri.complex.quad_around((1, 2))
 
 
 def test_quad_contains_queried_pair():
@@ -364,7 +367,7 @@ def test_quad_contains_queried_pair():
         for edge in tri.edges():
             if not tri.complex.is_interior(edge):
                 continue
-            u, v, w, z = quad_around(tri, edge)
+            u, v, w, z = tri.complex.quad_around(edge)
             assert {u, w} == set(edge)
             assert u == min(edge)
 
@@ -390,7 +393,7 @@ def test_flip_preserves_hull():
     for edge in tri.edges():
         if not tri.complex.is_interior(edge):
             continue
-        u, v, w, z = quad_around(tri, edge)
+        u, v, w, z = tri.complex.quad_around(edge)
         pvz = [tri.vertices[i] for i in (u, v, z)]
         pvwz = [tri.vertices[i] for i in (v, w, z)]
         if orient(*pvz) <= 0 or orient(*pvwz) <= 0:
@@ -411,5 +414,10 @@ def test_flip_nonconvex_error():
     pts = {1: P(0, 0), 2: P(4, 0), 3: P(0, 4), 4: P(1, 1)}
     complex_ = EdgeComplex([(1, 2, 4), (2, 3, 4), (1, 4, 3)])
     tri = Triangulation(pts, complex_)
-    with pytest.raises(NonConvexQuadError):
+    with pytest.raises(GeometryError, match="already present"):
         flip(tri, (1, 4))  # 4 is interior; quad (1,2,4,3) is not strictly convex
+    # a dart: 3 is a reflex corner of the quad (1,2,3,4), so (2,3,4) turns clockwise
+    dart = {1: P(0, 0), 2: P(4, 0), 3: P(1, 1), 4: P(0, 4)}
+    tri = Triangulation(dart, EdgeComplex([(1, 2, 3), (1, 3, 4)]))
+    with pytest.raises(GeometryError, match="not counterclockwise"):
+        flip(tri, (1, 3))

@@ -9,7 +9,6 @@ labels is an invariant of the braid the motion realizes.
 from braidshear.algebra import (
     Polynomial,
     RationalFunction,
-    poly_from_str,
     poly_gcd,
     poly_to_str,
 )
@@ -56,7 +55,6 @@ from braidshear.kinetic import (
 __all__ = [
     "Polynomial",
     "RationalFunction",
-    "poly_from_str",
     "poly_gcd",
     "poly_to_str",
     "BraidWord",

@@ -1,5 +1,6 @@
-"""Exact multivariate polynomials over Z, their gcd, and rational-function
-values.
+"""Exact multivariate polynomials over Z, their gcd, rational-function
+values, and their canonical text form (written only: nothing reads it
+back).
 
 Values are immutable.  A ``RationalFunction`` is a value, not an
 arithmetic type: its constructor reduces ``num/den`` to a unique
@@ -63,14 +64,6 @@ class AlgebraError(Exception):
 
 class ZeroFunctionDivision(AlgebraError, ZeroDivisionError):
     """A zero denominator, or a flip dividing by a label that is zero."""
-
-
-class PolyParseError(AlgebraError):
-    """Polynomial text does not match the canonical grammar."""
-
-    def __init__(self, message: str, position: int):
-        super().__init__(f"{message} (at position {position})")
-        self.position = position
 
 
 _DIGIT_CHUNKS = re.compile(r"(\d+)")
@@ -230,10 +223,6 @@ class Polynomial:
         if value == 0:
             return cls()
         return cls((), {(): int(value)})
-
-    @classmethod
-    def variable(cls, name: str) -> "Polynomial":
-        return cls.variables((name,))[0]
 
     @classmethod
     def variables(cls, names: Iterable[str]) -> tuple:
@@ -433,18 +422,6 @@ class Polynomial:
         return _poly(ring, {k: c for k, c in out.items() if c})
 
     __rmul__ = __mul__
-
-    def __pow__(self, power: int):
-        if power < 0:
-            raise AlgebraError("negative power of a polynomial")
-        result = Polynomial.one()
-        base = self
-        while power:
-            if power & 1:
-                result = result * base
-            base = base * base
-            power >>= 1
-        return result
 
     def _div_int(self, k: int) -> "Polynomial":
         if k in (1, -1):
@@ -721,10 +698,6 @@ class RationalFunction:
     def to_json(self) -> dict:
         return {"num": poly_to_str(self.num), "den": poly_to_str(self.den)}
 
-    @classmethod
-    def from_json(cls, data: Mapping[str, str]) -> "RationalFunction":
-        return cls(poly_from_str(data["num"]), poly_from_str(data["den"]))
-
     def __str__(self) -> str:
         if self.den == Polynomial.one():
             return poly_to_str(self.num)
@@ -735,14 +708,6 @@ class RationalFunction:
 
 
 # -- canonical text form ----------------------------------------------
-
-# an optional leading sign, then factors joined by operators; each
-# pattern skips the whitespace before its token
-_SIGN = re.compile(r"\s*([-+]?)")
-_FACTOR = re.compile(
-    r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9]*(?:_\{\d+,\d+\})?)(?:\s*\^\s*(\d+))?)"
-)
-_OPERATOR = re.compile(r"\s*([-+*])")
 
 
 def poly_to_str(p: Polynomial) -> str:
@@ -772,27 +737,3 @@ def poly_to_str(p: Polynomial) -> str:
             pieces.append(f"+ {body}" if coeff > 0 else f"- {body}")
     return " ".join(pieces)
 
-
-def poly_from_str(text: str) -> Polynomial:
-    """Parse the canonical rendering back into a Polynomial."""
-    m = _SIGN.match(text)
-    op, result, term = m.group(1) or "+", Polynomial.zero(), Polynomial.zero()
-    while m:
-        if op != "*":
-            result, term = result + term, Polynomial.constant(-1 if op == "-" else 1)
-        pos = m.end()
-        m = _FACTOR.match(text, pos)
-        if not m:
-            raise PolyParseError("expected a coefficient or variable", pos)
-        number, name, exp = m.groups()
-        if number:
-            term = term * Polynomial.constant(int(number))
-        else:
-            term = term * Polynomial.variable(name) ** int(exp or 1)
-        pos = m.end()
-        m = _OPERATOR.match(text, pos)
-        op = m and m.group(1)
-    rest = text[pos:].lstrip()
-    if rest:
-        raise PolyParseError(f"unexpected {rest[0]!r}", len(text) - len(rest))
-    return result + term

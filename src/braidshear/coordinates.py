@@ -92,13 +92,6 @@ class LabelSystem(enum.Enum):
     PTOLEMY = "ptolemy"
     SHEAR = "shear"
 
-    @classmethod
-    def from_text(cls, text: str) -> "LabelSystem":
-        try:
-            return cls(text.lower())
-        except ValueError:
-            raise ValueError(f"unknown label system {text!r}; use 'ptolemy' or 'shear'")
-
 
 Edge = Tuple[int, int]
 
@@ -382,18 +375,6 @@ class InvariantMap:
                 for edge in self.sorted_edges()
             ],
         }
-
-    @classmethod
-    def from_json(cls, data: Mapping) -> "InvariantMap":
-        return cls(
-            int(data["n"]),
-            LabelSystem.from_text(data["system"]),
-            data.get("word", ""),
-            {
-                tuple(rec["edge"]): RationalFunction.from_json(rec["value"])
-                for rec in data["entries"]
-            },
-        )
 
 
 def invariants_equal(a: InvariantMap, b: InvariantMap) -> bool:

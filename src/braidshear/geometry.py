@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
-from typing import Dict, Iterable, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Mapping, NamedTuple, Sequence, Tuple
 
 
 class GeometryError(Exception):
@@ -203,13 +203,10 @@ class EdgeComplex:
         z = next(x for x in left if x != u and x != w)
         return (u, v, w, z)
 
-    def flip(
-        self,
-        edge: Tuple[int, int],
-        quad: Optional[Tuple[int, int, int, int]] = None,
-    ) -> "EdgeComplex":
-        """Replace the diagonal of the quad around ``edge`` by the other one."""
-        u, v, w, z = quad if quad is not None else self.quad_around(edge)
+    def flip(self, edge: Tuple[int, int], quad: Tuple[int, int, int, int]) -> "EdgeComplex":
+        """Replace the diagonal ``edge`` of ``quad``, the quad around it, by
+        the other one."""
+        u, v, w, z = quad
         if tuple(sorted(edge)) != (u, w):
             raise MissingEdgeError(f"quad {quad} does not match edge {edge}")
         if self.has_edge((v, z)):

@@ -2,9 +2,11 @@
 
 Strand trajectories are piecewise rational (stationary, or elliptical
 half-turn arcs parametrized so positions are exact rationals at rational
-times).  The tracked structure is the hull-closure complex: the planar
-Delaunay triangulation together with one extra vertex (id 0, "the far
-vertex") joined to every hull edge.  On that closed complex every generic
+times).  Positions have one source, each stage's integer numerators
+below, which ``positions_at`` and ``augmented_at`` evaluate at t = p/q.
+The tracked structure is the hull-closure complex: the planar Delaunay
+triangulation together with one extra vertex (id 0, "the far vertex")
+joined to every hull edge.  On that closed complex every generic
 transition, a cocircularity of four strands or a collinearity of three
 hull strands, is a single edge flip, so a braid's whole history is a
 certified, ordered flip sequence.
@@ -16,7 +18,8 @@ second, both without real roots), each orient (far vertex plus three
 strands), incircle (four strands) and squared-distance (collision)
 determinant is an integer polynomial numerator.  Its factors W are divided
 out exactly and the primitive part is kept, so no rational arithmetic
-enters their construction.
+enters their construction.  A stage builds its numerators, and its
+common denominator D, once.
 
 Every real root of every event polynomial in a stage is isolated in a
 bracket (a wall), and the brackets are refined until pairwise disjoint,
@@ -95,9 +98,6 @@ class InconsistentEventError(KineticError):
 class Stationary:
     point: Point
 
-    def position(self, t: Fraction) -> Point:
-        return self.point
-
     def endpoint(self) -> Point:
         return self.point
 
@@ -109,8 +109,8 @@ class Arc:
     ``direction`` +1 turns counterclockwise.  ``scale`` stretches the
     component perpendicular to the starting radius (an ellipse arc), so
     both endpoints stay exact whatever the scale.  Time runs through two
-    quarter turns, each under the tangent-half-angle map, keeping every
-    rational time at a rational position.
+    quarter turns, each under the tangent-half-angle map (the numerators
+    ``_HALF_COS_SIN``), keeping every rational time at a rational position.
     """
 
     center: Point
@@ -125,24 +125,6 @@ class Arc:
             raise KineticError("arc scale must be positive")
         if self.center == self.start:
             raise KineticError("arc start must differ from its center")
-
-    def _cos_sin(self, t: Fraction) -> Tuple[Fraction, Fraction]:
-        if t <= Fraction(1, 2):
-            u = 2 * t
-            den = 1 + u * u
-            return Fraction(1 - u * u, den), Fraction(2 * u, den)
-        u = 2 * t - 1
-        den = 1 + u * u
-        return Fraction(-2 * u, den), Fraction(1 - u * u, den)
-
-    def position(self, t: Fraction) -> Point:
-        cos, sin = self._cos_sin(t)
-        rx, ry = self.start.x - self.center.x, self.start.y - self.center.y
-        s = self.direction * self.scale * sin
-        return Point(
-            self.center.x + cos * rx - s * ry,
-            self.center.y + cos * ry + s * rx,
-        )
 
     def endpoint(self) -> Point:
         return Point(2 * self.center.x - self.start.x, 2 * self.center.y - self.start.y)
@@ -163,6 +145,17 @@ class Stage:
 
     def movers(self) -> Tuple[int, ...]:
         return tuple(s for s in self.strands() if isinstance(self.trajectories[s], Arc))
+
+    @cached_property
+    def denominator(self) -> int:
+        """D: the lcm of the stage's coordinate denominators times that of
+        its arc scales, so that every position numerator is an integer."""
+        trajs = self.trajectories.values()
+        arcs = [t for t in trajs if isinstance(t, Arc)]
+        points = [t.point for t in trajs if isinstance(t, Stationary)]
+        points += [p for a in arcs for p in (a.center, a.start)]
+        coords = lcm(*(c.denominator for p in points for c in p))
+        return coords * lcm(*(a.scale.denominator for a in arcs))
 
     @cached_property
     def numerators(self) -> Tuple[Dict[int, _Lifted], ...]:
@@ -199,20 +192,45 @@ def _start_of(traj: Trajectory) -> Point:
     return traj.point if isinstance(traj, Stationary) else traj.start
 
 
-def position_at(motion: Motion, strand: int, stage: int, t: Fraction) -> Point:
-    """Exact position of a strand at stage-local time t in [0, 1]."""
+def _lattice_points(
+    motion: Motion, stage: int, t: Fraction
+) -> Tuple[List[Tuple[int, Point]], int]:
+    """The positions at stage-local time t as integer points over one
+    positive denominator.
+
+    At t = p/q every strand of a half-stage sits at (X_h(p, q), Y_h(p, q))
+    / (D W_h(p, q)), with X_h, Y_h, W_h the half's numerators made
+    homogeneous of degree 2, so every predicate sign is that of the
+    integer points.
+    """
     if not 0 <= stage < len(motion.stages):
         raise KineticError(f"stage {stage} out of range")
-    if not Fraction(0) <= t <= Fraction(1):
+    t = Fraction(t)
+    if not 0 <= t <= 1:
         raise KineticError(f"time {t} outside [0, 1]")
-    traj = motion.stages[stage].trajectories.get(strand)
-    if traj is None:
-        raise KineticError(f"unknown strand {strand}")
-    return traj.position(Fraction(t))
+    half = 0 if t <= Fraction(1, 2) else 1  # the halves agree at t = 1/2
+    p, q = t.numerator, t.denominator
+    basis = (q * q, p * q, p * p)  # p^i q^(2-i)
+    st = motion.stages[stage]
+    points = [
+        (s, Point(sum(map(mul, xs, basis)), sum(map(mul, ys, basis))))
+        for s, (xs, ys, _) in sorted(st.numerators[half].items())
+    ]
+    return points, st.denominator * sum(map(mul, _HALF_COS_SIN[half][0], basis))
 
 
 def positions_at(motion: Motion, stage: int, t: Fraction) -> Dict[int, Point]:
-    return {s: position_at(motion, s, stage, t) for s in range(1, motion.n + 1)}
+    """Exact positions of every strand at stage-local time t in [0, 1]."""
+    points, den = _lattice_points(motion, stage, t)
+    return {s: Point(Fraction(x, den), Fraction(y, den)) for s, (x, y) in points}
+
+
+def position_at(motion: Motion, strand: int, stage: int, t: Fraction) -> Point:
+    """Exact position of a strand at stage-local time t in [0, 1]."""
+    positions = positions_at(motion, stage, t)
+    if strand not in positions:
+        raise KineticError(f"unknown strand {strand}")
+    return positions[strand]
 
 
 class FlipEvent(NamedTuple):
@@ -235,27 +253,9 @@ def augment(tri: Triangulation) -> EdgeComplex:
 
 
 def augmented_at(motion: Motion, stage: int, t: Fraction) -> EdgeComplex:
-    """Hull-closure complex of the positions at stage-local time t.
-
-    Built from the integer numerators of the positions: at t = p/q every
-    strand of a half-stage sits at (X_h(p, q), Y_h(p, q)) / (D W_h(p, q)),
-    with X_h, Y_h, W_h the half's numerators and W made homogeneous of
-    degree 2, so all share one positive denominator and every predicate
-    sign is that of the integer points (X_h, Y_h).
-    """
-    if not 0 <= stage < len(motion.stages):
-        raise KineticError(f"stage {stage} out of range")
-    t = Fraction(t)
-    if not 0 <= t <= 1:
-        raise KineticError(f"time {t} outside [0, 1]")
-    half = 0 if t <= Fraction(1, 2) else 1  # as Arc._cos_sin
-    p, q = t.numerator, t.denominator
-    basis = (q * q, p * q, p * p)  # p^i q^(2-i)
-    points = [
-        (s, Point(sum(map(mul, xs, basis)), sum(map(mul, ys, basis))))
-        for s, (xs, ys, _) in sorted(motion.stages[stage].numerators[half].items())
-    ]
-    return augment(delaunay(points))
+    """Hull-closure complex of the positions at stage-local time t, built
+    on their integer numerators (see ``_lattice_points``)."""
+    return augment(delaunay(_lattice_points(motion, stage, t)[0]))
 
 
 # -- event polynomials over Z[t] (sturm backend) ---------------------------
@@ -324,25 +324,21 @@ def _homogeneous_positions(stage: Stage, half: int) -> Dict[int, _Lifted]:
     """Integer numerators (X, Y) in t of every strand's position over
     D * W on the half-stage, lifted to (X, Y, X^2 + Y^2)."""
     w, cos, sin = _HALF_COS_SIN[half]
-    strands = stage.strands()
-    trajs = [stage.trajectories[s] for s in strands]
-    arcs = [t for t in trajs if isinstance(t, Arc)]
-    points = [t.point for t in trajs if isinstance(t, Stationary)]
-    points += [p for a in arcs for p in (a.center, a.start)]
-    scale_den = lcm(*(a.scale.denominator for a in arcs))
-    den = lcm(*(c.denominator for p in points for c in p)) * scale_den
+    den = stage.denominator
 
     def scaled(c) -> int:
         return c.numerator * (den // c.denominator)
 
     out = {}
-    for strand, traj in zip(strands, trajs):
+    for strand in stage.strands():
+        traj = stage.trajectories[strand]
         if isinstance(traj, Stationary):
             xs, ys = _pscale(w, scaled(traj.point.x)), _pscale(w, scaled(traj.point.y))
         else:
             cx, cy = scaled(traj.center.x), scaled(traj.center.y)
             rx, ry = scaled(traj.start.x) - cx, scaled(traj.start.y) - cy
-            # direction * scale * (rx, ry); exact, as scale_den divides rx and ry
+            # direction * scale * (rx, ry); exact, as every scale's denominator
+            # divides D and so rx and ry
             k = traj.direction * traj.scale.numerator
             sx, sy = k * rx // traj.scale.denominator, k * ry // traj.scale.denominator
             xs = _padd(_padd(_pscale(w, cx), _pscale(cos, rx)), _pscale(sin, -sy))

@@ -6,6 +6,7 @@ sympy is a test-only dependency: nothing under ``src/`` imports it.
 from fractions import Fraction
 from itertools import combinations
 import random
+import re
 from typing import NamedTuple
 
 import sympy as sp
@@ -13,6 +14,7 @@ from sympy import ZZ
 from sympy.polys.fields import field
 from sympy.polys.rings import ring
 
+from braidshear.algebra import Polynomial
 from braidshear.braid import compile_motion, initial_triangulation, slot_position
 from braidshear.coordinates import LabelSystem, seed_state
 from braidshear.geometry import Point, Triangulation, incircle, orient
@@ -180,6 +182,29 @@ def to_sympy(p):
     )
 
 
+def from_sympy(expr):
+    """A ``Polynomial`` read off the terms of a sympy expression with
+    integer coefficients."""
+    gens = sorted(expr.free_symbols, key=str)
+    if not gens:
+        return Polynomial.constant(int(expr))
+    terms = sp.Poly(expr, *gens).terms()
+    return Polynomial(tuple(map(str, gens)), {m: int(c) for m, c in terms})
+
+
+_BRACED = re.compile(r"([A-Za-z][A-Za-z0-9]*)_\{(\d+),(\d+)\}")
+
+
+def parse_canonical(text):
+    """sympy's reading of the canonical text form, ``^`` as ``**`` and
+    ``a_{i,j}`` as ``a_i_j``, over the symbols that ``to_sympy`` names."""
+    body = _BRACED.sub(r"\1_\2_\3", text).replace("^", "**")
+    names = {name: sp.Symbol(name) for name in re.findall(r"[A-Za-z]\w*", body)}
+    for a, i, j in _BRACED.findall(text):
+        names[f"{a}_{i}_{j}"] = sp.Symbol(f"{a}_{{{i},{j}}}")
+    return sp.parse_expr(body, local_dict=names)
+
+
 def _in_ring(R, p):
     """A ``Polynomial`` as an element of the sympy ring ``R``, read off its
     terms."""
@@ -227,6 +252,12 @@ def _position_functions(stage, half):
                 cos * ry + s * rx + traj.center.y,
             )
     return out
+
+
+def sympy_value(f, t):
+    """An element of the field in t at the rational ``t``, as a Fraction."""
+    value = f.as_expr().subs(_T.as_expr(), sp.Rational(t.numerator, t.denominator))
+    return Fraction(int(value.p), int(value.q))
 
 
 def _orient_rf(p, q, r):

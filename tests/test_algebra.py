@@ -8,18 +8,16 @@ from hypothesis import strategies as st
 
 from braidshear.algebra import (
     Polynomial,
-    PolyParseError,
     RationalFunction,
     ZeroFunctionDivision,
-    poly_from_str,
     poly_gcd,
     poly_to_str,
 )
-from oracles import to_sympy
+from oracles import from_sympy, parse_canonical, to_sympy
 
 
 def pvar(name):
-    return Polynomial.variable(name)
+    return Polynomial.variables((name,))[0]
 
 
 # -- polynomial basics ------------------------------------------------
@@ -38,10 +36,10 @@ def test_variable_order_is_natural():
     assert p.vars == ("a_{1,2}", "a_{1,3}", "a_{1,10}")
 
 
-def test_mul_and_pow():
+def test_mul():
     x, y = pvar("x"), pvar("y")
     assert (x + y) * (x - y) == x * x - y * y
-    assert (x + 1) ** 3 == x ** 3 + 3 * x ** 2 + 3 * x + 1
+    assert (x + 1) * (x + 1) * (x + 1) == x * x * x + 3 * x * x + 3 * x + 1
 
 
 def test_exact_div():
@@ -79,16 +77,18 @@ def test_gcd_sign_normalization():
 def test_gcd_of_a_cross_sum_in_four_variables():
     # a/b + c/d over the planted operands that once sent the recursive
     # pseudo-remainder gcd past minutes; gcd(ad + cb, bd) = w + 4xyz
-    a = poly_from_str("-72*w*x^2*z + 48*x")
-    b = poly_from_str("4*w*x*y^2*z^2 + 4*w*x*y*z^2 + w^2*y*z + w^2*z")
-    c = poly_from_str("4*w*y^2 - 2*y^2")
-    d = poly_from_str(
-        "24*w*x^2*y^2*z^3 - 36*w*x^3*y*z^2 + 6*w^2*x*y*z^2 - 9*w^2*x^2*z"
-        " - 16*x*y^2*z^2 + 24*x^2*y*z - 4*w*y*z + 6*w*x"
+    w, x, y, z = sp.symbols("w x y z")
+    a = from_sympy(-72 * w * x**2 * z + 48 * x)
+    b = from_sympy(4 * w * x * y**2 * z**2 + 4 * w * x * y * z**2 + w**2 * y * z + w**2 * z)
+    c = from_sympy(4 * w * y**2 - 2 * y**2)
+    d = from_sympy(
+        24 * w * x**2 * y**2 * z**3 - 36 * w * x**3 * y * z**2 + 6 * w**2 * x * y * z**2
+        - 9 * w**2 * x**2 * z - 16 * x * y**2 * z**2 + 24 * x**2 * y * z - 4 * w * y * z
+        + 6 * w * x
     )
     f, g = a * d + c * b, b * d
     h = poly_gcd(f, g)
-    assert h == poly_from_str("4*x*y*z + w")
+    assert h == from_sympy(4 * x * y * z + w)
     assert poly_gcd(f.exact_div(h), g.exact_div(h)) == Polynomial.one()
 
 
@@ -189,7 +189,7 @@ def test_like_terms_add():
 def test_inverse_and_product():
     b, e, x = Polynomial.variables("bex")
     # b * (e/(1 + e)) with the factor 1 + e left in both parts
-    assert RationalFunction(b * e * (1 + e), (1 + e) ** 2) == RationalFunction(b * e, e + 1)
+    assert RationalFunction(b * e * (1 + e), (1 + e) * (1 + e)) == RationalFunction(b * e, e + 1)
     assert RationalFunction(x, x) == RationalFunction(Polynomial.one())
     # the sign moves to the numerator: the denominator's lead is positive
     f = RationalFunction(x, -x * e)
@@ -306,7 +306,7 @@ def test_int_image_agrees_with_coefficient_evaluation():
     from braidshear.algebra import _int_image
 
     x, y, z = pvar("x"), pvar("y"), pvar("z")
-    p = (y - 3) * x ** 2 + (z - y) * x + y * z - 7
+    p = (y - 3) * x * x + (z - y) * x + y * z - 7
     # y = 3 kills the leading coefficient in x: no image
     assert _int_image(p, "x", {"y": 3, "z": 5}) is None
     assert _int_image(p, "x", {"y": 4, "z": 5}) == [13, 1, 1]
@@ -334,7 +334,10 @@ def test_int_image_random(data):
         assert got == [int(c) for c in want]
 
 
-# -- rendering / parsing ------------------------------------------------
+# -- rendering ------------------------------------------------------------
+#
+# Nothing in the package reads the text form back; sympy parses it, and
+# the result must be the polynomial's own sympy expression.
 
 
 def test_render_zero_and_constants():
@@ -349,7 +352,7 @@ def test_render_ordering_and_signs():
 
 
 def test_render_edge_variables():
-    p = 3 * pvar("a_{1,2}") ** 2 * pvar("a_{2,3}") - pvar("a_{1,3}")
+    p = 3 * pvar("a_{1,2}") * pvar("a_{1,2}") * pvar("a_{2,3}") - pvar("a_{1,3}")
     assert poly_to_str(p) == "3*a_{1,2}^2*a_{2,3} - a_{1,3}"
 
 
@@ -362,18 +365,9 @@ def test_parse_round_trip_examples():
         "x + 1",
         "-x - 1",
     ]:
-        assert poly_to_str(poly_from_str(text)) == text
-
-
-def test_parse_errors():
-    with pytest.raises(PolyParseError):
-        poly_from_str("")
-    with pytest.raises(PolyParseError):
-        poly_from_str("x +")
-    with pytest.raises(PolyParseError):
-        poly_from_str("x ^ y")
-    with pytest.raises(PolyParseError):
-        poly_from_str("$")
+        p = from_sympy(parse_canonical(text))
+        assert poly_to_str(p) == text
+        assert parse_canonical(poly_to_str(p)) == to_sympy(p)
 
 
 @settings(max_examples=50, deadline=None)
@@ -385,7 +379,7 @@ def test_parse_round_trip_random(data):
         exps = tuple(data.draw(st.integers(0, 3)) for _ in names)
         terms[exps] = data.draw(st.integers(-9, 9))
     p = Polynomial(tuple(names), terms)
-    assert poly_from_str(poly_to_str(p)) == p
+    assert parse_canonical(poly_to_str(p)) == to_sympy(p)
 
 
 def test_rf_json_round_trip():
@@ -393,9 +387,6 @@ def test_rf_json_round_trip():
     f = RationalFunction(a * (1 + e), 1 - e)
     data = f.to_json()
     assert data == {"num": "-a*e - a", "den": "e - 1"}
-    assert RationalFunction.from_json(data) == f
-    # the reading constructor reduces
-    assert RationalFunction.from_json({"num": "2*a*e", "den": "4*e"}).to_json() == {
-        "num": "a",
-        "den": "2",
-    }
+    assert [parse_canonical(data[k]) for k in ("num", "den")] == [to_sympy(f.num), to_sympy(f.den)]
+    # the constructor reduces before anything is written
+    assert RationalFunction(2 * a * e, 4 * e).to_json() == {"num": "a", "den": "2"}

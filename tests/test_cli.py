@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -6,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from braidshear import cli
 from braidshear.cli import main
@@ -336,6 +340,57 @@ def test_parser_errors_end_with_a_usage_json_line(capsys, argv):
     assert code == 2 and out == ""
     assert err.startswith("usage: ")
     assert json.loads(err.splitlines()[-1])["error"]["kind"] == "usage"
+
+
+# a character that no number, and no braid word, may contain anywhere
+_BAD_CHAR = st.sampled_from(list("x._,;eS\u0664\uff14\u00e9"))
+_JUNK = st.tuples(st.text(max_size=4), _BAD_CHAR, st.text(max_size=4)).map("".join)
+
+
+def _junk_or(draw, near_misses):
+    """Junk text or, as often, one of the well-formed-looking near misses."""
+    return draw(st.sampled_from(near_misses)) if draw(st.booleans()) else draw(_JUNK)
+
+
+@st.composite
+def malformed_argv(draw):
+    """A command line with well-formed parts (n from 3 to 5, short words)
+    and exactly one malformed ``--n``, ``--epsilon``, ``--bulge``, ``--t``
+    or braid word."""
+    field = draw(st.sampled_from(["--n", "--epsilon", "--bulge", "--t", "word"]))
+    commands = ["snapshot"] if field == "--t" else ["invariant", "equal", "flips", "snapshot"]
+    command = draw(st.sampled_from(commands))
+    n = draw(st.integers(3, 5))
+    letters = st.sampled_from([f"s{i}{mark}" for i in range(1, n) for mark in ("", "'")])
+    count = 2 if command == "equal" else 1
+    words = [" ".join(draw(st.lists(letters, max_size=2))) for _ in range(count)]
+    flags = {"--n": str(n)}
+    if field == "--n":
+        flags["--n"] = _junk_or(draw, [str(k) for k in range(-3, 3)])
+    elif field in ("--epsilon", "--bulge"):
+        flags[field] = _junk_or(draw, ["0", "-1", "-3/4", "0/5"])
+    elif field == "--t":
+        stages = len(words[0].split())
+        flags["--t"] = _junk_or(draw, [f"{stages + 1}", f"{4 * stages + 1}/3", "-1", "-1/3"])
+    else:
+        # a valid letter first, so that no word reads as an option
+        bad = _junk_or(draw, ["s0", f"s{n}", "s", "s1^2", "s1''", "s1^-1'"])
+        words[draw(st.integers(0, count - 1))] = "s1 " + bad
+    if command in ("invariant", "equal"):
+        flags["--system"] = draw(st.sampled_from(["ptolemy", "shear"]))
+    return [command, *(x for item in flags.items() for x in item), *words]
+
+
+@settings(max_examples=60, deadline=None)
+@given(malformed_argv())
+def test_malformed_input_ends_in_exit_2_and_a_json_error(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code == 2 and out.getvalue() == "", argv
+    *_, last, tail = err.getvalue().split("\n")
+    assert tail == ""
+    assert json.loads(last)["error"]["kind"] in ("usage", "parse"), argv
 
 
 def test_help_exits_zero(capsys):

@@ -11,7 +11,6 @@ from braidshear.algebra import Polynomial, RationalFunction
 from braidshear.braid import SlotConfig, compile_motion, initial_triangulation, parse_braid
 from braidshear.coordinates import (
     InternalInvariantError,
-    InvariantMap,
     LabelState,
     LabelSystem,
     ShearState,
@@ -33,6 +32,7 @@ from braidshear.geometry import EdgeComplex
 from braidshear.kinetic import DegeneracyError, FlipEvent, augment, detect_flips
 from oracles import (
     labels_match,
+    parse_canonical,
     sympy_entries,
     sympy_ptolemy_flip,
     sympy_shear_flip,
@@ -42,7 +42,7 @@ from oracles import (
 
 
 def pvar(i, j):
-    return Polynomial.variable(edge_var_name(i, j))
+    return Polynomial.variables((edge_var_name(i, j),))[0]
 
 
 def edge_variable(i, j):
@@ -262,7 +262,7 @@ def test_mirrored_rule_is_the_frozen_rule_on_the_reversed_complex(data):
 def test_inexact_f_polynomial_division_is_an_internal_error():
     seed = square_shear()
     F = dict(seed.F)
-    F[(1, 3)] = Polynomial.variable("a_{1,2}") + 2  # not an F-polynomial of this seed
+    F[(1, 3)] = pvar(1, 2) + 2  # not an F-polynomial of this seed
     broken = ShearState(seed.complex, seed.names, seed.c, F)
     with pytest.raises(coordinates.InternalInvariantError):
         apply_shear_flip(broken, (1, 2, 3, 4))
@@ -678,13 +678,23 @@ def test_bracket_groups_split_on_bracket_identity():
 
 
 def test_invariant_json_round_trip():
-    inv = run_invariant(parse_braid("s1", n=4), SlotConfig(4), LabelSystem.SHEAR)
-    data = inv.to_json()
-    again = InvariantMap.from_json(data)
-    assert invariants_equal(inv, again)
-    assert again.system is LabelSystem.SHEAR
-    edges = [tuple(rec["edge"]) for rec in data["entries"]]
-    assert edges == sorted(edges)
+    # nothing in the package reads the JSON back: sympy parses every
+    # polynomial written, and it must be the entry's own sympy expression
+    cases = [
+        ("s1", 4, LabelSystem.SHEAR),
+        ("s1 s2'", 4, LabelSystem.PTOLEMY),
+        ("s2 s3 s1", 5, LabelSystem.SHEAR),
+    ]
+    for word, n, system in cases:
+        inv = run_invariant(parse_braid(word, n=n), SlotConfig(n), system)
+        data = inv.to_json()
+        assert (data["n"], data["system"], data["word"]) == (n, system.value, word)
+        edges = [tuple(rec["edge"]) for rec in data["entries"]]
+        assert edges == sorted(edges) == inv.sorted_edges()
+        for rec in data["entries"]:
+            value = inv.entries[tuple(rec["edge"])]
+            assert parse_canonical(rec["value"]["num"]) == to_sympy(value.num)
+            assert parse_canonical(rec["value"]["den"]) == to_sympy(value.den)
 
 
 def test_run_invariant_shear_matches_the_oracle_on_random_words():

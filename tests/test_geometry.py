@@ -344,7 +344,7 @@ def test_edge_complex_rejects_nonmanifold_input():
 def flip(tri, edge):
     """The flipped triangulation, through the checking constructor: a
     quad that is not strictly convex leaves a clockwise triangle."""
-    return Triangulation(tri.vertices, tri.complex.flip(edge))
+    return Triangulation(tri.vertices, tri.complex.flip(edge, tri.complex.quad_around(edge)))
 
 
 def test_quad_around_square():

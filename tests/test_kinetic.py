@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from braidshear import kinetic, roots
 from braidshear.algebra import parse_rational
@@ -31,7 +33,7 @@ from braidshear.kinetic import (
     positions_at,
     replay,
 )
-from oracles import full_recompute_detect_flips
+from oracles import _position_functions, full_recompute_detect_flips, sympy_value
 
 
 def swap_motion(n, word_text):
@@ -50,38 +52,77 @@ def test_stationary_position():
     assert position_at(m, 3, 0, Fraction(1, 7)) == point(3, Fraction(9, 64))
 
 
+def arc_position(arc, t):
+    """The position of ``arc`` at time t, read through ``position_at`` from
+    a one-strand motion."""
+    return position_at(Motion(1, [Stage({1: arc})]), 1, 0, t)
+
+
 def test_arc_boundary_conditions():
     arc = Arc(center=point(1, 0), start=point(0, 0), direction=1)
-    assert arc.position(Fraction(0)) == point(0, 0)
-    assert arc.position(Fraction(1)) == point(2, 0)  # antipode across the center
+    assert arc_position(arc, Fraction(0)) == point(0, 0)
+    assert arc_position(arc, Fraction(1)) == point(2, 0)  # antipode across the center
 
 
 def test_arc_quarter_turn_is_exact_and_on_circle():
     arc = Arc(center=point(1, 0), start=point(0, 0), direction=1)
     for t in [Fraction(1, 2), Fraction(1, 3), Fraction(2, 7), Fraction(9, 10)]:
-        p = arc.position(t)
+        p = arc_position(arc, t)
         dx, dy = p.x - 1, p.y - 0
         assert dx * dx + dy * dy == 1  # radius preserved exactly
     # quarter turn image: west of center heading counterclockwise is south
-    q = arc.position(Fraction(1, 2))
+    q = arc_position(arc, Fraction(1, 2))
     assert q == point(1, -1)
 
 
 def test_arc_scale_traces_ellipse():
     arc = Arc(center=point(0, 0), start=point(1, 0), direction=-1, scale=Fraction(2))
     for t in [Fraction(1, 5), Fraction(1, 2), Fraction(4, 5)]:
-        p = arc.position(t)
+        p = arc_position(arc, t)
         assert p.x * p.x + (p.y / 2) ** 2 == 1
 
 
 def test_arc_continuity_at_halfway():
     arc = Arc(center=point(1, 0), start=point(0, 0), direction=1, scale=Fraction(3, 2))
     eps = Fraction(1, 2 ** 30)
-    before = arc.position(Fraction(1, 2) - eps)
-    after = arc.position(Fraction(1, 2) + eps)
-    mid = arc.position(Fraction(1, 2))
+    before = arc_position(arc, Fraction(1, 2) - eps)
+    after = arc_position(arc, Fraction(1, 2) + eps)
+    mid = arc_position(arc, Fraction(1, 2))
     assert abs(before.x - mid.x) < Fraction(1, 2 ** 25)
     assert abs(after.x - mid.x) < Fraction(1, 2 ** 25)
+
+
+rationals = st.fractions(min_value=-9, max_value=9, max_denominator=7)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    center=st.tuples(rationals, rationals),
+    start=st.tuples(rationals, rationals),
+    still=st.tuples(rationals, rationals),
+    direction=st.sampled_from([1, -1]),
+    scale=st.fractions(min_value=Fraction(1, 9), max_value=9, max_denominator=9),
+    t=st.one_of(
+        st.just(Fraction(1, 2)),
+        st.fractions(min_value=0, max_value=Fraction(1, 2), max_denominator=10**6),
+        st.fractions(min_value=Fraction(1, 2), max_value=1, max_denominator=10**6),
+    ),
+)
+def test_positions_match_the_sympy_oracle(center, start, still, direction, scale, t):
+    # one arc and one stationary strand; the oracle writes each position as
+    # a rational function of t in sympy, on both halves at t = 1/2
+    assume(center != start)
+    arc = Arc(point(*center), point(*start), direction, scale)
+    assume(point(*still) not in (arc.start, arc.endpoint()))
+    stage = Stage({1: arc, 2: Stationary(point(*still))})
+    got = positions_at(Motion(2, [stage]), 0, t)
+    halves = (0, 1) if t == Fraction(1, 2) else (int(t > Fraction(1, 2)),)
+    for half in halves:
+        want = {
+            s: point(*(sympy_value(f, t) for f in xy))
+            for s, xy in _position_functions(stage, half).items()
+        }
+        assert got == want
 
 
 def test_position_range_errors():
@@ -193,7 +234,7 @@ def _flipped(complex_):
     """``complex_`` with its first flippable edge flipped."""
     for edge in sorted(complex_.edges()):
         try:
-            return complex_.flip(edge)
+            return complex_.flip(edge, complex_.quad_around(edge))
         except GeometryError:
             continue
     raise AssertionError("no flippable edge")
@@ -527,7 +568,8 @@ def test_disjoint_simultaneous_flips_are_emitted_in_canonical_order():
     octagon = convex_polygon_complex(
         [(1, 2, 3), (1, 3, 4), (1, 4, 8), (4, 5, 8), (5, 6, 7), (5, 7, 8)]
     )
-    target = octagon.flip((1, 3)).flip((5, 7))
+    first = octagon.flip((1, 3), octagon.quad_around((1, 3)))
+    target = first.flip((5, 7), first.quad_around((5, 7)))
     events = []
     result = _apply_transition(
         octagon, octagon, target, 0, Fraction(1, 4), Fraction(1, 3), events
@@ -540,7 +582,8 @@ def test_disjoint_simultaneous_flips_are_emitted_in_canonical_order():
 def test_simultaneous_flips_sharing_a_triangle_are_degenerate():
     pentagon = convex_polygon_complex([(1, 2, 3), (1, 3, 4), (1, 4, 5)])
     # flipping (1,3) and (1,4) from the same state touches triangle (1,3,4)
-    target = pentagon.flip((1, 3)).flip((1, 4))
+    first = pentagon.flip((1, 3), pentagon.quad_around((1, 3)))
+    target = first.flip((1, 4), first.quad_around((1, 4)))
     with pytest.raises((DegeneracyError, KineticError)):
         _apply_transition(pentagon, pentagon, target, 0, Fraction(0), Fraction(1, 8), [])
 

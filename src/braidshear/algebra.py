@@ -3,11 +3,12 @@ values, and their canonical text form (written only: nothing reads it
 back).
 
 Values are immutable.  A ``RationalFunction`` is a value, not an
-arithmetic type: its constructor reduces ``num/den`` to a unique
-canonical form (gcd-reduced, denominator leading coefficient positive
-under the graded-lexicographic monomial order), so equality is
-structural.  The label rules in ``coordinates`` do their arithmetic on
-polynomials and build each label through that constructor.
+arithmetic type: ``RationalFunction.from_factors`` reduces a quotient of
+two products to a unique canonical form (gcd-reduced, denominator leading
+coefficient positive under the graded-lexicographic monomial order), so
+equality is structural; the constructor is that routine on one factor
+each.  The label rules in ``coordinates`` do their arithmetic on
+polynomials and build each label through it.
 
 Polynomials carry integer coefficients on packed monomials.  A polynomial
 lives in a ring: an interned tuple of variable names in ``_name_key``
@@ -38,24 +39,23 @@ IV", 2007), so with ``x.num = m*p`` for its monomial-with-content part m,
 b.num*d.num*a.den*c.den)/p * x.den``, an exact quotient, over the monomial
 ``a.den*b.den*c.den*d.den*m`` (see ``coordinates.apply_ptolemy_flip``).
 
-``poly_gcd`` returns the full gcd over Z, so the constructor's ``num``
-and ``den`` divided by it are coprime, integer content included; only
-the sign is then normalized.  Z[x] is a unique factorization domain, so
-the form is unique.
+``poly_gcd`` returns the full gcd over Z: content, constant and monomial
+shortcuts, then the heuristic gcd.  ``from_factors`` divides every
+numerator factor and denominator factor by their gcd, pair by pair, so the
+pairs end coprime, integer content included.  Z[x] is a unique
+factorization domain, so the products are coprime too and, once the sign
+is normalized, the form is unique.  No gcd of an expanded product is taken.
 """
 
 from __future__ import annotations
 
 import math
-import random
 import re
 import string
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heappop, heappush
 from typing import Iterable, Mapping, Optional
-
-from braidshear.roots import gcd
 
 
 class AlgebraError(Exception):
@@ -85,9 +85,12 @@ _RATIONAL = re.compile(r"[+-]?\d+(?:/[1-9]\d*)?\Z", re.ASCII)
 def parse_rational(text: str) -> Fraction:
     """Parse an exact rational in 'p/q' or integer form (no decimals)."""
     text = text.strip(string.whitespace)
-    if not _RATIONAL.match(text):
-        raise AlgebraError(f"not a rational in p/q form: {text!r}")
-    return Fraction(text)
+    if _RATIONAL.match(text):
+        try:
+            return Fraction(text)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise AlgebraError(f"not a rational in p/q form: {text!r}")
 
 
 def format_rational(value: Fraction) -> str:
@@ -502,59 +505,12 @@ def _monomial_gcd(mono: Polynomial, other: Polynomial) -> Polynomial:
     return _poly(ring, {ring.pack(_least_exponents(ring, keys)): 1})
 
 
-_GCD_SEED = 0x51A7E
-
-
-def _certified_coprime(f: Polynomial, g: Polynomial, common) -> bool:
-    """Sound one-sided coprimality test via evaluation homomorphisms.
-
-    For each shared variable v, substitute random integers for every other
-    variable.  If the substitution preserves both leading degrees in v and
-    the resulting univariate gcd is constant, the true gcd has degree 0 in
-    v.  All shared variables certified ==> primitive gcd is constant.
-    Returns False whenever inconclusive.
-    """
-    rng = random.Random(_GCD_SEED)
-    names = sorted(set(f.vars) | set(g.vars), key=_name_key)
-    for v in sorted(common, key=_name_key):
-        done = False
-        for _ in range(4):
-            point = {w: rng.randrange(1, 1 << 16) for w in names if w != v}
-            a = _int_image(f, v, point)
-            b = _int_image(g, v, point) if a is not None else None
-            if b is None:
-                continue
-            if len(gcd(a, b)) != 1:  # the image gcd is not a constant
-                return False
-            done = True
-            break
-        if not done:
-            return False
-    return True
-
-
-def _int_image(p: Polynomial, v: str, point: Mapping[str, int]) -> Optional[list]:
-    """Dense integer coefficients in ``v`` of ``p`` with every other variable
-    set to its integer in ``point``; None when the leading coefficient in
-    ``v`` vanishes there (the image would lose degree)."""
-    i = p.vars.index(v)
-    # v itself is set to 1: its exponent only selects the output slot
-    values = [1 if j == i else point[w] for j, w in enumerate(p.vars)]
-    out = [0] * (max(e[i] for e in p.terms) + 1)
-    for exps, coeff in p.terms.items():
-        for val, e in zip(values, exps):
-            if e:
-                coeff *= val ** e
-        out[exps[i]] += coeff
-    return out if out[-1] else None
-
-
 def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     """Full gcd over Z (integer content included), leading coefficient > 0.
 
-    Fast paths: monomial shortcut, trial division, and an evaluation
-    coprimality certificate; the complete route is the heuristic gcd,
-    which recurses on the images at an integer point of one variable.
+    Fast paths: content, constants and monomials; the complete route is
+    the heuristic gcd, which recurses on the images at an integer point of
+    one variable.
     """
     if f.is_zero:
         return _positive_lead(g) if not g.is_zero else Polynomial.zero()
@@ -574,12 +530,6 @@ def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
         return Polynomial.constant(c) * _monomial_gcd(pf, pg)
     if pg.is_monomial:
         return Polynomial.constant(c) * _monomial_gcd(pg, pf)
-    if _certified_coprime(pf, pg, common):
-        return Polynomial.constant(c)
-    if len(pf._packed) <= len(pg._packed) and pg.exact_div(pf) is not None:
-        return Polynomial.constant(c) * _positive_lead(pf)
-    if len(pg._packed) < len(pf._packed) and pf.exact_div(pg) is not None:
-        return Polynomial.constant(c) * _positive_lead(pg)
 
     # the variable of least degree keeps the integers of the images small
     x = min(common, key=lambda v: (max(pf.degree_in(v), pg.degree_in(v)), _name_key(v)))
@@ -633,6 +583,16 @@ def _is_one(p: Polynomial) -> bool:
     return p._packed == {0: 1}
 
 
+def poly_product(factors: Iterable[Polynomial]) -> Polynomial:
+    """The product of ``factors`` (1 for none); factors equal to 1 are
+    skipped."""
+    out = None
+    for f in factors:
+        if not _is_one(f):
+            out = f if out is None else out * f
+    return Polynomial.one() if out is None else out
+
+
 class RationalFunction:
     """Quotient of integer polynomials in canonical reduced form.
 
@@ -645,17 +605,33 @@ class RationalFunction:
     __slots__ = ("num", "den", "_hash")
 
     def __new__(cls, num: Polynomial, den: Optional[Polynomial] = None):
-        """The canonical form of ``num/den``: both divided by their full gcd."""
-        if den is None:
-            den = Polynomial.one()
-        if den.is_zero:
+        """The canonical form of ``num/den``."""
+        return cls.from_factors((num,), () if den is None else (den,))
+
+    @classmethod
+    def from_factors(
+        cls, nums: Iterable[Polynomial], dens: Iterable[Polynomial]
+    ) -> "RationalFunction":
+        """The canonical form of ``prod(nums)/prod(dens)``, reduced factor
+        by factor.
+
+        Factors equal to 1 are dropped; then each numerator factor and each
+        denominator factor are divided by their gcd, pair by pair.  Dividing
+        keeps a pair coprime, so at the end every pair is, and since Z[x] is
+        a unique factorization domain so are the two products: no gcd of a
+        product is taken.
+        """
+        nums = [f for f in nums if not _is_one(f)]
+        dens = [f for f in dens if not _is_one(f)]
+        if any(f.is_zero for f in dens):
             raise ZeroFunctionDivision("denominator is the zero polynomial")
-        if not num.is_zero:
-            g = poly_gcd(num, den)
-            if not _is_one(g):
-                num = num.exact_div(g)
-                den = den.exact_div(g)
-        return cls._coprime(num, den)
+        for i, a in enumerate(nums):
+            for j, b in enumerate(dens):
+                g = poly_gcd(a, b)
+                if not _is_one(g):
+                    a = nums[i] = a.exact_div(g)
+                    dens[j] = b.exact_div(g)
+        return cls._coprime(poly_product(nums), poly_product(dens))
 
     @classmethod
     def _coprime(cls, num: Polynomial, den: Polynomial) -> "RationalFunction":

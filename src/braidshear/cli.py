@@ -78,10 +78,11 @@ def _emit_error(kind: str, message: str) -> None:
 def _load_config(path: Optional[str]) -> dict:
     if not path:
         return {}
+    # ValueError: not UTF-8, not JSON, or an integer past int()'s digits
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise CliError(EXIT_PARSE, "usage", f"cannot read config {path}: {exc}")
     if not isinstance(data, dict):
         raise CliError(EXIT_PARSE, "usage", "config file must hold a JSON object")
@@ -99,7 +100,12 @@ def _parse_int(text: str) -> Optional[int]:
     """An ASCII decimal integer, surrounding whitespace stripped as
     ``parse_rational`` strips it; None for anything else."""
     text = text.strip(string.whitespace)
-    return int(text) if _INT.match(text) else None
+    if _INT.match(text):
+        try:
+            return int(text)
+        except ValueError:  # more digits than int() converts
+            pass
+    return None
 
 
 def _n_flag(text: str) -> int:

@@ -37,9 +37,11 @@ and one exact polynomial division for the new diagonal,
             + y^{[-c_k]_+} prod_i F_i^{[-b_ik]_+}) / F_k.
 
 No gcd is taken on the flip path.  A label becomes a rational function
-only when it is read, through the full-reduction constructor, so labels
-stay exact and canonical.  Both rules, written directly in sympy's
-polynomial arithmetic, are the test oracles in tests/oracles.py.
+only when it is read: its factors, a monomial and up to two F's a side,
+go to ``RationalFunction.from_factors``, which reduces them pair by pair,
+so labels stay exact and canonical with no gcd of an expanded product.
+Both rules, written directly in sympy's polynomial arithmetic, are the
+test oracles in tests/oracles.py.
 
 The side-pair assignment for shear is frozen by a fixture test, and it is
 the only one: swapping the pairs, that is negating b, gives this rule on
@@ -58,7 +60,12 @@ from fractions import Fraction
 from itertools import groupby
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from braidshear.algebra import Polynomial, RationalFunction, ZeroFunctionDivision
+from braidshear.algebra import (
+    Polynomial,
+    RationalFunction,
+    ZeroFunctionDivision,
+    poly_product,
+)
 from braidshear.braid import BraidWord, SlotConfig, compile_motion, initial_triangulation
 from braidshear.geometry import EdgeComplex
 from braidshear.kinetic import (
@@ -209,7 +216,7 @@ class ShearState:
             after, before = _neighbour_sides(tri, j)
             num.append(self.F[after])
             den.append(self.F[before])
-        return RationalFunction(_product(num), _product(den))
+        return RationalFunction.from_factors(num, den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ShearState):
@@ -226,14 +233,6 @@ _ONE = Polynomial.one()
 
 def _monomial(names: Tuple[str, ...], exps: Sequence[int]) -> Polynomial:
     return Polynomial(names, {tuple(exps): 1}) if any(exps) else _ONE
-
-
-def _product(factors: Sequence[Polynomial]) -> Polynomial:
-    out = _ONE
-    for f in factors:
-        if f != _ONE:
-            out = f if out == _ONE else out * f
-    return out
 
 
 def _neighbour_sides(tri: Tuple[int, int, int], edge: Edge) -> Tuple[Edge, Edge]:
@@ -264,7 +263,7 @@ def apply_shear_flip(state: ShearState, quad: Tuple[int, int, int, int]) -> Shea
     for j in shrink:
         c[j] = tuple(x + y for x, y in zip(c[j], pos))
     # b_ik = -b_ki: the grown sides enter the y^{[c_k]_+} term
-    total = _product([_monomial(state.names, pos)] + [F[j] for j in grow]) + _product(
+    total = poly_product([_monomial(state.names, pos)] + [F[j] for j in grow]) + poly_product(
         [_monomial(state.names, [-x for x in neg])] + [F[j] for j in shrink]
     )
     f_new = total.exact_div(F.pop(k))

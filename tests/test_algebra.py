@@ -92,40 +92,6 @@ def test_gcd_of_a_cross_sum_in_four_variables():
     assert poly_gcd(f.exact_div(h), g.exact_div(h)) == Polynomial.one()
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.data())
-def test_coprimality_certificate_is_sound(data):
-    # the certificate must never claim coprimality for inputs sharing a
-    # nonconstant factor: canonical forms silently break if it does
-    from braidshear.algebra import _certified_coprime
-
-    names = ["x", "y"]
-
-    def small_poly(min_terms=1):
-        terms = {}
-        for _ in range(data.draw(st.integers(min_terms, 3))):
-            exps = tuple(data.draw(st.integers(0, 2)) for _ in names)
-            terms[exps] = data.draw(st.integers(-3, 3))
-        return Polynomial(tuple(names), terms)
-
-    g = small_poly(min_terms=2)
-    if g.is_zero or g.is_constant:
-        return
-    f1 = g * small_poly()
-    f2 = g * small_poly()
-    if f1.is_zero or f2.is_zero:
-        return
-    pf1 = f1._div_int(f1.content())
-    pf2 = f2._div_int(f2.content())
-    if pf1.is_constant or pf2.is_constant:
-        return
-    common = set(pf1.vars) & set(pf2.vars)
-    shared_vars_of_g = set(g.vars) & common
-    if not shared_vars_of_g:
-        return
-    assert not _certified_coprime(pf1, pf2, common)
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_gcd_divides_and_cofactors_coprime(data):
@@ -292,46 +258,6 @@ def test_canonical_idempotence_and_eval_agreement(f, g):
         assert all(a == b for a, b in pole_free)
     if any(a != b for a, b in pole_free):
         assert f != g
-
-
-def _small_poly(draw, names=("w", "x", "y", "z"), max_terms=2, max_exp=1):
-    terms = {}
-    for _ in range(draw(st.integers(1, max_terms))):
-        exps = tuple(draw(st.integers(0, max_exp)) for _ in names)
-        terms[exps] = draw(st.integers(-4, 4))
-    return Polynomial(tuple(names), terms)
-
-
-def test_int_image_agrees_with_coefficient_evaluation():
-    from braidshear.algebra import _int_image
-
-    x, y, z = pvar("x"), pvar("y"), pvar("z")
-    p = (y - 3) * x * x + (z - y) * x + y * z - 7
-    # y = 3 kills the leading coefficient in x: no image
-    assert _int_image(p, "x", {"y": 3, "z": 5}) is None
-    assert _int_image(p, "x", {"y": 4, "z": 5}) == [13, 1, 1]
-    assert _int_image(p, "z", {"x": 2, "y": 3}) == [-13, 5]
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.data())
-def test_int_image_random(data):
-    from braidshear.algebra import _int_image
-
-    names = ("w", "x", "y")
-    p = _small_poly(data.draw, names=names, max_terms=5, max_exp=3)
-    if p.is_zero or not p.vars:
-        return
-    v = data.draw(st.sampled_from(p.vars))
-    point = {w: data.draw(st.integers(-3, 3)) for w in names if w != v}
-    # the reference: sympy's coefficients in v, with the point put in
-    at = {sp.Symbol(w): value for w, value in point.items()}
-    want = [c.subs(at) for c in reversed(sp.Poly(to_sympy(p), sp.Symbol(v)).all_coeffs())]
-    got = _int_image(p, v, point)
-    if want[-1] == 0:
-        assert got is None
-    else:
-        assert got == [int(c) for c in want]
 
 
 # -- rendering ------------------------------------------------------------

@@ -292,14 +292,61 @@ def test_config_unknown_key_rejected(tmp_path, capsys):
         {"n": 4, "epsilon": "x"},
         {"n": 4, "bulge": "x"},
         {"n": 4, "bulge": [1]},
+        pytest.param({"n": "9" * 5000}, id="n-past-int-digits"),
+        pytest.param({"n": 4, "epsilon": "1/" + "9" * 5000}, id="epsilon-past-int-digits"),
+        pytest.param(b'{"n": ' + b"9" * 5000 + b"}", id="json-past-int-digits"),
+        pytest.param(b'\xff\xfe{"n": 4}', id="not-utf-8"),
+        pytest.param(b"[" * 100000, id="past-recursion-limit"),
     ],
 )
 def test_bad_config_values_are_usage_errors(tmp_path, capsys, config):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(config))
+    cfg.write_bytes(config if isinstance(config, bytes) else json.dumps(config).encode())
     code, out, err = run(capsys, "invariant", "--system", "shear", "--config", str(cfg), "s1")
     assert code == 2 and out == ""
     assert json.loads(err)["error"]["kind"] == "usage"
+
+
+# small integers only: a config n of thousands of strands is valid and runs
+# for minutes
+_JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 8)
+    | st.floats()
+    | st.text(max_size=6)
+    | st.sampled_from(["4", " 5 ", "1/2", "-1/3", "0/1", "9" * 5000]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner),
+    max_leaves=8,
+)
+_CONFIG_CONTENTS = st.one_of(
+    st.binary(max_size=40),
+    _JSON_VALUES.map(lambda value: json.dumps(value).encode()),
+    # the config keys, each as often well formed as not
+    st.fixed_dictionaries(
+        {"n": st.integers(3, 6) | _JSON_VALUES},
+        optional={
+            "epsilon": st.sampled_from(["1/64", "1/2", 1]) | _JSON_VALUES,
+            "bulge": st.sampled_from(["1", "1/3", 2]) | _JSON_VALUES,
+        },
+    ).map(lambda value: json.dumps(value).encode()),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(contents=_CONFIG_CONTENTS)
+def test_any_config_contents_end_in_exit_0_or_2(tmp_path_factory, contents):
+    path = tmp_path_factory.mktemp("config") / "cfg.json"
+    path.write_bytes(contents)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["invariant", "--system", "shear", "--config", str(path), "s1"])
+    assert code in (0, 2), contents
+    if code == 2:
+        assert out.getvalue() == ""
+        *_, last, tail = err.getvalue().split("\n")
+        assert tail == ""
+        assert json.loads(last)["error"]["kind"] == "usage", contents
 
 
 def test_config_accepts_integer_strings_and_rationals(tmp_path, capsys):

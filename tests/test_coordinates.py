@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -266,6 +267,48 @@ def test_inexact_f_polynomial_division_is_an_internal_error():
     broken = ShearState(seed.complex, seed.names, seed.c, F)
     with pytest.raises(coordinates.InternalInvariantError):
         apply_shear_flip(broken, (1, 2, 3, 4))
+
+
+def test_labels_reduce_planted_common_factors_pair_by_pair():
+    # F's that share nonconstant factors and integer contents, across
+    # several numerator-denominator pairs, so the pairwise reduction runs;
+    # the F's of flipped seeds are coprime in practice
+    seed = square_shear()
+    y12, y13, y14, y23, y34 = (pvar(*e) for e in [(1, 2), (1, 3), (1, 4), (2, 3), (3, 4)])
+    u, v, w = 1 + y12, 1 + y23 + y34, 1 + y14 * y13
+    F = {
+        (1, 2): 2 * u * v,
+        (2, 3): 6 * u * w,
+        (3, 4): 4 * v * w,
+        (1, 4): 3 * y13 * v,
+        (1, 3): 10 * u * w,
+    }
+    # over the seed names a_{1,2}, a_{1,3}, a_{1,4}, a_{2,3}, a_{3,4}
+    c = {
+        (1, 2): (0, -1, 2, 0, 0),
+        (1, 3): (0, 1, 0, 0, -1),
+        (1, 4): (1, 0, -1, 0, 1),
+        (2, 3): (0, 0, 0, -1, 0),
+        (3, 4): (-2, 1, 0, 0, 0),
+    }
+    # (sides after the edge, sides before it) in the triangles (1, 2, 3), (1, 3, 4)
+    sides = {
+        (1, 2): ([(2, 3)], [(1, 3)]),
+        (2, 3): ([(1, 3)], [(1, 2)]),
+        (1, 3): ([(1, 2), (3, 4)], [(2, 3), (1, 4)]),
+        (3, 4): ([(1, 4)], [(1, 3)]),
+        (1, 4): ([(1, 3)], [(3, 4)]),
+    }
+    state = ShearState(seed.complex, seed.names, c, F)
+    for edge, (after, before) in sides.items():
+        num = Polynomial(seed.names, {tuple(max(x, 0) for x in c[edge]): 1})
+        den = Polynomial(seed.names, {tuple(max(-x, 0) for x in c[edge]): 1})
+        want = RationalFunction(
+            math.prod((F[s] for s in after), start=num),
+            math.prod((F[s] for s in before), start=den),
+        )
+        got = state.label(edge)
+        assert (got.num, got.den) == (want.num, want.den), edge
 
 
 def test_shear_state_equality_falls_back_to_labels():

@@ -437,7 +437,8 @@ class Polynomial:
         Johnson's heap division: the products of the quotient terms found
         so far with the divisor's lower terms are merged through a heap in
         which products of one monomial share an entry (Monagan and Pearce's
-        chaining), so the remainder is never rescanned.
+        chaining), so the remainder is never rescanned.  A monomial divisor,
+        as each Ptolemy flip has, divides term by term instead.
         """
         if divisor.is_zero:
             raise AlgebraError("division by the zero polynomial")
@@ -446,6 +447,14 @@ class Polynomial:
         ring = self._common_ring(self, divisor)
         a, b = self._packed_in(ring), divisor._packed_in(ring)
         guards = ring.guards
+        if len(b) == 1:
+            ((kb, cb),) = b.items()
+            out = {}
+            for k, c in a.items():
+                if (k - kb) & guards or c % cb:
+                    return None
+                out[k - kb] = c // cb
+            return _poly(ring, out)
         dkeys = sorted(b, reverse=True)
         dcoeffs = [b[k] for k in dkeys]
         lead, cl = dkeys[0], dcoeffs[0]
@@ -508,9 +517,10 @@ def _monomial_gcd(mono: Polynomial, other: Polynomial) -> Polynomial:
 def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     """Full gcd over Z (integer content included), leading coefficient > 0.
 
-    Fast paths: content, constants and monomials; the complete route is
-    the heuristic gcd, which recurses on the images at an integer point of
-    one variable.
+    Fast paths: content, constants, monomials (before the variables of
+    either operand are scanned) and disjoint variables; the complete route
+    is the heuristic gcd, which recurses on the images at an integer point
+    of one variable.
     """
     if f.is_zero:
         return _positive_lead(g) if not g.is_zero else Polynomial.zero()
@@ -523,13 +533,13 @@ def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
         return Polynomial.constant(c)
     if pf == pg or pf == -pg:
         return Polynomial.constant(c) * _positive_lead(pf)
-    common = set(pf.vars) & set(pg.vars)
-    if not common:
-        return Polynomial.constant(c)
     if pf.is_monomial:
         return Polynomial.constant(c) * _monomial_gcd(pf, pg)
     if pg.is_monomial:
         return Polynomial.constant(c) * _monomial_gcd(pg, pf)
+    common = set(pf.vars) & set(pg.vars)
+    if not common:
+        return Polynomial.constant(c)
 
     # the variable of least degree keeps the integers of the images small
     x = min(common, key=lambda v: (max(pf.degree_in(v), pg.degree_in(v)), _name_key(v)))

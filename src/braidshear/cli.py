@@ -169,9 +169,11 @@ def _write_output(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _run_invariant(word_text: str, cfg: SlotConfig, system: LabelSystem) -> InvariantMap:
+def _run_invariant(
+    word_text: str, cfg: SlotConfig, system: LabelSystem, stage_walls: Optional[dict] = None
+) -> InvariantMap:
     word = _parse_word(word_text, cfg.n)
-    return run_invariant(word, cfg, system)
+    return run_invariant(word, cfg, system, stage_walls=stage_walls)
 
 
 def _cmd_invariant(args) -> int:
@@ -185,8 +187,10 @@ def _cmd_invariant(args) -> int:
 def _cmd_equal(args) -> int:
     cfg = _resolve_config(args)
     system = LabelSystem(args.system)
-    inv_a = _run_invariant(args.word_a, cfg, system)
-    inv_b = _run_invariant(args.word_b, cfg, system)
+    # the two words share the walls of every stage they have in common
+    stage_walls: dict = {}
+    inv_a = _run_invariant(args.word_a, cfg, system, stage_walls)
+    inv_b = _run_invariant(args.word_b, cfg, system, stage_walls)
     if invariants_equal(inv_a, inv_b):
         _write_output(args, "EQUAL\n")
         return EXIT_OK

@@ -84,15 +84,24 @@ class InternalInvariantError(Exception):
     """The pipeline violated one of its own certified invariants."""
 
 
+MAX_STRANDS = 64
+
+
 class StrandCountError(ValueError):
-    """Fewer strands than a triangulation needs."""
+    """Fewer strands than a triangulation needs, or more than
+    ``MAX_STRANDS``."""
 
 
 def check_strand_count(n: int) -> None:
+    """Reject n < 3, which has no triangulation, and n > ``MAX_STRANDS``:
+    a motion's stages hold O(n^4) event polynomials each, so a stray large
+    n would exhaust memory instead of failing."""
     if n < 3:
         raise StrandCountError(
             f"n={n} is rejected: a Delaunay triangulation needs at least 3 strands"
         )
+    if n > MAX_STRANDS:
+        raise StrandCountError(f"n={n} is rejected: at most {MAX_STRANDS} strands are supported")
 
 
 class LabelSystem(enum.Enum):
@@ -153,14 +162,13 @@ def apply_ptolemy_flip(state: LabelState, quad: Tuple[int, int, int, int]) -> La
     if x.is_zero:
         raise ZeroFunctionDivision(f"flip of the diagonal {(u, w)} labelled 0")
     m = x.num.monomial_part()
-    q = (a.num * c.num * (b.den * d.den) + b.num * d.num * (a.den * c.den)).exact_div(
-        x.num.exact_div(m)
-    )
+    bd, ac = b.den * d.den, a.den * c.den
+    q = (a.num * c.num * bd + b.num * d.num * ac).exact_div(x.num.exact_div(m))
     if q is None:
         raise InternalInvariantError(f"Ptolemy division inexact at flip of {(u, w)}")
     labels = dict(state.labels)
     del labels[_norm((u, w))]
-    labels[_norm((v, z))] = RationalFunction(q * x.den, a.den * b.den * c.den * d.den * m)
+    labels[_norm((v, z))] = RationalFunction(q * x.den, ac * bd * m)
     return LabelState(state.complex.flip((u, w), quad), labels)
 
 
@@ -393,6 +401,8 @@ def run_invariant(
     word: BraidWord,
     cfg: SlotConfig,
     system: LabelSystem,
+    *,
+    stage_walls: Optional[dict] = None,
 ) -> InvariantMap:
     """Compute T(word): seed slot-edge variables, push them through the
     certified flip sequence, and re-key the final labels to slot edges via
@@ -401,7 +411,8 @@ def run_invariant(
     A degeneracy error retries at the bulge plus each ``DEFAULT_JITTER``
     offset in turn, skipping any that would make the bulge non-positive;
     isotopic motions compute the same map, so the perturbed run yields the
-    same result.
+    same result.  ``stage_walls`` is handed to ``detect_flips``, so that
+    calls sharing it build the walls of each distinct stage once.
     """
     check_strand_count(cfg.n)
     tri0, _ = initial_triangulation(cfg)
@@ -411,7 +422,7 @@ def run_invariant(
     for attempt_cfg in attempts:
         motion, perm = compile_motion(word, attempt_cfg)
         try:
-            events = detect_flips(motion, tri0)
+            events = detect_flips(motion, tri0, stage_walls=stage_walls)
             break
         except DegeneracyError as exc:
             error = exc

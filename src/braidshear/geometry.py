@@ -214,8 +214,22 @@ class EdgeComplex:
         old = {_canonical((u, v, w)), _canonical((u, w, z))}
         if not old <= self.triangles:
             raise MissingEdgeError(f"quad {quad} not found in complex")
-        new = (self.triangles - old) | {_canonical((u, v, z)), _canonical((v, w, z))}
-        return EdgeComplex(new)
+        left, right = _canonical((u, v, z)), _canonical((v, w, z))
+        new = (self.triangles - old) | {left, right}
+        if v == z:
+            return EdgeComplex(new)  # which reports the degenerate triangle
+        # only the six directed edges of the quad change hands, and (v, z)
+        # is new: the other diagonal is absent
+        directed = dict(self._dir)
+        del directed[w, u], directed[u, w]
+        for e in ((u, v), (v, z), (z, u)):
+            directed[e] = left
+        for e in ((v, w), (w, z), (z, v)):
+            directed[e] = right
+        out = object.__new__(EdgeComplex)
+        object.__setattr__(out, "triangles", new)
+        object.__setattr__(out, "_dir", directed)
+        return out
 
     def __repr__(self) -> str:
         return f"EdgeComplex({sorted(self.triangles)})"

@@ -19,7 +19,11 @@ strands), incircle (four strands) and squared-distance (collision)
 determinant is an integer polynomial numerator.  Its factors W are divided
 out exactly and the primitive part is kept, so no rational arithmetic
 enters their construction.  A stage builds its numerators, and its
-common denominator D, once.
+common denominator D, once.  The orient and incircle polynomials come
+from one Laplace expansion along the moving strands' rows: integer minors
+of the stationary strands, shared by both halves, weight polynomial
+minors of the movers, built once per half (see ``_stage_event_polys``).
+A collision is excluded by one integer resultant per strand pair.
 
 Every real root of every event polynomial in a stage is isolated in a
 bracket (a wall), and the brackets are refined until pairwise disjoint,
@@ -27,7 +31,8 @@ so each holds exactly one event time.  A wall isolated from a single
 polynomial is decided by that polynomial alone, its certificate, as in a
 kinetic data structure: the complex changes across the bracket exactly
 when the certificate's sign differs at the two ends (a root of even
-multiplicity is a touch, not a crossing) and its 4-subset is the quad
+multiplicity is a touch, not a crossing; the sign change is found once,
+when the stage's walls are built) and its 4-subset is the quad
 around an edge of the current complex, and the change is the flip of that
 edge.  Three kinds of wall fall back to rebuilding the complex by
 ``delaunay()`` at both bracket ends and classifying the difference:
@@ -40,10 +45,12 @@ where the transition merely reverses orientation).  Apart from these,
 
 A stage's walls (event polynomials, separated brackets, certificates)
 depend only on its set of trajectories, so each distinct stage's walls are
-built once per ``detect_flips`` call.  A repeat (a repeated braid letter)
+built once per ``detect_flips`` call, or once per memo a caller shares
+between calls (``equal`` shares one between its two words).  A repeat
 takes them with each certificate's strands relabeled by the trajectory
-they follow, and then every wall is decided on the current complex as for
-a first occurrence, fallback walls and the stage-end check included.
+they follow (a repeated braid letter), and then every wall is decided on
+the current complex as for a first occurrence, fallback walls and the
+stage-end check included.
 
 Two detector backends share one contract: ``sturm`` is the certified
 detector above (complete); ``bisect`` samples a grid and bisects intervals
@@ -56,7 +63,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
 from math import lcm
 from operator import mul
@@ -158,7 +165,7 @@ class Stage:
         return coords * lcm(*(a.scale.denominator for a in arcs))
 
     @cached_property
-    def numerators(self) -> Tuple[Dict[int, _Lifted], ...]:
+    def numerators(self) -> Tuple[Dict[int, Tuple[List[int], List[int]]], ...]:
         """``_homogeneous_positions`` of both half-stages, built once."""
         return (_homogeneous_positions(self, 0), _homogeneous_positions(self, 1))
 
@@ -214,7 +221,7 @@ def _lattice_points(
     st = motion.stages[stage]
     points = [
         (s, Point(sum(map(mul, xs, basis)), sum(map(mul, ys, basis))))
-        for s, (xs, ys, _) in sorted(st.numerators[half].items())
+        for s, (xs, ys) in sorted(st.numerators[half].items())
     ]
     return points, st.denominator * sum(map(mul, _HALF_COS_SIN[half][0], basis))
 
@@ -263,12 +270,21 @@ def augmented_at(motion: Motion, stage: int, t: Fraction) -> EdgeComplex:
 # On half-stage h every strand sits at (X(t), Y(t)) / (D * W) with D the
 # stage's common denominator and W, X, Y integer polynomials of degree <= 2
 # in stage time t (the tangent-half-angle u = 2t - h substituted once, in
-# the constants below), lifted once to (X, Y, X^2 + Y^2): an incircle
-# determinant is the orient determinant of the lifts, with no squared
-# differences per 4-subset.  Polynomials are dense int lists, ascending
-# degree.
+# the constants below).  Polynomials are dense int lists, ascending degree.
+#
+# A subset's event polynomial is the determinant of its rows in subset
+# order: (X, Y, 1) for the orient determinant of the three strands beside
+# the far vertex, (X, Y, X^2 + Y^2, 1) for the incircle determinant of four
+# strands.  Scaling the columns by (1, 1, W), or (W, W, 1, W^2), turns a
+# stationary row into a power of W times the integer row (x, y, 1), or
+# (x, y, x^2 + y^2, 1), and a mover's row into (X, Y, W), or (W X, W Y,
+# X^2 + Y^2, W^2).  Laplace expansion along the mover rows R then gives
+# the determinant, up to a power of W, as the sum over column sets C with
+# |C| = |R| of (-1)^(sum R + sum C) det(integer rows, columns not in C)
+# det(mover rows, columns C): integer weights, which depend only on the
+# subset and serve both halves, times the mover minors, built once per
+# half.  The powers of W go when W is divided out.
 
-_Lifted = Tuple[List[int], List[int], List[int]]  # (X, Y, X^2 + Y^2)
 # (W, cos, sin) numerators in t on each half of a half-turn: (1 + u^2,
 # 1 - u^2, 2u) at u = 2t, then (1 + u^2, -2u, 1 - u^2) / 2 at u = 2t - 1,
 # so that each W is primitive
@@ -276,6 +292,7 @@ _HALF_COS_SIN = (
     ([1, 0, 4], [1, 0, -4], [0, 4]),
     ([1, -2, 2], [1, -2], [0, 2, -2]),
 )
+_HALVES = ((Fraction(0), Fraction(1, 2)), (Fraction(1, 2), Fraction(1)))
 
 
 def _padd(a: List[int], b: List[int]) -> List[int]:
@@ -311,18 +328,22 @@ def _strip_w(a: List[int], half: int) -> List[int]:
     the result has the real roots of ``a`` (``[]`` for the zero
     polynomial)."""
     a = roots.normalize(a)
-    w = _HALF_COS_SIN[half][0]
+    _, w1, w2 = _HALF_COS_SIN[half][0]
     while len(a) >= 3:
-        q = roots.exact_quotient(a, w)
-        if q is None:
+        # a / W as a power series from the constant term up (W = 1 + w1 t +
+        # w2 t^2); W divides a when the two terms past the quotient vanish
+        q = [0, 0]
+        for c in a:
+            q.append(c - w1 * q[-1] - w2 * q[-2])
+        if q[-1] or q[-2]:
             break
-        a = q
+        a = q[2:-2]
     return a
 
 
-def _homogeneous_positions(stage: Stage, half: int) -> Dict[int, _Lifted]:
+def _homogeneous_positions(stage: Stage, half: int) -> Dict[int, Tuple[List[int], List[int]]]:
     """Integer numerators (X, Y) in t of every strand's position over
-    D * W on the half-stage, lifted to (X, Y, X^2 + Y^2)."""
+    D * W on the half-stage."""
     w, cos, sin = _HALF_COS_SIN[half]
     den = stage.denominator
 
@@ -343,26 +364,45 @@ def _homogeneous_positions(stage: Stage, half: int) -> Dict[int, _Lifted]:
             sx, sy = k * rx // traj.scale.denominator, k * ry // traj.scale.denominator
             xs = _padd(_padd(_pscale(w, cx), _pscale(cos, rx)), _pscale(sin, -sy))
             ys = _padd(_padd(_pscale(w, cy), _pscale(cos, ry)), _pscale(sin, sx))
-        out[strand] = (xs, ys, _padd(_pmul(xs, xs), _pmul(ys, ys)))
+        out[strand] = (xs, ys)
     return out
 
 
-def _orient_num(p, q, r) -> List[int]:
-    return _psub(
-        _pmul(_psub(q[0], p[0]), _psub(r[1], p[1])),
-        _pmul(_psub(q[1], p[1]), _psub(r[0], p[0])),
+def _det(rows: Sequence[Sequence[int]]) -> int:
+    if not rows:
+        return 1
+    return sum(
+        (-1) ** j * c * _det([r[:j] + r[j + 1:] for r in rows[1:]]) for j, c in enumerate(rows[0])
     )
 
 
-def _incircle_num(p, q, r, s) -> List[int]:
-    # The lifts' determinant along its third column.  |p|^2 - |s|^2 differs
-    # from |p - s|^2 by 2 (p - s) . s, a combination of the first two
-    # columns, so this is the incircle determinant of the plane points.
-    a2, b2, c2 = (_psub(v[2], s[2]) for v in (p, q, r))
-    return _padd(
-        _psub(_pmul(a2, _orient_num(s, q, r)), _pmul(b2, _orient_num(s, p, r))),
-        _pmul(c2, _orient_num(s, p, q)),
-    )
+@lru_cache(maxsize=4096)
+def _weights(rows: Tuple[Tuple[int, ...], ...], width: int) -> Tuple[int, ...]:
+    """(-1)^(sum C) det(rows, columns not in C) for every column set C of
+    the mover rows that complete ``rows`` to a square matrix; cached, as
+    stages of one motion share their stationary points."""
+    out = []
+    for cols in combinations(range(width), width - len(rows)):
+        k = _det([tuple(c for i, c in enumerate(r) if i not in cols) for r in rows])
+        out.append(-k if sum(cols) % 2 else k)
+    return tuple(out)
+
+
+def _minors(rows: Sequence[Sequence[List[int]]]) -> Dict[Tuple[int, ...], List[int]]:
+    """The determinants of ``rows`` (k rows of polynomials) on every k-set
+    of columns, in ``combinations`` order, by expansion along the first
+    row."""
+    if len(rows) == 1:
+        return {(c,): entry for c, entry in enumerate(rows[0])}
+    rest = _minors(rows[1:])
+    out = {}
+    for cols in combinations(range(len(rows[0])), len(rows)):
+        acc: List[int] = []
+        for j, c in enumerate(cols):
+            term = _pmul(rows[0][c], rest[cols[:j] + cols[j + 1:]])
+            acc = _psub(acc, term) if j % 2 else _padd(acc, term)
+        out[cols] = acc
+    return out
 
 
 def _stage_event_polys(
@@ -374,25 +414,52 @@ def _stage_event_polys(
     One polynomial per 4-subset of {far} + strands (with at least one
     moving finite member) and per half-stage; roots are the candidate
     event times, and the sign is that of the subset's orient or incircle
-    determinant.
+    determinant.  Each is a combination of the half's mover minors (see
+    above).
     """
     stage = motion.stages[stage_idx]
     movers = set(stage.movers())
     if not movers:
         return []
+    # the integer rows of the stationary strands, keyed (far subset, strand):
+    # their numerators are W x and W y, and W(0) = 1
+    fixed = {}
+    for s, (xs, ys) in stage.numerators[0].items():
+        if s not in movers:
+            x, y = xs[0], ys[0]
+            fixed[True, s], fixed[False, s] = (x, y, 1), (x, y, x * x + y * y, 1)
+    # per subset: whether it holds the far vertex, its movers, the weights
+    plan = []
+    for subset in combinations([FAR_VERTEX, *stage.strands()], 4):
+        far = subset[0] == FAR_VERTEX
+        strands = subset[1:] if far else subset
+        moving = tuple(s for s in strands if s in movers)
+        if not moving:
+            continue
+        rest = tuple(fixed[far, s] for s in strands if s not in movers)
+        weights = _weights(rest, 3 if far else 4)
+        if sum(i for i, s in enumerate(strands) if s in movers) % 2:
+            weights = tuple(-k for k in weights)
+        plan.append((subset, far, moving, weights))
     polys = []
-    ids = [FAR_VERTEX] + list(stage.strands())
-    for half, (d_lo, d_hi) in enumerate([(Fraction(0), Fraction(1, 2)), (Fraction(1, 2), Fraction(1))]):
-        pos = stage.numerators[half]
-        for subset in combinations(ids, 4):
-            finite = [s for s in subset if s != FAR_VERTEX]
-            if not (set(finite) & movers):
-                continue
-            if FAR_VERTEX in subset:
-                det = _orient_num(*(pos[s] for s in finite))
-            else:
-                det = _incircle_num(*(pos[s] for s in finite))
-            coeffs = _strip_w(det, half)
+    for half, (d_lo, d_hi) in enumerate(_HALVES):
+        w = _HALF_COS_SIN[half][0]
+        w2 = _pmul(w, w)
+        rows = {}  # the movers' rows, keyed like ``fixed``
+        for s in movers:
+            xs, ys = stage.numerators[half][s]
+            z = _padd(_pmul(xs, xs), _pmul(ys, ys))
+            rows[True, s] = (xs, ys, w)
+            rows[False, s] = (_pmul(w, xs), _pmul(w, ys), z, w2)
+        # (far, movers) -> the coefficients of their minors, one tuple per
+        # degree, column sets in the order of the weights
+        columns: Dict[Tuple[bool, Tuple[int, ...]], list] = {}
+        for subset, far, moving, weights in plan:
+            cols = columns.get((far, moving))
+            if cols is None:
+                minors = _minors([rows[far, s] for s in moving])
+                cols = columns[far, moving] = list(zip(*minors.values()))
+            coeffs = _strip_w([sum(map(mul, weights, col)) for col in cols], half)
             if not coeffs:
                 raise DegeneracyError(
                     f"stage {stage_idx}: subset {subset} degenerate throughout"
@@ -427,6 +494,11 @@ def _check_collisions(motion: Motion, stage_idx: int) -> None:
     for half, i, j, dx, dy in _collision_polys(motion, stage_idx):
         if not any(dx) and not any(dy):
             raise CollisionError(f"strands {i} and {j} coincide throughout stage {stage_idx}")
+        # dx and dy have degree <= 2; a nonzero resultant of that formal
+        # degree means they share no root at all
+        (a0, a1, a2), (b0, b1, b2) = (list(p) + [0] * (3 - len(p)) for p in (dx, dy))
+        if (a2 * b0 - a0 * b2) ** 2 != (a2 * b1 - a1 * b2) * (a1 * b0 - a0 * b1):
+            continue
         if roots.has_common_root_in(dx, dy, Fraction(half, 2), Fraction(half + 1, 2)):
             raise CollisionError(f"strands {i} and {j} collide during stage {stage_idx}")
 
@@ -438,17 +510,19 @@ class _Wall:
     A wall isolated from a single event polynomial carries its
     certificate ``(subset, coeffs)``: the polynomial's 4-subset and the
     signed polynomial itself, not made squarefree.  Merged and exact walls
-    carry none.
+    carry none.  ``crosses`` tells, once the brackets are final, whether
+    the certificate changes sign across the bracket.
     """
 
-    __slots__ = ("poly", "lo", "hi", "exact", "cert")
+    __slots__ = ("poly", "lo", "hi", "exact", "cert", "crosses")
 
-    def __init__(self, poly, lo, hi, exact=None, cert=None):
+    def __init__(self, poly, lo, hi, exact=None, cert=None, crosses=False):
         self.poly = poly
         self.lo = lo
         self.hi = hi
         self.exact = exact
         self.cert = cert
+        self.crosses = crosses
 
     def shrink(self, width: Fraction) -> None:
         if self.exact is not None:
@@ -481,11 +555,12 @@ def _stage_walls(motion: Motion, stage_idx: int) -> List[_Wall]:
     walls: List[_Wall] = []
     half_mark = Fraction(1, 2)
     mid_seen = False
-    for coeffs, d_lo, d_hi, subset in _stage_event_polys(motion, stage_idx):
-        # not made squarefree: isolate_roots counts distinct roots anyway
-        poly = work = roots.normalize(coeffs)
+    for poly, d_lo, d_hi, subset in _stage_event_polys(motion, stage_idx):
+        # primitive already, and not made squarefree: isolate_roots counts
+        # distinct roots anyway
+        work = poly
         for boundary in (d_lo, d_hi):
-            while roots.degree(work) >= 1 and roots.evaluate(work, boundary) == 0:
+            while len(work) >= 2 and roots._is_root(work, boundary):
                 if boundary in (Fraction(0), Fraction(1)):
                     raise DegeneracyError(
                         f"stage {stage_idx}: event exactly at a stage boundary"
@@ -494,19 +569,35 @@ def _stage_walls(motion: Motion, stage_idx: int) -> List[_Wall]:
                 if not mid_seen:
                     walls.append(_Wall(poly, half_mark, half_mark, exact=half_mark))
                     mid_seen = True
-        if roots.degree(work) >= 1:
+        if len(work) >= 2:
             for iso in roots.isolate_roots(work, d_lo, d_hi):
                 walls.append(_Wall(work, iso.lo, iso.hi, cert=(subset, poly)))
     for wall in walls:
         wall.shrink(DEFAULT_MIN_BRACKET)
-    return _separate_walls(walls, DEFAULT_MIN_BRACKET)
+    walls = _separate_walls(walls, DEFAULT_MIN_BRACKET)
+    for wall in walls:
+        if wall.cert is not None:
+            poly, lo, hi = wall.cert[1], wall.lo, wall.hi
+            # a root of even multiplicity is a touch: no sign change, no flip
+            wall.crosses = (roots._value(poly, lo.numerator, lo.denominator) > 0) != (
+                roots._value(poly, hi.numerator, hi.denominator) > 0
+            )
+    return walls
 
 
 def _separate_walls(walls: List[_Wall], w_min: Fraction) -> List[_Wall]:
     """Refine brackets until pairwise disjoint, merging exactly equal
     event times (they remain one bracket holding several flips)."""
     for _ in range(200):
-        walls.sort(key=lambda w: (w.lo, w.hi))
+        # (lo, hi) as integers over one denominator sort much faster than
+        # as Fractions, in the same order
+        den = lcm(*(x.denominator for w in walls for x in (w.lo, w.hi)))
+        walls.sort(
+            key=lambda w: (
+                w.lo.numerator * (den // w.lo.denominator),
+                w.hi.numerator * (den // w.hi.denominator),
+            )
+        )
         overlap = None
         for a, b in zip(walls, walls[1:]):
             if b.lo < a.hi:
@@ -613,12 +704,9 @@ def _certified_flips(current: EdgeComplex, wall: _Wall) -> Optional[List[_Flip]]
     """
     if wall.cert is None:
         return None
-    subset, poly = wall.cert
-    lo, hi = wall.lo, wall.hi
-    if (roots._value(poly, lo.numerator, lo.denominator) > 0) == (
-        roots._value(poly, hi.numerator, hi.denominator) > 0
-    ):
+    if not wall.crosses:
         return []
+    subset = wall.cert[0]
     members = set(subset)
     for edge in combinations(subset, 2):
         if not current.has_edge(edge):
@@ -641,7 +729,7 @@ def _relabeled_walls(walls: List[_Wall], first: Stage, stage: Stage) -> List[_Wa
     out = []
     for w in walls:
         cert = w.cert and (tuple(sorted(sigma[v] for v in w.cert[0])), w.cert[1])
-        out.append(_Wall(w.poly, w.lo, w.hi, w.exact, cert))
+        out.append(_Wall(w.poly, w.lo, w.hi, w.exact, cert, w.crosses))
     return out
 
 
@@ -708,6 +796,7 @@ def detect_flips(
     initial: Triangulation,
     *,
     detector: str = "sturm",
+    stage_walls: Optional[dict] = None,
 ) -> List[FlipEvent]:
     """Certified, time-ordered flip events of the hull-closure complex.
 
@@ -719,7 +808,10 @@ def detect_flips(
 
     The walls of each distinct stage are built once; a repeat reuses them
     under a strand relabeling and decides them on its own complex (see the
-    module docstring).  ``detector="bisect"`` detects every stage afresh.
+    module docstring).  ``stage_walls``, a dict the caller owns, extends
+    that to several calls: it is keyed by each stage's set of
+    trajectories, which fixes its geometry, bulge included.
+    ``detector="bisect"`` detects every stage afresh.
     """
     if detector not in ("sturm", "bisect"):
         raise KineticError(f"unknown detector {detector!r}")
@@ -730,7 +822,7 @@ def detect_flips(
     current = augment(initial)
     events: List[FlipEvent] = []
     # stage trajectories -> (walls of the first occurrence, that stage)
-    walls_of: Dict[frozenset, Tuple[List[_Wall], Stage]] = {}
+    walls_of = {} if stage_walls is None else stage_walls
     for stage_idx, stage in enumerate(motion.stages):
         if detector == "bisect":
             current = _detect_stage_bisect(motion, stage_idx, current, events)
@@ -739,7 +831,9 @@ def detect_flips(
             if key not in walls_of:
                 _check_collisions(motion, stage_idx)
                 walls_of[key] = (_stage_walls(motion, stage_idx), stage)
-            walls = _relabeled_walls(*walls_of[key], stage)
+            walls, first = walls_of[key]
+            if first is not stage:
+                walls = _relabeled_walls(walls, first, stage)
             current = _detect_stage_sturm(motion, stage_idx, current, events, walls)
         if not current.same_triangles(augmented_at(motion, stage_idx, Fraction(1))):
             raise KineticError(f"stage {stage_idx}: end complex mismatch")

@@ -12,6 +12,12 @@ q^d * f(p/q).
 
 The isolation API guarantees open intervals whose endpoints are not roots
 and that contain exactly one root each, refinable to any requested width.
+Isolation and refinement return exactly the intervals of the plain Sturm
+recursion and of plain bisection, with less work: isolation decides an
+interval by Descartes' rule of signs when that count is 0 or 1, and by
+the Sturm count otherwise; refinement of a root of degree 1 or 2 computes
+its last bisection cell from the exact root (``math.isqrt``), checks it by
+two signs and bisects only when the check fails.
 """
 
 from __future__ import annotations
@@ -185,12 +191,36 @@ def _split_point(f: Coeffs, lo: Fraction, hi: Fraction) -> Fraction:
         k += 2
 
 
+def _descartes_signs(f: Coeffs, lo: Fraction, hi: Fraction) -> int:
+    """Sign variations of (1 + x)^d f((lo + hi x) / (1 + x)), capped at 2:
+    x > 0 maps onto (lo, hi), so by Descartes' rule 0 or 1 is the number of
+    roots there, multiplicities counted (Collins and Akritas, SYMSAC 1976).
+    Its end coefficients are positive multiples of f(lo) and f(hi), so an
+    end that is a root raises."""
+    p, q = lo.numerator * hi.denominator, hi.numerator * lo.denominator
+    den = lo.denominator * hi.denominator
+    # homogeneous Horner in p + q x and den (1 + x), whose powers are u
+    g, u = [f[-1]], [1]
+    for c in reversed(f[:-1]):
+        u = [den * (a + b) for a, b in zip(u + [0], [0] + u)]
+        g = [p * a + q * b + c * v for a, b, v in zip(g + [0], [0] + g, u)]
+    if not g[0] or not g[-1]:
+        raise RootIsolationError("endpoint is a root; deflate first")
+    signs = [a > 0 for a in g if a]
+    return min(2, sum(a != b for a, b in zip(signs, signs[1:])))
+
+
 def isolate_roots(coeffs: Sequence, lo: Fraction, hi: Fraction) -> List[IsolatedRoot]:
     """Isolate the real roots inside the open interval (lo, hi).
 
     Preconditions: lo < hi and neither endpoint is a root.  Returns
     disjoint open intervals in increasing order, one root each, whose
     endpoints are not roots.
+
+    Each interval is first tested by Descartes' rule, whose counts 0 and 1
+    are exact; only at two or more sign variations does the Sturm count,
+    whose chain is built on first use, decide.  So every interval is the
+    one the Sturm recursion alone gives.
 
     The chain is built on ``coeffs`` as given, squarefree or not: it ends
     in gcd(f, f'), and dividing every member by that common factor, which
@@ -200,12 +230,14 @@ def isolate_roots(coeffs: Sequence, lo: Fraction, hi: Fraction) -> List[Isolated
     f = normalize(coeffs)
     if degree(f) < 1:
         return []
-    if _is_root(f, lo) or _is_root(f, hi):
-        raise RootIsolationError("endpoint is a root; deflate first")
-    chain = sturm_chain(f)
+    chain: List[Coeffs] = []
 
     def recurse(a: Fraction, b: Fraction) -> List[IsolatedRoot]:
-        count = _variations(chain, a) - _variations(chain, b)
+        count = _descartes_signs(f, a, b)
+        if count == 2:
+            if not chain:
+                chain.extend(sturm_chain(f))
+            count = _variations(chain, a) - _variations(chain, b)
         if count == 0:
             return []
         if count == 1:
@@ -225,6 +257,9 @@ def refine_root(coeffs: Sequence, root: IsolatedRoot, width: Fraction) -> Isolat
     its root there has odd multiplicity, and bisecting f itself takes the
     same steps as bisecting its squarefree part; only a root of even
     multiplicity needs ``squarefree_part``.
+
+    For degree 1 and 2 the last cell is computed directly (``_root_cell``)
+    and bisection runs only when that cell fails its check.
     """
     f = normalize(coeffs)
     lo, hi = root
@@ -239,6 +274,12 @@ def refine_root(coeffs: Sequence, root: IsolatedRoot, width: Fraction) -> Isolat
         raise RootIsolationError("isolating interval endpoint is a root")
     positive = v_lo > 0
     wn, wd = width.numerator, width.denominator
+    # the number of halvings: the least k with (b - a) / (den 2^k) < width
+    steps = ((b - a) * wd // (wn * den)).bit_length()
+    if steps and 2 <= len(f) <= 3:
+        cell = _root_cell(f, a, b, den, steps, positive)
+        if cell is not None:
+            return cell
     while (b - a) * wd >= wn * den:
         mid = a + b
         a, b, den = 2 * a, 2 * b, 2 * den
@@ -252,6 +293,41 @@ def refine_root(coeffs: Sequence, root: IsolatedRoot, width: Fraction) -> Isolat
         else:
             b = mid
     return IsolatedRoot(Fraction(a, den), Fraction(b, den))
+
+
+def _root_cell(
+    f: Coeffs, a: int, b: int, den: int, steps: int, positive: bool
+) -> Optional[IsolatedRoot]:
+    """The one of 2^steps equal cells of (a/den, b/den) that holds the root
+    of f (degree 1 or 2, changing sign there), from the exact root; None
+    when its ends fail the sign check, as when the root is one of them.
+    The check makes it bisection's cell: the interval holds one root, the
+    cell brackets it and no grid point is it, so every step keeps it."""
+    scale = den << steps
+    if len(f) == 2:  # the root -f0/f1
+        num, cut = -f[0] * scale, f[1]
+    else:
+        c0, c1, c2 = f if f[2] > 0 else [-c for c in f]
+        # the smaller root where f starts on the sign of its leading term
+        disc = (c1 * c1 - 4 * c0 * c2) * scale * scale
+        if disc < 0:
+            return None
+        s = math.isqrt(disc)
+        if positive == (f[2] > 0):
+            num = -c1 * scale - s - (s * s != disc)
+        else:
+            num = -c1 * scale + s
+        cut = 2 * c2
+    # floor(root * scale), then the index of its cell
+    j = (num // cut - (a << steps)) // (b - a)
+    if not 0 <= j < 1 << steps:
+        return None
+    left = (a << steps) + j * (b - a)
+    right = left + (b - a)
+    v_left, v_right = _value(f, left, scale), _value(f, right, scale)
+    if v_left == 0 or v_right == 0 or (v_left > 0) != positive or (v_right > 0) == positive:
+        return None
+    return IsolatedRoot(Fraction(left, scale), Fraction(right, scale))
 
 
 def count_roots_closed(coeffs: Sequence, lo: Fraction, hi: Fraction) -> int:

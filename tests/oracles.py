@@ -14,6 +14,7 @@ from sympy import ZZ
 from sympy.polys.fields import field
 from sympy.polys.rings import ring
 
+from braidshear import roots
 from braidshear.algebra import Polynomial
 from braidshear.braid import compile_motion, initial_triangulation, slot_position
 from braidshear.coordinates import LabelSystem, seed_state
@@ -23,8 +24,13 @@ from braidshear.kinetic import (
     DegeneracyError,
     KineticError,
     Stationary,
+    _HALF_COS_SIN,
+    _HALVES,
     _apply_transition,
     _check_collisions,
+    _padd,
+    _pmul,
+    _psub,
     _stage_walls,
     augment,
     augmented_at,
@@ -143,6 +149,94 @@ def full_recompute_detect_flips(motion, initial):
         if not current.same_triangles(augmented_at(motion, stage_idx, Fraction(1))):
             raise KineticError(f"stage {stage_idx}: end complex mismatch")
     return events
+
+
+# -- event polynomials by one determinant per subset ---------------------------
+
+
+def _orient_num(p, q, r):
+    return _psub(
+        _pmul(_psub(q[0], p[0]), _psub(r[1], p[1])),
+        _pmul(_psub(q[1], p[1]), _psub(r[0], p[0])),
+    )
+
+
+def _incircle_num(p, q, r, s):
+    # the lifts' determinant along its third column: |p|^2 - |s|^2 differs
+    # from |p - s|^2 by 2 (p - s) . s, a combination of the first two
+    # columns, so this is the incircle determinant of the plane points
+    a2, b2, c2 = (_psub(v[2], s[2]) for v in (p, q, r))
+    return _padd(
+        _psub(_pmul(a2, _orient_num(s, q, r)), _pmul(b2, _orient_num(s, p, r))),
+        _pmul(c2, _orient_num(s, p, q)),
+    )
+
+
+def _strip_w_by_division(a, half):
+    """The primitive part of ``a`` with every factor W of the half divided
+    out by long division."""
+    a = roots.normalize(a)
+    while len(a) >= 3:
+        q = roots.exact_quotient(a, _HALF_COS_SIN[half][0])
+        if q is None:
+            break
+        a = q
+    return a
+
+
+def generic_stage_event_polys(motion, stage_idx):
+    """``kinetic._stage_event_polys`` computed subset by subset: the orient
+    or incircle determinant of the lifted numerators (X, Y, X^2 + Y^2) of
+    its strands, W factors divided out by long division."""
+    stage = motion.stages[stage_idx]
+    movers = set(stage.movers())
+    if not movers:
+        return []
+    polys = []
+    ids = [FAR_VERTEX] + list(stage.strands())
+    for half, (d_lo, d_hi) in enumerate(_HALVES):
+        pos = {
+            s: (xs, ys, _padd(_pmul(xs, xs), _pmul(ys, ys)))
+            for s, (xs, ys) in stage.numerators[half].items()
+        }
+        for subset in combinations(ids, 4):
+            finite = [s for s in subset if s != FAR_VERTEX]
+            if not (set(finite) & movers):
+                continue
+            if FAR_VERTEX in subset:
+                det = _orient_num(*(pos[s] for s in finite))
+            else:
+                det = _incircle_num(*(pos[s] for s in finite))
+            coeffs = _strip_w_by_division(det, half)
+            if not coeffs:
+                raise DegeneracyError(f"stage {stage_idx}: subset {subset} degenerate throughout")
+            if len(coeffs) > 1:
+                polys.append((coeffs, d_lo, d_hi, subset))
+    return polys
+
+
+# -- root isolation by Sturm counts alone --------------------------------------
+
+
+def sturm_isolate(coeffs, lo, hi):
+    """``roots.isolate_roots``'s recursion with every count taken from
+    sympy's distinct-root count: split at ``roots._split_point`` while an
+    interval holds two or more roots."""
+    f = sp.Poly(list(reversed(coeffs)), sp.Symbol("t"))
+
+    def count(a, b):  # neither end is a root, so open and closed agree
+        return f.count_roots(sp.Rational(a.numerator, a.denominator), sp.Rational(b.numerator, b.denominator))
+
+    def recurse(a, b):
+        k = count(a, b)
+        if k == 0:
+            return []
+        if k == 1:
+            return [roots.IsolatedRoot(a, b)]
+        mid = roots._split_point(roots.normalize(coeffs), a, b)
+        return recurse(a, mid) + recurse(mid, b)
+
+    return recurse(lo, hi)
 
 
 # -- arc safety of the compiled motion ----------------------------------------

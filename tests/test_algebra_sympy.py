@@ -131,6 +131,8 @@ def test_kernel_arithmetic_matches_sympy(f, g, power):
 @given(kernel_polys(st.integers(0, 3)), kernel_polys(st.integers(0, 3)))
 @example(from_sympy(X**3 * Z), from_sympy(X * Y**2))
 @example(from_sympy(X**3 * Z + Y), from_sympy(X * Y**2 + 1))
+@example(from_sympy(6 * X**2 * Y - 4 * X * Z), from_sympy(-2 * X))  # by a monomial
+@example(from_sympy(6 * X**2 * Y - 3 * X * Z), from_sympy(2 * X))  # a coefficient is not
 def test_kernel_exact_div_matches_sympy(f, g):
     # None exactly when g does not divide f over Z; a borrow between
     # fields (x^3*z / (x*y^2)) must not pass for divisibility.  Small

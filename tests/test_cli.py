@@ -191,6 +191,22 @@ def test_flips_n2_rejected(capsys):
     assert "at least 3" in payload["error"]["message"]
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_huge_n_is_a_usage_error(tmp_path, capsys, source):
+    # rejected before any slot is placed: building n = 10^8 points would
+    # exhaust memory
+    if source == "flag":
+        code, out, err = run(capsys, "flips", "--n", "100000000", "s1")
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": "100000000"}))
+        code, out, err = run(capsys, "flips", "--config", str(cfg), "s1")
+    assert code == 2 and out == ""
+    payload = json.loads(err)
+    assert payload["error"]["kind"] == "usage"
+    assert "at most 64 strands" in payload["error"]["message"]
+
+
 def test_flips_n3_swap_is_eventless(capsys):
     # three points always span a single Delaunay triangle, so a swap
     # produces no flips (regression fixture: count 0)
@@ -539,3 +555,16 @@ assert not loaded, loaded
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_equal_builds_the_walls_of_each_shared_stage_once(capsys, monkeypatch):
+    import braidshear.kinetic as kinetic
+
+    builds = []
+    real = kinetic._stage_walls
+    monkeypatch.setattr(
+        kinetic, "_stage_walls", lambda motion, k: builds.append(k) or real(motion, k)
+    )
+    code, out, _ = run(capsys, "equal", "--n", "4", "--system", "ptolemy", "s1 s2 s1", "s2 s1 s2")
+    assert (code, out) == (0, "EQUAL\n")
+    assert len(builds) == 2  # the stages of s1 and of s2

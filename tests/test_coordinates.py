@@ -690,7 +690,7 @@ def test_non_commuting_simultaneous_events_are_an_internal_error(monkeypatch):
     first = FlipEvent(0, Fraction(1, 4), Fraction(1, 3), (1, 3), base.quad_around((1, 3)))
     after = base.flip((1, 3), first.quad)
     second = first._replace(edge=(1, 4), quad=after.quad_around((1, 4)))
-    monkeypatch.setattr(coordinates, "detect_flips", lambda motion, initial: [first, second])
+    monkeypatch.setattr(coordinates, "detect_flips", lambda motion, initial, **_: [first, second])
     with pytest.raises(InternalInvariantError, match="do not commute"):
         run_invariant(parse_braid("s1", n=5), cfg, LabelSystem.PTOLEMY)
 
@@ -760,3 +760,41 @@ def test_run_invariant_rejects_two_strands_like_the_cli():
         with pytest.raises(StrandCountError, match="needs at least 3 strands"):
             run_invariant(word, SlotConfig(2), system)
     assert issubclass(StrandCountError, ValueError)
+
+
+def test_run_invariant_rejects_more_than_max_strands_like_the_cli():
+    n = coordinates.MAX_STRANDS + 1
+    word = parse_braid("s1", n=n)
+    for system in LabelSystem:
+        with pytest.raises(StrandCountError, match=f"at most {coordinates.MAX_STRANDS} strands"):
+            run_invariant(word, SlotConfig(n), system)
+    # the largest accepted n still runs
+    assert coordinates.check_strand_count(coordinates.MAX_STRANDS) is None
+
+
+def test_equal_shares_stage_walls_across_its_two_words(monkeypatch):
+    # the sides of a braid relation use the same letters, and a stage's walls
+    # depend only on its trajectories, so the second word builds none
+    import braidshear.kinetic as kinetic
+
+    builds = []
+    real = kinetic._stage_walls
+
+    def counting(motion, stage_idx):
+        builds.append(stage_idx)
+        return real(motion, stage_idx)
+
+    monkeypatch.setattr(kinetic, "_stage_walls", counting)
+    cfg = SlotConfig(4)
+    memo = {}
+    a = run_invariant(parse_braid("s1 s2 s1 s3'", n=4), cfg, LabelSystem.PTOLEMY, stage_walls=memo)
+    assert len(builds) == 3  # s1, s2 and s3' once each
+    b = run_invariant(parse_braid("s2 s1 s2 s3'", n=4), cfg, LabelSystem.PTOLEMY, stage_walls=memo)
+    assert len(builds) == 3
+    assert a.entries == b.entries
+    # without the memo each word builds its own
+    run_invariant(parse_braid("s2 s1 s2 s3'", n=4), cfg, LabelSystem.PTOLEMY)
+    assert len(builds) == 6
+    # a different bulge keys different stages
+    run_invariant(parse_braid("s1", n=4), cfg.with_bulge(Fraction(1, 2)), LabelSystem.PTOLEMY, stage_walls=memo)
+    assert len(builds) == 7

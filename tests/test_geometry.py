@@ -401,6 +401,22 @@ def test_flip_preserves_hull():
         assert flip(tri, edge).hull() == tri.hull()
 
 
+def test_flip_updates_the_directed_edges_as_a_rebuild_would():
+    # flip rewrites only the quad's directed edges; a complex built afresh
+    # from the flipped triangles must index every edge the same way
+    rng = random.Random(12)
+    complex_ = delaunay(random_generic_points(rng, 9)).complex
+    for _ in range(40):
+        edge = rng.choice(sorted(e for e in complex_.edges() if complex_.is_interior(e)))
+        try:
+            flipped = complex_.flip(edge, complex_.quad_around(edge))
+        except GeometryError:
+            continue
+        rebuilt = EdgeComplex(flipped.triangles)
+        assert flipped._dir == rebuilt._dir and flipped == rebuilt
+        complex_ = flipped
+
+
 def test_public_constructor_rejects_a_clockwise_triangle():
     from braidshear.geometry import GeometryError
 

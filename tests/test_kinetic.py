@@ -712,6 +712,68 @@ def test_event_polys_match_rational_function_oracle(bulge):
                 assert _proportional(_strip_w(_padd(_pmul(dx, dx), _pmul(dy, dy)), half), q)
 
 
+def _polys_or_error(build, motion, k):
+    try:
+        return build(motion, k)
+    except DegeneracyError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize(
+    "bulge", [Fraction(1), Fraction(1, 3), Fraction(3, 4), Fraction(5, 4), Fraction(2)], ids=str
+)
+def test_laplace_event_polys_equal_the_determinant_oracle(bulge):
+    # coefficients, signs, order and degeneracies of the one determinant
+    # per subset, on random words at n = 3-8
+    from braidshear.kinetic import _stage_event_polys
+    from oracles import generic_stage_event_polys
+
+    rng = random.Random(str(bulge))
+    for n in range(3, 9):
+        letters = [f"s{rng.randint(1, n - 1)}" + rng.choice(["", "'"]) for _ in range(2)]
+        cfg = SlotConfig(n, rng.choice([Fraction(1, 64), Fraction(1, 10)])).with_bulge(bulge)
+        motion, _ = compile_motion(parse_braid(" ".join(letters), n=n), cfg)
+        for k in range(len(motion.stages)):
+            ours = _polys_or_error(_stage_event_polys, motion, k)
+            assert ours == _polys_or_error(generic_stage_event_polys, motion, k), (letters, k)
+
+
+def test_laplace_event_polys_hold_for_any_number_of_movers():
+    # two movers in each of two swaps, then random stages with up to all
+    # strands moving on arcs of several scales
+    from braidshear.kinetic import _stage_event_polys
+    from oracles import generic_stage_event_polys
+
+    motion, _ = double_swap_motion()
+    assert _stage_event_polys(motion, 0) == generic_stage_event_polys(motion, 0)
+    rng = random.Random(41)
+    movers = set()
+    for _ in range(12):
+        n = rng.randint(4, 6)
+        starts = rng.sample([point(x, y) for x in range(-4, 5) for y in range(-3, 4)], n)
+        trajectories = {}
+        for s, p in enumerate(starts, 1):
+            if rng.random() < 0.7:
+                center = point(p.x + rng.choice([-2, -1, 1, 2]), p.y + Fraction(rng.randint(-2, 2), 2))
+                scale = Fraction(rng.randint(1, 7), rng.randint(1, 4))
+                trajectories[s] = Arc(center, p, rng.choice([1, -1]), scale)
+            else:
+                trajectories[s] = Stationary(p)
+        stage = Stage(trajectories)
+        if not _distinct_ends(stage):
+            continue
+        motion = Motion(n, [stage])
+        movers.add(len(stage.movers()))
+        ours = _polys_or_error(_stage_event_polys, motion, 0)
+        assert ours == _polys_or_error(generic_stage_event_polys, motion, 0)
+    assert {3, 4} <= movers
+
+
+def _distinct_ends(stage):
+    ends = [t.endpoint() for t in stage.trajectories.values()]
+    return len(set(ends)) == len(ends)
+
+
 def test_strip_w_divides_out_every_root_free_factor():
     from braidshear.kinetic import _pmul, _pscale, _strip_w
 

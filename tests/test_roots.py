@@ -265,3 +265,65 @@ def test_isolate_roots_same_intervals_with_or_without_repeated_factors():
         g = poly_from_roots(roots + roots[: rng.randint(1, len(roots))], extra=[1, 0, 1])
         lo, hi = Fraction(-65, 17), Fraction(67, 19)
         assert isolate_roots(g, lo, hi) == isolate_roots(f, lo, hi)
+
+
+def _kernel_case(rng):
+    """A random integer polynomial of degree 1-6 and an interval (lo, hi)
+    whose ends are not roots.  Its roots are random, or sit on bisection
+    grid points of (lo, hi), on isolation split points or twice."""
+    lo = Fraction(rng.randint(-8, 4), rng.choice([1, 2, 3]))
+    hi = lo + Fraction(rng.randint(1, 12), rng.choice([1, 2, 4]))
+    if rng.random() < 0.4:
+        degree = rng.randint(1, 6)
+        f = [rng.randint(-40, 40) for _ in range(degree)] + [rng.choice([-1, 1]) * rng.randint(1, 40)]
+    else:
+        chosen = []
+        for _ in range(rng.randint(1, 3)):
+            kind = rng.choice(["grid", "split", "random"])
+            if kind == "grid":
+                r = lo + (hi - lo) * Fraction(rng.randint(1, 2 ** 8 - 1), 2 ** 8)
+            elif kind == "split":
+                r = lo + (hi - lo) * rng.choice(roots_module._SPLIT_FRACTIONS)
+            else:
+                r = _random_root(rng)
+            chosen += [r] * rng.choice([1, 1, 2])
+        extra = rng.choice([None, None, [1, 0, 1], [-2, 0, 1]])
+        f = [-c for c in poly_from_roots(chosen[: 4 if extra else 6], extra)]
+    f = normalize(f)
+    if len(f) < 2 or not evaluate(f, lo) or not evaluate(f, hi):
+        return None
+    return f, lo, hi
+
+
+def test_isolation_and_refinement_match_plain_sturm_and_bisection(monkeypatch):
+    # Descartes' rule decides most intervals and low degrees take their last
+    # bisection cell directly; neither may change an interval
+    from oracles import sturm_isolate
+
+    decided, cells = [], []
+    descartes, root_cell = roots_module._descartes_signs, roots_module._root_cell
+    monkeypatch.setattr(
+        roots_module, "_descartes_signs", lambda *a: decided.append(descartes(*a)) or decided[-1]
+    )
+    monkeypatch.setattr(
+        roots_module, "_root_cell", lambda *a: cells.append(root_cell(*a)) or cells[-1]
+    )
+    rng = random.Random(2026)
+    checked = degrees = 0
+    seen_degrees = set()
+    while checked < 300:
+        case = _kernel_case(rng)
+        if case is None:
+            continue
+        f, lo, hi = case
+        seen_degrees.add(len(f) - 1)
+        isolated = isolate_roots(f, lo, hi)
+        assert isolated == sturm_isolate(f, lo, hi), (f, lo, hi)
+        for iso in isolated:
+            for width in (Fraction(1, 2 ** 20), Fraction(1, 2 ** 9), Fraction(3, 7)):
+                assert refine_root(f, iso, width) == fraction_refine_root(f, iso, width), (f, iso)
+        checked += 1
+    assert seen_degrees == set(range(1, 7))
+    assert decided.count(0) > 100 and decided.count(1) > 100 and 2 in decided
+    found = [c for c in cells if c is not None]
+    assert len(found) > 100 and len(found) < len(cells)  # some cells fall back

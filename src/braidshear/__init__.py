@@ -35,10 +35,7 @@ from braidshear.coordinates import (
 from braidshear.geometry import (
     EdgeComplex,
     Point,
-    Triangulation,
     delaunay,
-    incircle,
-    orient,
 )
 from braidshear.kinetic import (
     Arc,
@@ -48,8 +45,6 @@ from braidshear.kinetic import (
     Stationary,
     augment,
     detect_flips,
-    position_at,
-    replay,
 )
 
 __all__ = [
@@ -75,10 +70,7 @@ __all__ = [
     "run_invariant",
     "EdgeComplex",
     "Point",
-    "Triangulation",
     "delaunay",
-    "incircle",
-    "orient",
     "Arc",
     "FlipEvent",
     "Motion",
@@ -86,8 +78,6 @@ __all__ = [
     "Stationary",
     "augment",
     "detect_flips",
-    "position_at",
-    "replay",
 ]
 
 __version__ = "0.1.0"

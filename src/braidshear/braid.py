@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from braidshear.geometry import Point, Triangulation, delaunay
+from braidshear.geometry import EdgeComplex, Point, delaunay
 from braidshear.kinetic import Arc, Motion, Stage, Stationary
 
 
@@ -82,6 +82,29 @@ def parse_braid(text: str, n: Optional[int] = None) -> BraidWord:
     return BraidWord(n, tuple((i, s) for i, s, _ in letters))
 
 
+MAX_STRANDS = 64
+
+
+class StrandCountError(ValueError):
+    """Fewer strands than a triangulation needs, or more than
+    ``MAX_STRANDS``."""
+
+
+def _too_many_strands(n: int) -> StrandCountError:
+    return StrandCountError(f"n={n} is rejected: at most {MAX_STRANDS} strands are supported")
+
+
+def check_strand_count(n: int) -> None:
+    """Reject n < 3, which has no triangulation, and n > ``MAX_STRANDS``
+    (see ``SlotConfig``)."""
+    if n < 3:
+        raise StrandCountError(
+            f"n={n} is rejected: a Delaunay triangulation needs at least 3 strands"
+        )
+    if n > MAX_STRANDS:
+        raise _too_many_strands(n)
+
+
 @dataclass(frozen=True)
 class SlotConfig:
     n: int
@@ -91,6 +114,10 @@ class SlotConfig:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("need at least 2 strands")
+        # a motion's stages hold O(n^4) event polynomials each, so a stray
+        # large n would exhaust memory instead of failing
+        if self.n > MAX_STRANDS:
+            raise _too_many_strands(self.n)
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
         if self.bulge <= 0:
@@ -111,12 +138,12 @@ def slot_points(cfg: SlotConfig) -> List[Tuple[int, Point]]:
     return [(k, slot_position(cfg, k)) for k in range(1, cfg.n + 1)]
 
 
-def initial_triangulation(cfg: SlotConfig) -> Tuple[Triangulation, Tuple[Tuple[int, int], ...]]:
-    """Delaunay triangulation of the slot positions plus the canonical
+def initial_triangulation(cfg: SlotConfig) -> Tuple[EdgeComplex, Tuple[Tuple[int, int], ...]]:
+    """Delaunay complex of the slot positions plus the canonical
     (lexicographically sorted) slot-edge enumeration carrying the initial
     edge variables."""
-    tri = delaunay(slot_points(cfg))
-    return tri, tuple(sorted(tri.edges()))
+    complex_ = delaunay(slot_points(cfg))
+    return complex_, tuple(sorted(complex_.edges()))
 
 
 def compile_motion(word: BraidWord, cfg: SlotConfig) -> Tuple[Motion, Dict[int, int]]:

@@ -21,19 +21,20 @@ from braidshear.algebra import AlgebraError, parse_rational
 from braidshear.braid import (
     BraidParseError,
     SlotConfig,
+    StrandCountError,
+    check_strand_count,
     compile_motion,
     initial_triangulation,
     parse_braid,
+    slot_points,
 )
 from braidshear.coordinates import (
     InternalInvariantError,
     InvariantMap,
     LabelSystem,
-    StrandCountError,
     check_commutativity,
     check_involution,
     check_pentagon,
-    check_strand_count,
     first_difference,
     invariants_equal,
     run_invariant,
@@ -163,7 +164,7 @@ def _write_output(args, text: str) -> None:
         try:
             with open(path, "w", encoding="utf-8") as handle:
                 handle.write(text)
-        except OSError as exc:
+        except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
             raise CliError(EXIT_PARSE, "usage", f"cannot write output {path}: {exc}")
     else:
         sys.stdout.write(text)
@@ -220,8 +221,8 @@ def _cmd_flips(args) -> int:
     cfg = _resolve_config(args)
     word = _parse_word(args.word, cfg.n)
     motion, _ = compile_motion(word, cfg)
-    tri0, _ = initial_triangulation(cfg)
-    events = detect_flips(motion, tri0)
+    initial, _ = initial_triangulation(cfg)
+    events = detect_flips(motion, initial)
     _write_output(args, json.dumps(events_to_json(events), indent=2) + "\n")
     return EXIT_OK
 
@@ -235,12 +236,12 @@ def _cmd_snapshot(args) -> int:
     if not 0 <= t <= stages:
         raise CliError(EXIT_PARSE, "usage", f"--t must lie in [0, {stages}]")
     if stages == 0:
-        tri, _ = initial_triangulation(cfg)
+        points = dict(slot_points(cfg))
     else:
         stage = min(int(t), stages - 1)
-        local = t - stage
-        tri = delaunay(sorted(positions_at(motion, stage, local).items()))
-    _write_output(args, triangulation_svg(tri, edge_labels=not args.no_labels))
+        points = positions_at(motion, stage, t - stage)
+    complex_ = delaunay(sorted(points.items()))
+    _write_output(args, triangulation_svg(points, complex_, edge_labels=not args.no_labels))
     return EXIT_OK
 
 

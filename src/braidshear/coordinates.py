@@ -66,7 +66,15 @@ from braidshear.algebra import (
     ZeroFunctionDivision,
     poly_product,
 )
-from braidshear.braid import BraidWord, SlotConfig, compile_motion, initial_triangulation
+from braidshear.braid import (  # MAX_STRANDS and StrandCountError re-exported
+    MAX_STRANDS,
+    BraidWord,
+    SlotConfig,
+    StrandCountError,
+    check_strand_count,
+    compile_motion,
+    initial_triangulation,
+)
 from braidshear.geometry import EdgeComplex
 from braidshear.kinetic import (
     FAR_VERTEX,
@@ -82,26 +90,6 @@ DEFAULT_JITTER = (Fraction(1, 97), Fraction(-1, 89), Fraction(1, 83))
 
 class InternalInvariantError(Exception):
     """The pipeline violated one of its own certified invariants."""
-
-
-MAX_STRANDS = 64
-
-
-class StrandCountError(ValueError):
-    """Fewer strands than a triangulation needs, or more than
-    ``MAX_STRANDS``."""
-
-
-def check_strand_count(n: int) -> None:
-    """Reject n < 3, which has no triangulation, and n > ``MAX_STRANDS``:
-    a motion's stages hold O(n^4) event polynomials each, so a stray large
-    n would exhaust memory instead of failing."""
-    if n < 3:
-        raise StrandCountError(
-            f"n={n} is rejected: a Delaunay triangulation needs at least 3 strands"
-        )
-    if n > MAX_STRANDS:
-        raise StrandCountError(f"n={n} is rejected: at most {MAX_STRANDS} strands are supported")
 
 
 class LabelSystem(enum.Enum):
@@ -277,6 +265,9 @@ def apply_shear_flip(state: ShearState, quad: Tuple[int, int, int, int]) -> Shea
     f_new = total.exact_div(F.pop(k))
     if f_new is None:
         raise InternalInvariantError(f"F-polynomial division inexact at flip of {k}")
+    # packed key 0 is the constant monomial in every ring
+    if f_new._packed.get(0) != 1:
+        raise InternalInvariantError(f"F-polynomial constant term is not 1 at flip of {k}")
     del c[k]
     new = _norm((v, z))
     c[new] = tuple(-x for x in ck)
@@ -415,14 +406,14 @@ def run_invariant(
     calls sharing it build the walls of each distinct stage once.
     """
     check_strand_count(cfg.n)
-    tri0, _ = initial_triangulation(cfg)
-    base = augment(tri0)
+    initial, slot_edges = initial_triangulation(cfg)
+    base = augment(initial)
     bulges = [cfg.bulge + d for d in DEFAULT_JITTER]
     attempts = [cfg] + [cfg.with_bulge(b) for b in bulges if b > 0]
     for attempt_cfg in attempts:
         motion, perm = compile_motion(word, attempt_cfg)
         try:
-            events = detect_flips(motion, tri0, stage_walls=stage_walls)
+            events = detect_flips(motion, initial, stage_walls=stage_walls)
             break
         except DegeneracyError as exc:
             error = exc
@@ -457,7 +448,7 @@ def run_invariant(
         if FAR_VERTEX in (p, q):
             continue
         entries[_norm((perm[p], perm[q]))] = state.label((p, q))
-    if set(entries) != set(tri0.edges()):
+    if set(entries) != set(slot_edges):
         raise InternalInvariantError("re-keyed entries do not cover the slot edges")
     return InvariantMap(cfg.n, system, word.text(), entries)
 

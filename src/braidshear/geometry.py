@@ -1,14 +1,15 @@
-"""Exact planar predicates and Delaunay triangulations of rational points.
+"""Exact Delaunay complexes of rational points and oriented triangle
+complexes.
 
-All predicates are evaluated exactly, over Fractions or over integers (a
-point set scaled by the lcm of its denominators); no floating point
-enters any decision.  A Delaunay triangulation is built from the
-empty-circle definition: on a generic point set (no four cocircular) it
-is the set of triangles whose circumcircle holds no other point, decided
-in one scan over the points lifted to the paraboloid z = x^2 + y^2,
-which also finds every degeneracy.  Triangulations are immutable values:
-geometric data (vertex coordinates) wraps a purely combinatorial
-oriented triangle complex that is reused by the kinetic layer.
+Every decision is an exact integer sign, taken on a point set scaled by
+the lcm of its denominators; no floating point enters.  A Delaunay
+triangulation is built from the empty-circle definition: on a generic
+point set (no four cocircular) it is the set of triangles whose
+circumcircle holds no other point, decided in one scan over the points
+lifted to the paraboloid z = x^2 + y^2, which also finds every
+degeneracy.  The result is a purely combinatorial oriented triangle
+complex, an immutable value that the kinetic layer flips; the
+coordinates stay with the caller.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
-from typing import Dict, Iterable, Mapping, NamedTuple, Sequence, Tuple
+from typing import Dict, Iterable, NamedTuple, Sequence, Tuple
 
 
 class GeometryError(Exception):
@@ -30,10 +31,6 @@ class DegenerateInputError(GeometryError):
         self.kind = kind
         self.ids = tuple(ids)
         super().__init__(message or f"degenerate input ({kind}): {sorted(self.ids)}")
-
-
-class CollinearTripleError(GeometryError):
-    """incircle was called with a collinear base triple."""
 
 
 class MissingEdgeError(GeometryError):
@@ -55,41 +52,6 @@ class Point(NamedTuple):
 
 def point(x, y) -> Point:
     return Point(Fraction(x), Fraction(y))
-
-
-def _sign(value) -> int:
-    if value > 0:
-        return 1
-    if value < 0:
-        return -1
-    return 0
-
-
-def orient(p: Point, q: Point, r: Point) -> int:
-    """Sign of det(q - p, r - p); +1 means (p, q, r) turns counterclockwise."""
-    return _sign((q.x - p.x) * (r.y - p.y) - (q.y - p.y) * (r.x - p.x))
-
-
-def incircle(p: Point, q: Point, r: Point, s: Point) -> int:
-    """+1 iff s lies strictly inside the circle through p, q, r.
-
-    The base triple is reoriented counterclockwise internally, so the
-    answer does not depend on the order of p, q, r.
-    """
-    o = orient(p, q, r)
-    if o == 0:
-        raise CollinearTripleError(f"collinear base triple {p}, {q}, {r}")
-    if o < 0:
-        q, r = r, q
-    ax, ay = p.x - s.x, p.y - s.y
-    bx, by = q.x - s.x, q.y - s.y
-    cx, cy = r.x - s.x, r.y - s.y
-    det = (
-        (ax * ax + ay * ay) * (bx * cy - by * cx)
-        - (bx * bx + by * by) * (ax * cy - ay * cx)
-        + (cx * cx + cy * cy) * (ax * by - ay * bx)
-    )
-    return _sign(det)
 
 
 def _canonical(tri: Tuple[int, int, int]) -> Tuple[int, int, int]:
@@ -144,9 +106,6 @@ class EdgeComplex:
     def triangle_sets(self) -> frozenset:
         return frozenset(frozenset(t) for t in self.triangles)
 
-    def vertices(self) -> frozenset:
-        return frozenset(v for t in self.triangles for v in t)
-
     def edges(self) -> frozenset:
         return frozenset(tuple(sorted(e)) for e in self._dir)
 
@@ -164,28 +123,6 @@ class EdgeComplex:
         if not out:
             raise MissingEdgeError(f"no edge {tuple(sorted(edge))}")
         return tuple(out)
-
-    def is_interior(self, edge: Tuple[int, int]) -> bool:
-        a, b = edge
-        return (a, b) in self._dir and (b, a) in self._dir
-
-    def boundary_cycle(self) -> Tuple[int, ...]:
-        """Boundary vertices in traversal order (empty for a closed complex)."""
-        succ = {}
-        for (a, b) in self._dir:
-            if (b, a) not in self._dir:
-                succ[a] = b  # hull edges are traversed counterclockwise
-        if not succ:
-            return ()
-        start = min(succ)
-        cycle = [start]
-        cur = succ[start]
-        while cur != start:
-            cycle.append(cur)
-            cur = succ[cur]
-            if len(cycle) > len(succ):
-                raise GeometryError("boundary is not a single cycle")
-        return tuple(cycle)
 
     def quad_around(self, edge: Tuple[int, int]) -> Tuple[int, int, int, int]:
         """Quadrilateral (u, v, w, z) around an interior edge, in the
@@ -235,62 +172,8 @@ class EdgeComplex:
         return f"EdgeComplex({sorted(self.triangles)})"
 
 
-class Triangulation:
-    """Triangulation of a finite planar point set with exact coordinates.
-
-    Every stored triangle is counterclockwise; interior edges have two
-    incident triangles and hull edges one.
-    """
-
-    __slots__ = ("vertices", "complex")
-
-    def __init__(self, vertices: Mapping[int, Point], complex_: EdgeComplex):
-        vertices = dict(vertices)
-        if complex_.vertices() - set(vertices):
-            raise GeometryError("triangles reference unknown vertices")
-        for (a, b, c) in complex_.triangles:
-            if orient(vertices[a], vertices[b], vertices[c]) <= 0:
-                raise GeometryError(f"triangle {(a, b, c)} is not counterclockwise")
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "complex", complex_)
-
-    @classmethod
-    def _trusted(cls, vertices: Dict[int, Point], complex_: EdgeComplex) -> "Triangulation":
-        """Wrap a complex whose triangles the caller has already proved
-        counterclockwise on these vertices (``delaunay``): no re-check."""
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "vertices", vertices)
-        object.__setattr__(obj, "complex", complex_)
-        return obj
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Triangulation is immutable")
-
-    @property
-    def triangles(self) -> frozenset:
-        return self.complex.triangles
-
-    def edges(self) -> frozenset:
-        return self.complex.edges()
-
-    def hull(self) -> Tuple[int, ...]:
-        """Convex hull vertices in counterclockwise order."""
-        return self.complex.boundary_cycle()
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Triangulation):
-            return NotImplemented
-        return self.vertices == other.vertices and self.complex == other.complex
-
-    def __hash__(self) -> int:
-        return hash((frozenset(self.vertices.items()), self.complex))
-
-    def __repr__(self) -> str:
-        return f"Triangulation({len(self.vertices)} vertices, {len(self.triangles)} triangles)"
-
-
-def delaunay(points: Sequence[Tuple[int, Point]]) -> Triangulation:
-    """Delaunay triangulation of generic points, built from its definition.
+def delaunay(points: Sequence[Tuple[int, Point]]) -> EdgeComplex:
+    """Delaunay complex of generic points, built from its definition.
 
     With no four points cocircular, the Delaunay triangles are exactly the
     non-collinear triples whose circumcircle holds every other point
@@ -329,7 +212,7 @@ def delaunay(points: Sequence[Tuple[int, Point]]) -> Triangulation:
         (ax, ay, az), (bx, by, bz), (cx, cy, cz) = lifted[a], lifted[b], lifted[c]
         ux, uy, uz = bx - ax, by - ay, bz - az
         vx, vy, vz = cx - ax, cy - ay, cz - az
-        nz = ux * vy - uy * vx  # orient(a, b, c)
+        nz = ux * vy - uy * vx  # orientation of (a, b, c)
         if nz == 0:
             continue
         nx, ny = uy * vz - uz * vy, uz * vx - ux * vz
@@ -346,5 +229,5 @@ def delaunay(points: Sequence[Tuple[int, Point]]) -> Triangulation:
     if not triangles:
         raise DegenerateInputError("collinear-set", ids)
     # every triangle was put in counterclockwise order by an exact orient sign
-    return Triangulation._trusted(dict(items), EdgeComplex(triangles))
+    return EdgeComplex(triangles)
 

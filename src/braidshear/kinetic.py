@@ -41,7 +41,8 @@ hold simultaneous flips), the exact t = 1/2 wall where the two
 half-stages meet, and walls whose flip would not be simplicial because
 the quad's other diagonal is already an edge (only the n = 3 tetrahedron,
 where the transition merely reverses orientation).  Apart from these,
-``delaunay()`` runs only at stage ends, to check the replayed complex.
+``delaunay()`` runs only at the start, to check the initial complex, and
+at stage ends, to check the replayed one.
 
 A stage's walls (event polynomials, separated brackets, certificates)
 depend only on its set of trajectories, so each distinct stage's walls are
@@ -75,7 +76,6 @@ from braidshear.geometry import (
     DegenerateInputError,
     EdgeComplex,
     Point,
-    Triangulation,
     delaunay,
 )
 
@@ -95,10 +95,6 @@ class DegeneracyError(KineticError):
 
 class CollisionError(KineticError):
     """Two strands' distance reaches zero."""
-
-
-class InconsistentEventError(KineticError):
-    """An event cannot be applied to the current complex."""
 
 
 @dataclass(frozen=True)
@@ -232,14 +228,6 @@ def positions_at(motion: Motion, stage: int, t: Fraction) -> Dict[int, Point]:
     return {s: Point(Fraction(x, den), Fraction(y, den)) for s, (x, y) in points}
 
 
-def position_at(motion: Motion, strand: int, stage: int, t: Fraction) -> Point:
-    """Exact position of a strand at stage-local time t in [0, 1]."""
-    positions = positions_at(motion, stage, t)
-    if strand not in positions:
-        raise KineticError(f"unknown strand {strand}")
-    return positions[strand]
-
-
 class FlipEvent(NamedTuple):
     stage: int
     t_lo: Fraction
@@ -248,15 +236,15 @@ class FlipEvent(NamedTuple):
     quad: Tuple[int, int, int, int]
 
 
-def augment(tri: Triangulation) -> EdgeComplex:
-    """Close the triangulation with the far vertex: one extra triangle per
-    hull edge, oriented coherently with the finite ones."""
-    hull = tri.hull()
-    far = []
-    for i, a in enumerate(hull):
-        b = hull[(i + 1) % len(hull)]
-        far.append((b, a, FAR_VERTEX))
-    return EdgeComplex(set(tri.triangles) | set(far))
+def augment(complex_: EdgeComplex) -> EdgeComplex:
+    """Close a Delaunay complex with the far vertex: one extra triangle
+    (b, a, far) per hull edge, a directed edge (a, b) without a twin, so
+    oriented coherently with the finite ones.  A boundary that is not one
+    cycle repeats a directed edge to the far vertex, which ``EdgeComplex``
+    rejects."""
+    darts = {e for a, b, c in complex_.triangles for e in ((a, b), (b, c), (c, a))}
+    far = [(b, a, FAR_VERTEX) for a, b in darts if (b, a) not in darts]
+    return EdgeComplex([*complex_.triangles, *far])
 
 
 def augmented_at(motion: Motion, stage: int, t: Fraction) -> EdgeComplex:
@@ -793,14 +781,14 @@ def _detect_stage_bisect(
 
 def detect_flips(
     motion: Motion,
-    initial: Triangulation,
+    initial: EdgeComplex,
     *,
     detector: str = "sturm",
     stage_walls: Optional[dict] = None,
 ) -> List[FlipEvent]:
     """Certified, time-ordered flip events of the hull-closure complex.
 
-    ``initial`` must be the Delaunay triangulation of the motion's start
+    ``initial`` must be the Delaunay complex of the motion's start
     positions.  Replaying the returned events onto ``augment(initial)``
     reproduces the complex at every bracket boundary and at the end of
     every stage; simultaneous events with disjoint supports are emitted in
@@ -815,11 +803,9 @@ def detect_flips(
     """
     if detector not in ("sturm", "bisect"):
         raise KineticError(f"unknown detector {detector!r}")
-    start = positions_at(motion, 0, Fraction(0)) if motion.stages else {}
-    if motion.stages:
-        if dict(initial.vertices) != start:
-            raise KineticError("initial triangulation does not match the motion's start")
     current = augment(initial)
+    if motion.stages and current != augmented_at(motion, 0, Fraction(0)):
+        raise KineticError("initial triangulation does not match the motion's start")
     events: List[FlipEvent] = []
     # stage trajectories -> (walls of the first occurrence, that stage)
     walls_of = {} if stage_walls is None else stage_walls
@@ -838,19 +824,6 @@ def detect_flips(
         if not current.same_triangles(augmented_at(motion, stage_idx, Fraction(1))):
             raise KineticError(f"stage {stage_idx}: end complex mismatch")
     return events
-
-
-def replay(initial: Union[Triangulation, EdgeComplex], events: Sequence[FlipEvent]) -> EdgeComplex:
-    """Fold a flip sequence over the hull-closure complex deterministically."""
-    complex_ = initial if isinstance(initial, EdgeComplex) else augment(initial)
-    for ev in events:
-        if not complex_.has_edge(ev.edge):
-            raise InconsistentEventError(f"edge {ev.edge} absent when replaying {ev}")
-        try:
-            complex_ = complex_.flip(ev.edge, ev.quad)
-        except Exception as exc:
-            raise InconsistentEventError(f"cannot replay {ev}: {exc}") from exc
-    return complex_
 
 
 # -- JSON wire formats ----------------------------------------------------

@@ -6,17 +6,20 @@ deterministic (sorted elements, fixed float precision).
 
 from __future__ import annotations
 
-from braidshear.geometry import Triangulation
+from typing import Mapping
+
+from braidshear.geometry import EdgeComplex, Point
 
 
 def triangulation_svg(
-    tri: Triangulation,
+    points: Mapping[int, Point],
+    complex_: EdgeComplex,
     *,
     edge_labels: bool = True,
     size: int = 480,
     margin: float = 40.0,
 ) -> str:
-    pts = {i: (float(p.x), float(p.y)) for i, p in tri.vertices.items()}
+    pts = {i: (float(p.x), float(p.y)) for i, p in points.items()}
     xs = [x for x, _ in pts.values()]
     ys = [y for _, y in pts.values()]
     span_x = max(xs) - min(xs) or 1.0
@@ -36,7 +39,7 @@ def triangulation_svg(
         f'height="{height:.1f}" viewBox="0 0 {size} {height:.1f}">',
         '<rect width="100%" height="100%" fill="white"/>',
     ]
-    for a, b in sorted(tri.edges()):
+    for a, b in sorted(complex_.edges()):
         xa, ya = place(a)
         xb, yb = place(b)
         lines.append(

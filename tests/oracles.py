@@ -5,6 +5,7 @@ sympy is a test-only dependency: nothing under ``src/`` imports it.
 
 from fractions import Fraction
 from itertools import combinations
+import math
 import random
 import re
 from typing import NamedTuple
@@ -17,8 +18,8 @@ from sympy.polys.rings import ring
 from braidshear import roots
 from braidshear.algebra import Polynomial
 from braidshear.braid import compile_motion, initial_triangulation, slot_position
-from braidshear.coordinates import LabelSystem, seed_state
-from braidshear.geometry import Point, Triangulation, incircle, orient
+from braidshear.coordinates import LabelSystem, edge_var_name, seed_state
+from braidshear.geometry import GeometryError, Point
 from braidshear.kinetic import (
     FAR_VERTEX,
     DegeneracyError,
@@ -35,8 +36,64 @@ from braidshear.kinetic import (
     augment,
     augmented_at,
     detect_flips,
-    positions_at,
 )
+
+
+# -- exact planar predicates on Fractions ------------------------------------
+
+
+class CollinearTripleError(GeometryError):
+    """incircle was called with a collinear base triple."""
+
+
+def _sign(value) -> int:
+    if value > 0:
+        return 1
+    if value < 0:
+        return -1
+    return 0
+
+
+def orient(p: Point, q: Point, r: Point) -> int:
+    """Sign of det(q - p, r - p); +1 means (p, q, r) turns counterclockwise."""
+    return _sign((q.x - p.x) * (r.y - p.y) - (q.y - p.y) * (r.x - p.x))
+
+
+def incircle(p: Point, q: Point, r: Point, s: Point) -> int:
+    """+1 iff s lies strictly inside the circle through p, q, r.
+
+    The base triple is reoriented counterclockwise internally, so the
+    answer does not depend on the order of p, q, r.
+    """
+    o = orient(p, q, r)
+    if o == 0:
+        raise CollinearTripleError(f"collinear base triple {p}, {q}, {r}")
+    if o < 0:
+        q, r = r, q
+    ax, ay = p.x - s.x, p.y - s.y
+    bx, by = q.x - s.x, q.y - s.y
+    cx, cy = r.x - s.x, r.y - s.y
+    det = (
+        (ax * ax + ay * ay) * (bx * cy - by * cx)
+        - (bx * bx + by * by) * (ax * cy - ay * cx)
+        + (cx * cx + cy * cy) * (ax * by - ay * bx)
+    )
+    return _sign(det)
+
+
+def hull_edges(complex_):
+    """The directed edges of a complex that have no twin: its boundary,
+    traversed counterclockwise."""
+    darts = {e for a, b, c in complex_.triangles for e in ((a, b), (b, c), (c, a))}
+    return {(a, b) for a, b in darts if (b, a) not in darts}
+
+
+def interior_edges(complex_):
+    """The edges of a complex with two incident triangles, sorted."""
+    return sorted(e for e in complex_.edges() if len(complex_.edge_triangles(e)) == 2)
+
+
+# -- Delaunay by brute force ------------------------------------------------
 
 
 def brute_force_delaunay_triangles(points):
@@ -116,9 +173,9 @@ def is_generic(points):
     return first_degeneracy(points) is None
 
 
-def empty_circumcircle_holds(tri: Triangulation) -> bool:
-    pts = tri.vertices
-    for (a, b, c) in tri.triangles:
+def empty_circumcircle_holds(points, complex_) -> bool:
+    pts = dict(points)
+    for (a, b, c) in complex_.triangles:
         for d in pts:
             if d in (a, b, c):
                 continue
@@ -134,9 +191,9 @@ def full_recompute_detect_flips(motion, initial):
     """``detect_flips`` deciding every wall from scratch: the Delaunay
     complex is rebuilt at both ends of each bracket, checked against the
     replayed one, and the difference classified as a flip set."""
-    if motion.stages and dict(initial.vertices) != positions_at(motion, 0, Fraction(0)):
-        raise KineticError("initial triangulation does not match the motion's start")
     current = augment(initial)
+    if motion.stages and current != augmented_at(motion, 0, Fraction(0)):
+        raise KineticError("initial triangulation does not match the motion's start")
     events = []
     for stage_idx in range(len(motion.stages)):
         _check_collisions(motion, stage_idx)
@@ -149,6 +206,22 @@ def full_recompute_detect_flips(motion, initial):
         if not current.same_triangles(augmented_at(motion, stage_idx, Fraction(1))):
             raise KineticError(f"stage {stage_idx}: end complex mismatch")
     return events
+
+
+class InconsistentEventError(KineticError):
+    """An event cannot be applied to the current complex."""
+
+
+def replay(complex_, events):
+    """Fold a flip sequence over a hull-closure complex deterministically."""
+    for ev in events:
+        if not complex_.has_edge(ev.edge):
+            raise InconsistentEventError(f"edge {ev.edge} absent when replaying {ev}")
+        try:
+            complex_ = complex_.flip(ev.edge, ev.quad)
+        except Exception as exc:
+            raise InconsistentEventError(f"cannot replay {ev}: {exc}") from exc
+    return complex_
 
 
 # -- event polynomials by one determinant per subset ---------------------------
@@ -531,3 +604,42 @@ def sympy_entries(word, cfg, system):
         for (p, q), value in state.labels.items()
         if FAR_VERTEX not in (p, q)
     }
+
+
+# -- the flip rules on numbers -----------------------------------------------
+
+
+def shadow_entries(word, cfg, system, point):
+    """T(word) at ``point``, a mapping from each seed variable's name to a
+    positive integer: the flip rule of ``system`` run on ``Fraction``s along
+    the certified events of the unperturbed motion, re-keyed to slot edges
+    as ``run_invariant`` does.  Both rules are subtraction-free, so a
+    positive point never meets a division by 0."""
+    tri0, _ = initial_triangulation(cfg)
+    motion, perm = compile_motion(word, cfg)
+    values = {e: Fraction(point[edge_var_name(*e)]) for e in augment(tri0).edges()}
+    for event in detect_flips(motion, tri0):
+        u, v, w, z = event.quad
+        a, b, c, d = (_norm(e) for e in ((u, v), (v, w), (w, z), (z, u)))
+        x = values.pop(_norm((u, w)))
+        if system is LabelSystem.PTOLEMY:
+            values[_norm((v, z))] = (values[a] * values[c] + values[b] * values[d]) / x
+        else:
+            values[a] *= 1 + x
+            values[c] *= 1 + x
+            values[b] *= x / (1 + x)
+            values[d] *= x / (1 + x)
+            values[_norm((v, z))] = 1 / x
+    return {
+        _norm((perm[p], perm[q])): value
+        for (p, q), value in values.items()
+        if FAR_VERTEX not in (p, q)
+    }
+
+
+def evaluate(f, point):
+    """A ``Polynomial`` at ``point``, read off its terms."""
+    return sum(
+        coeff * math.prod(point[name] ** e for name, e in zip(f.vars, exps))
+        for exps, coeff in f.terms.items()
+    )

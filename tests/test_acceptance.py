@@ -20,8 +20,8 @@ from braidshear.coordinates import (
     run_invariant,
 )
 from braidshear.geometry import delaunay
-from braidshear.kinetic import augmented_at, detect_flips, replay
-from oracles import brute_force_delaunay_triangles, random_generic_points
+from braidshear.kinetic import augment, augmented_at, detect_flips
+from oracles import brute_force_delaunay_triangles, hull_edges, random_generic_points, replay
 
 
 def _report(label, ok, started):
@@ -146,10 +146,10 @@ def test_criterion_10_geometry_oracle():
     for _ in range(200):
         n = rng.randint(3, 8)
         pts = random_generic_points(rng, n)
-        tri = delaunay(pts)
-        ok = ok and tri.complex.triangle_sets() == brute_force_delaunay_triangles(pts)
-        hull = len(tri.hull())
-        ok = ok and len(tri.edges()) == 3 * n - 3 - hull
+        complex_ = delaunay(pts)
+        ok = ok and complex_.triangle_sets() == brute_force_delaunay_triangles(pts)
+        hull = len(hull_edges(complex_))
+        ok = ok and len(complex_.edges()) == 3 * n - 3 - hull
         if not ok:
             break
     assert _report("10 geometry oracle (200 random sets)", ok, started)
@@ -176,7 +176,8 @@ def test_criterion_11_kinetic_certification():
         tri0, _ = initial_triangulation(cfg)
         events = detect_flips(motion, tri0)
         stages = len(motion.stages)
-        final = replay(tri0, events)
+        start = augment(tri0)
+        final = replay(start, events)
         ok = ok and final.same_triangles(augmented_at(motion, stages - 1, Fraction(1)))
         samples = 0
         while samples < 50:
@@ -192,7 +193,7 @@ def test_criterion_11_kinetic_certification():
                 for ev in events
                 if ev.stage < stage or (ev.stage == stage and ev.t_hi < t)
             ]
-            ok = ok and replay(tri0, prefix).same_triangles(
+            ok = ok and replay(start, prefix).same_triangles(
                 augmented_at(motion, stage, t)
             )
         if not ok:

@@ -3,9 +3,11 @@ from fractions import Fraction
 import pytest
 
 from braidshear.braid import (
+    MAX_STRANDS,
     BraidParseError,
     BraidWord,
     SlotConfig,
+    StrandCountError,
     compile_motion,
     initial_triangulation,
     parse_braid,
@@ -78,27 +80,35 @@ def test_config_validation():
         SlotConfig(3, bulge=Fraction(-1))
 
 
+def test_slot_config_takes_at_most_max_strands():
+    # a library caller that compiles a motion without run_invariant is
+    # bounded too
+    assert SlotConfig(MAX_STRANDS).n == MAX_STRANDS
+    with pytest.raises(StrandCountError, match=f"at most {MAX_STRANDS} strands"):
+        SlotConfig(MAX_STRANDS + 1)
+
+
 # -- initial triangulation ----------------------------------------------------
 
 
 def test_initial_triangulation_n3():
-    tri, edges = initial_triangulation(SlotConfig(3))
-    assert len(tri.triangles) == 1
+    complex_, edges = initial_triangulation(SlotConfig(3))
+    assert len(complex_.triangles) == 1
     assert edges == ((1, 2), (1, 3), (2, 3))
 
 
 def test_initial_triangulation_n4():
-    tri, edges = initial_triangulation(SlotConfig(4))
+    _, edges = initial_triangulation(SlotConfig(4))
     assert len(edges) == 5
 
 
 def test_initial_triangulation_n5_matches_oracle():
     cfg = SlotConfig(5, epsilon=Fraction(1, 64))
-    tri, edges = initial_triangulation(cfg)
+    complex_, edges = initial_triangulation(cfg)
     oracle = brute_force_delaunay_triangles(
         [(k, slot_position(cfg, k)) for k in range(1, 6)]
     )
-    assert tri.complex.triangle_sets() == oracle
+    assert complex_.triangle_sets() == oracle
     # frozen fixture: near-collinear convex position fans from the flat side
     assert edges == ((1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (3, 4), (4, 5))
 

@@ -250,6 +250,23 @@ def test_snapshot_midway_and_bounds(capsys):
     assert "range" in json.loads(err)["error"]["message"] or "[0, 1]" in json.loads(err)["error"]["message"]
 
 
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["--n", "5", "--t", "0", "s1"],
+         "ca84f6885fb9feb763e46e0321bf5bcb0becaa6e2411489caea311da1da81f8b"),
+        (["--n", "5", "--t", "1/3", "s1 s2"],
+         "59b93039b873d310847ab7bb1ecdd9026603505b37f980960fc06910386317af"),
+        (["--n", "5", "--no-labels", "--t", "3/2", "s2 s1"],
+         "d3c77fdc9b4c8db7a9c809ee76a64879311a367ec0280956cfd51eccb75d49f3"),
+    ],
+)
+def test_snapshot_bytes_are_pinned(capsys, argv, digest):
+    code, out, _ = run(capsys, "snapshot", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_snapshot_deterministic(capsys):
     _, first, _ = run(capsys, "snapshot", "--n", "4", "--t", "1/3", "s1")
     _, second, _ = run(capsys, "snapshot", "--n", "4", "--t", "1/3", "s1")
@@ -380,6 +397,19 @@ def test_unwritable_out_is_usage_error(tmp_path, capsys, command):
     assert code == 2 and out == ""
     assert json.loads(err)["error"]["kind"] == "usage"
     assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["a\x00b", ".", "missing/x.json", "x" * 300],
+    ids=["nul-byte", "directory", "missing-parent", "over-long"],
+)
+def test_bad_out_paths_end_in_exit_2_and_one_json_line(tmp_path, capsys, name):
+    path = os.path.join(str(tmp_path), name)
+    code, out, err = run(capsys, "invariant", "--n", "3", "--system", "shear", "--out", path, "s1")
+    assert code == 2 and out == ""
+    line, tail = err.split("\n")
+    assert tail == "" and json.loads(line)["error"]["kind"] == "usage"
 
 
 def test_missing_n_is_usage_error(capsys):

@@ -32,8 +32,11 @@ from braidshear.coordinates import (
 from braidshear.geometry import EdgeComplex
 from braidshear.kinetic import DegeneracyError, FlipEvent, augment, detect_flips
 from oracles import (
+    evaluate,
+    interior_edges,
     labels_match,
     parse_canonical,
+    shadow_entries,
     sympy_entries,
     sympy_ptolemy_flip,
     sympy_shear_flip,
@@ -97,7 +100,7 @@ def test_ptolemy_flips_match_the_rational_function_rule(data):
     state = seed_state(convex_polygon_complex([(1, i, i + 1) for i in range(2, n)]))
     oracle = sympy_state(state, LabelSystem.PTOLEMY)
     for _ in range(data.draw(st.integers(1, 10), label="flips")):
-        interior = sorted(e for e in state.complex.edges() if state.complex.is_interior(e))
+        interior = interior_edges(state.complex)
         quad = state.complex.quad_around(data.draw(st.sampled_from(interior)))
         oracle = sympy_ptolemy_flip(oracle, quad)
         state = apply_ptolemy_flip(state, quad)
@@ -228,7 +231,7 @@ def test_separated_shear_labels_match_the_rational_function_rule(data):
     state = ShearState.seed(complex_)
     oracle = sympy_state(seed_state(complex_), LabelSystem.SHEAR)
     for _ in range(data.draw(st.integers(1, 10), label="flips")):
-        interior = sorted(e for e in state.complex.edges() if state.complex.is_interior(e))
+        interior = interior_edges(state.complex)
         quad = state.complex.quad_around(data.draw(st.sampled_from(interior)))
         oracle = sympy_shear_flip(oracle, quad)
         state = apply_shear_flip(state, quad)
@@ -252,7 +255,7 @@ def test_mirrored_rule_is_the_frozen_rule_on_the_reversed_complex(data):
     oracle = sympy_state(seed_state(complex_), LabelSystem.SHEAR)
     state = ShearState.seed(reversed_complex(complex_))
     for _ in range(data.draw(st.integers(1, 7), label="flips")):
-        interior = sorted(e for e in state.complex.edges() if state.complex.is_interior(e))
+        interior = interior_edges(state.complex)
         edge = data.draw(st.sampled_from(interior))
         oracle = sympy_shear_flip(oracle, oracle.complex.quad_around(edge), mirrored=True)
         state = apply_shear_flip(state, state.complex.quad_around(edge))
@@ -752,6 +755,40 @@ def test_run_invariant_shear_matches_the_oracle_on_random_words():
         inv = run_invariant(word, SlotConfig(n), LabelSystem.SHEAR)
         oracle = sympy_entries(word, SlotConfig(n), LabelSystem.SHEAR)
         assert labels_match(inv.entries, oracle), word.text()
+
+
+@pytest.mark.parametrize(
+    "n, text, system",
+    [
+        (7, "s1' s5' s3 s4 s1 s6 s2' s3", LabelSystem.SHEAR),
+        (5, "s3 s4 s2 s1", LabelSystem.PTOLEMY),
+    ],
+)
+def test_invariant_entries_equal_the_flip_rule_run_on_numbers(n, text, system):
+    # each entry, evaluated at a seeded point of positive integers, is the
+    # value the flip rule computes on Fractions from that point
+    word, cfg = parse_braid(text, n=n), SlotConfig(n)
+    rng = random.Random(n)
+    base = augment(initial_triangulation(cfg)[0])
+    point = {edge_var_name(*e): rng.randint(1, 9) for e in sorted(base.edges())}
+    shadow = shadow_entries(word, cfg, system, point)
+    inv = run_invariant(word, cfg, system)
+    assert set(inv.entries) == set(shadow)
+    for edge, value in inv.entries.items():
+        at_point = Fraction(evaluate(value.num, point), evaluate(value.den, point))
+        assert at_point == shadow[edge], edge
+
+
+def test_shear_flip_rejects_an_f_polynomial_without_constant_term_1():
+    state = ShearState.seed(square_complex())
+    quad = state.complex.quad_around((1, 3))
+    _, v, w, _ = quad
+    F = dict(state.F)
+    F[(v, w)] = Polynomial.constant(2)  # a side scaled by e/(1+e)
+    corrupt = ShearState(state.complex, state.names, state.c, F)
+    with pytest.raises(InternalInvariantError, match="constant term"):
+        apply_shear_flip(corrupt, quad)
+    apply_shear_flip(state, quad)
 
 
 def test_run_invariant_rejects_two_strands_like_the_cli():

@@ -4,22 +4,23 @@ from fractions import Fraction
 import pytest
 
 from braidshear.geometry import (
-    CollinearTripleError,
     DegenerateInputError,
     EdgeComplex,
     GeometryError,
     HullEdgeError,
-    Triangulation,
     delaunay,
-    incircle,
-    orient,
     point,
 )
 from oracles import (
+    CollinearTripleError,
     brute_force_delaunay_triangles,
     empty_circumcircle_holds,
     first_degeneracy,
+    hull_edges,
+    incircle,
+    interior_edges,
     is_generic,
+    orient,
     random_generic_points,
 )
 
@@ -32,7 +33,7 @@ def parabola_points(n, eps=Fraction(1, 64)):
     return [(k, point(k, eps * k * k)) for k in range(1, n + 1)]
 
 
-# -- predicates ---------------------------------------------------------
+# -- the oracle predicates ------------------------------------------------
 
 
 def test_orient_examples():
@@ -86,19 +87,19 @@ def test_parabola_never_cocircular():
 
 
 def test_parabola_n4_counts():
-    tri = delaunay(parabola_points(4))
-    assert len(tri.triangles) == 2
-    assert len(tri.edges()) == 5
-    assert len(tri.hull()) == 4
+    complex_ = delaunay(parabola_points(4))
+    assert len(complex_.triangles) == 2
+    assert len(complex_.edges()) == 5
+    assert len(hull_edges(complex_)) == 4
 
 
 def test_parabola_n4_diagonal_matches_brute_force():
     pts = parabola_points(4)
     expected = brute_force_delaunay_triangles(pts)
-    tri = delaunay(pts)
-    assert tri.complex.triangle_sets() == expected
+    complex_ = delaunay(pts)
+    assert complex_.triangle_sets() == expected
     # exactly one diagonal is present
-    diagonals = {(1, 3), (2, 4)} & set(tri.edges())
+    diagonals = {(1, 3), (2, 4)} & set(complex_.edges())
     assert len(diagonals) == 1
 
 
@@ -107,26 +108,25 @@ def test_random_points_match_oracle():
     for _ in range(30):
         n = rng.randint(3, 8)
         pts = random_generic_points(rng, n)
-        tri = delaunay(pts)
-        assert tri.complex.triangle_sets() == brute_force_delaunay_triangles(pts)
-        assert empty_circumcircle_holds(tri)
-        h = len(tri.hull())
-        assert len(tri.edges()) == 3 * n - 3 - h
-        assert len(tri.triangles) == 2 * n - 2 - h
+        complex_ = delaunay(pts)
+        assert complex_.triangle_sets() == brute_force_delaunay_triangles(pts)
+        assert empty_circumcircle_holds(pts, complex_)
+        h = len(hull_edges(complex_))
+        assert len(complex_.edges()) == 3 * n - 3 - h
+        assert len(complex_.triangles) == 2 * n - 2 - h
 
 
 def test_twelve_points_match_oracle():
     rng = random.Random(77)
     pts = random_generic_points(rng, 12, span=60)
-    tri = delaunay(pts)
-    assert tri.complex.triangle_sets() == brute_force_delaunay_triangles(pts)
-    assert empty_circumcircle_holds(tri)
+    complex_ = delaunay(pts)
+    assert complex_.triangle_sets() == brute_force_delaunay_triangles(pts)
+    assert empty_circumcircle_holds(pts, complex_)
 
 
 def test_collinear_triple_inside_input_is_fine():
     pts = [(1, P(0, 0)), (2, P(1, 0)), (3, P(2, 0)), (4, P(1, 2))]
-    tri = delaunay(pts)
-    assert tri.complex.triangle_sets() == {
+    assert delaunay(pts).triangle_sets() == {
         frozenset((1, 2, 4)),
         frozenset((2, 3, 4)),
     }
@@ -173,15 +173,15 @@ def _random_set_with_collinear_triple(rng, n):
 
 
 def _assert_delaunay_lemma(pts):
-    tri = delaunay(pts)
+    complex_ = delaunay(pts)
     coords = dict(pts)
     n = len(coords)
     directed = {}
-    for a, b, c in tri.triangles:
+    for a, b, c in complex_.triangles:
         assert _cross(coords[a], coords[b], coords[c]) > 0, (a, b, c)
         for e, apex in (((a, b), c), ((b, c), a), ((c, a), b)):
             directed[e] = ((a, b, c), apex)
-    assert {v for t in tri.triangles for v in t} == set(coords)
+    assert {v for t in complex_.triangles for v in t} == set(coords)
     succ = {}
     for (a, b), (own, _) in directed.items():
         other = directed.get((b, a))
@@ -197,7 +197,7 @@ def _assert_delaunay_lemma(pts):
         assert len(cycle) <= len(succ)
     assert len(cycle) == len(succ), "boundary is not one cycle"
     h = len(cycle)
-    assert len(tri.triangles) == 2 * n - h - 2
+    assert len(complex_.triangles) == 2 * n - h - 2
     for i, v in enumerate(cycle):
         u, w = cycle[i - 1], cycle[(i + 1) % h]
         assert _cross(coords[u], coords[v], coords[w]) >= 0, (u, v, w)
@@ -249,7 +249,7 @@ def test_lifted_scan_matches_the_oracles_or_their_first_degeneracy():
         fault = first_degeneracy(pts)
         kinds.add(fault and fault[0])
         if fault is None:
-            assert delaunay(pts).complex.triangle_sets() == brute_force_delaunay_triangles(pts)
+            assert delaunay(pts).triangle_sets() == brute_force_delaunay_triangles(pts)
             continue
         with pytest.raises(DegenerateInputError) as e:
             delaunay(pts)
@@ -268,10 +268,7 @@ def _nudged(rng, pts):
 
 
 def _assert_matches_oracle(pts):
-    tri = delaunay(pts)
-    assert tri.complex.triangle_sets() == brute_force_delaunay_triangles(pts)
-    assert tri.vertices == dict(pts)
-    assert all(type(c) is Fraction for p in tri.vertices.values() for c in p)
+    assert delaunay(pts).triangle_sets() == brute_force_delaunay_triangles(pts)
 
 
 def test_scaled_predicates_match_oracle_on_random_rationals():
@@ -326,90 +323,86 @@ def test_degenerate_inputs_keep_kind_and_ids_with_large_denominators():
 
 def square_triangulation():
     pts = {1: P(0, 0), 2: P(1, 0), 3: P(1, 1), 4: P(0, 1)}
-    complex_ = EdgeComplex([(1, 2, 3), (1, 3, 4)])
-    return Triangulation(pts, complex_)
+    return pts, EdgeComplex([(1, 2, 3), (1, 3, 4)])
 
 
 def test_edge_complex_rejects_nonmanifold_input():
-    import pytest as _pytest
-
-    from braidshear.geometry import GeometryError
-
-    with _pytest.raises(GeometryError):
+    with pytest.raises(GeometryError):
         EdgeComplex([(1, 2, 3), (1, 2, 4)])  # directed edge (1,2) used twice
-    with _pytest.raises(GeometryError):
+    with pytest.raises(GeometryError):
         EdgeComplex([(1, 2, 2)])
 
 
-def flip(tri, edge):
-    """The flipped triangulation, through the checking constructor: a
-    quad that is not strictly convex leaves a clockwise triangle."""
-    return Triangulation(tri.vertices, tri.complex.flip(edge, tri.complex.quad_around(edge)))
+def counterclockwise(points, complex_) -> bool:
+    """Whether every triangle of ``complex_`` turns counterclockwise on
+    ``points``, a mapping from vertex id to ``Point``."""
+    return all(orient(*(points[v] for v in tri)) > 0 for tri in complex_.triangles)
+
+
+def flip(complex_, edge):
+    return complex_.flip(edge, complex_.quad_around(edge))
 
 
 def test_quad_around_square():
-    tri = square_triangulation()
-    assert tri.complex.quad_around((1, 3)) == (1, 2, 3, 4)
-    assert tri.complex.quad_around((3, 1)) == (1, 2, 3, 4)
+    _, complex_ = square_triangulation()
+    assert complex_.quad_around((1, 3)) == (1, 2, 3, 4)
+    assert complex_.quad_around((3, 1)) == (1, 2, 3, 4)
 
 
 def test_quad_around_hull_edge_error():
-    tri = square_triangulation()
+    _, complex_ = square_triangulation()
     with pytest.raises(HullEdgeError):
-        tri.complex.quad_around((1, 2))
+        complex_.quad_around((1, 2))
 
 
 def test_quad_contains_queried_pair():
     rng = random.Random(3)
     for _ in range(10):
-        pts = random_generic_points(rng, 7)
-        tri = delaunay(pts)
-        for edge in tri.edges():
-            if not tri.complex.is_interior(edge):
-                continue
-            u, v, w, z = tri.complex.quad_around(edge)
+        complex_ = delaunay(random_generic_points(rng, 7))
+        for edge in interior_edges(complex_):
+            u, v, w, z = complex_.quad_around(edge)
             assert {u, w} == set(edge)
             assert u == min(edge)
 
 
 def test_flip_square_and_back():
-    tri = square_triangulation()
-    flipped = flip(tri, (1, 3))
-    assert flipped.complex.triangle_sets() == {
+    pts, complex_ = square_triangulation()
+    flipped = flip(complex_, (1, 3))
+    assert counterclockwise(pts, flipped)
+    assert flipped.triangle_sets() == {
         frozenset((1, 2, 4)),
         frozenset((2, 3, 4)),
     }
     assert (2, 4) in flipped.edges()
     assert (1, 3) not in flipped.edges()
-    assert len(flipped.edges()) == len(tri.edges())
+    assert len(flipped.edges()) == len(complex_.edges())
     back = flip(flipped, (2, 4))
-    assert back.complex == tri.complex
+    assert back == complex_
 
 
 def test_flip_preserves_hull():
     rng = random.Random(11)
     pts = random_generic_points(rng, 7)
-    tri = delaunay(pts)
-    for edge in tri.edges():
-        if not tri.complex.is_interior(edge):
-            continue
-        u, v, w, z = tri.complex.quad_around(edge)
-        pvz = [tri.vertices[i] for i in (u, v, z)]
-        pvwz = [tri.vertices[i] for i in (v, w, z)]
-        if orient(*pvz) <= 0 or orient(*pvwz) <= 0:
-            continue
-        assert flip(tri, edge).hull() == tri.hull()
+    complex_ = delaunay(pts)
+    coords = dict(pts)
+    for edge in interior_edges(complex_):
+        u, v, w, z = complex_.quad_around(edge)
+        if any(orient(*(coords[i] for i in tri)) <= 0 for tri in ((u, v, z), (v, w, z))):
+            continue  # the quad is not strictly convex
+        flipped = flip(complex_, edge)
+        assert counterclockwise(coords, flipped)
+        assert hull_edges(flipped) == hull_edges(complex_)
 
 
 def test_flip_updates_the_directed_edges_as_a_rebuild_would():
     # flip rewrites only the quad's directed edges; a complex built afresh
     # from the flipped triangles must index every edge the same way
     rng = random.Random(12)
-    complex_ = delaunay(random_generic_points(rng, 9)).complex
+    complex_ = delaunay(random_generic_points(rng, 9))
     for _ in range(40):
-        edge = rng.choice(sorted(e for e in complex_.edges() if complex_.is_interior(e)))
+        edge = rng.choice(interior_edges(complex_))
         try:
-            flipped = complex_.flip(edge, complex_.quad_around(edge))
+            flipped = flip(complex_, edge)
         except GeometryError:
             continue
         rebuilt = EdgeComplex(flipped.triangles)
@@ -417,23 +410,12 @@ def test_flip_updates_the_directed_edges_as_a_rebuild_would():
         complex_ = flipped
 
 
-def test_public_constructor_rejects_a_clockwise_triangle():
-    from braidshear.geometry import GeometryError
-
-    pts = {1: P(0, 0), 2: P(1, 0), 3: P(1, 1)}
-    Triangulation(pts, EdgeComplex([(1, 2, 3)]))
-    with pytest.raises(GeometryError, match="not counterclockwise"):
-        Triangulation(pts, EdgeComplex([(1, 3, 2)]))
-
-
 def test_flip_nonconvex_error():
-    pts = {1: P(0, 0), 2: P(4, 0), 3: P(0, 4), 4: P(1, 1)}
     complex_ = EdgeComplex([(1, 2, 4), (2, 3, 4), (1, 4, 3)])
-    tri = Triangulation(pts, complex_)
     with pytest.raises(GeometryError, match="already present"):
-        flip(tri, (1, 4))  # 4 is interior; quad (1,2,4,3) is not strictly convex
+        flip(complex_, (1, 4))  # 4 is interior; quad (1,2,4,3) is not strictly convex
     # a dart: 3 is a reflex corner of the quad (1,2,3,4), so (2,3,4) turns clockwise
     dart = {1: P(0, 0), 2: P(4, 0), 3: P(1, 1), 4: P(0, 4)}
-    tri = Triangulation(dart, EdgeComplex([(1, 2, 3), (1, 3, 4)]))
-    with pytest.raises(GeometryError, match="not counterclockwise"):
-        flip(tri, (1, 3))
+    complex_ = EdgeComplex([(1, 2, 3), (1, 3, 4)])
+    assert counterclockwise(dart, complex_)
+    assert not counterclockwise(dart, flip(complex_, (1, 3)))

@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 
 from braidshear import kinetic, roots
 from braidshear.algebra import parse_rational
-from braidshear.braid import SlotConfig, compile_motion, initial_triangulation, parse_braid
+from braidshear.braid import (
+    SlotConfig,
+    compile_motion,
+    initial_triangulation,
+    parse_braid,
+    slot_points,
+)
 from braidshear.coordinates import convex_polygon_complex
 from braidshear.geometry import DegenerateInputError, GeometryError, delaunay, point
 from braidshear.kinetic import (
@@ -16,7 +22,6 @@ from braidshear.kinetic import (
     CollisionError,
     DegeneracyError,
     FlipEvent,
-    InconsistentEventError,
     KineticError,
     Motion,
     Stage,
@@ -29,11 +34,15 @@ from braidshear.kinetic import (
     augmented_at,
     detect_flips,
     events_to_json,
-    position_at,
     positions_at,
-    replay,
 )
-from oracles import _position_functions, full_recompute_detect_flips, sympy_value
+from oracles import (
+    InconsistentEventError,
+    _position_functions,
+    full_recompute_detect_flips,
+    replay,
+    sympy_value,
+)
 
 
 def swap_motion(n, word_text):
@@ -49,13 +58,13 @@ def swap_motion(n, word_text):
 
 def test_stationary_position():
     m, _ = swap_motion(4, "s1")
-    assert position_at(m, 3, 0, Fraction(1, 7)) == point(3, Fraction(9, 64))
+    assert positions_at(m, 0, Fraction(1, 7))[3] == point(3, Fraction(9, 64))
 
 
 def arc_position(arc, t):
-    """The position of ``arc`` at time t, read through ``position_at`` from
-    a one-strand motion."""
-    return position_at(Motion(1, [Stage({1: arc})]), 1, 0, t)
+    """The position of ``arc`` at time t, read through ``positions_at``
+    from a one-strand motion."""
+    return positions_at(Motion(1, [Stage({1: arc})]), 0, t)[1]
 
 
 def test_arc_boundary_conditions():
@@ -128,11 +137,9 @@ def test_positions_match_the_sympy_oracle(center, start, still, direction, scale
 def test_position_range_errors():
     m, _ = swap_motion(3, "s1")
     with pytest.raises(KineticError):
-        position_at(m, 1, 5, Fraction(0))
+        positions_at(m, 5, Fraction(0))
     with pytest.raises(KineticError):
-        position_at(m, 1, 0, Fraction(3, 2))
-    with pytest.raises(KineticError):
-        position_at(m, 9, 0, Fraction(0))
+        positions_at(m, 0, Fraction(3, 2))
 
 
 def test_motion_continuity_validation():
@@ -148,7 +155,7 @@ def test_motion_continuity_validation():
 def test_stationary_motion_has_no_events():
     cfg = SlotConfig(4)
     tri0, _ = initial_triangulation(cfg)
-    stage = Stage({k: Stationary(p) for k, p in sorted(tri0.vertices.items())})
+    stage = Stage({k: Stationary(p) for k, p in slot_points(cfg)})
     motion = Motion(4, (stage,))
     assert detect_flips(motion, tri0) == []
 
@@ -262,7 +269,7 @@ def test_replay_prefix_matches_direct_complex_between_events():
         if any(ev.t_lo <= t <= ev.t_hi for ev in events):
             continue
         prefix = [ev for ev in events if ev.t_hi < t]
-        assert replay(tri0, prefix).same_triangles(augmented_at(motion, 0, t))
+        assert replay(augment(tri0), prefix).same_triangles(augmented_at(motion, 0, t))
 
 
 def test_dense_scan_certifies_event_history_n4():
@@ -277,7 +284,7 @@ def test_dense_scan_certifies_event_history_n4():
         if any(ev.t_lo <= t <= ev.t_hi for ev in events):
             continue
         prefix = [ev for ev in events if ev.t_hi < t]
-        assert replay(tri0, prefix).same_triangles(augmented_at(motion, 0, t))
+        assert replay(augment(tri0), prefix).same_triangles(augmented_at(motion, 0, t))
 
 
 def test_detectors_agree():
@@ -301,7 +308,7 @@ def test_one_stage_per_letter_and_full_word():
     motion, tri0 = swap_motion(4, "s1 s3")
     events = detect_flips(motion, tri0)
     assert {ev.stage for ev in events} == {0, 1}
-    final = replay(tri0, events)
+    final = replay(augment(tri0), events)
     assert final.same_triangles(augmented_at(motion, 1, Fraction(1)))
 
 
@@ -313,18 +320,18 @@ def test_motion_returning_point_set_restores_geometric_complex():
     motion, perm = compile_motion(word, cfg)
     tri0, _ = initial_triangulation(cfg)
     events = detect_flips(motion, tri0)
-    final = replay(tri0, events)
+    final = replay(augment(tri0), events)
     relabeled = frozenset(
         frozenset(perm[v] for v in tri) for tri in final.triangle_sets() if 0 not in tri
     )
-    assert relabeled == tri0.complex.triangle_sets()
+    assert relabeled == tri0.triangle_sets()
 
 
 def double_swap_motion():
     """Both swaps of 's1' and 's3' on n=4 run in the same stage."""
     cfg = SlotConfig(4)
     tri0, _ = initial_triangulation(cfg)
-    pts = dict(tri0.vertices)
+    pts = dict(slot_points(cfg))
     c12 = point(Fraction(3, 2), (pts[1].y + pts[2].y) / 2)
     c34 = point(Fraction(7, 2), (pts[3].y + pts[4].y) / 2)
     stage = Stage(
@@ -345,7 +352,7 @@ def test_simultaneous_disjoint_swaps_in_one_stage():
     # both swap regions produce events within the single stage
     assert any(set(ev.edge) & {1, 2} for ev in events)
     assert any(set(ev.edge) & {3, 4} for ev in events)
-    final = replay(tri0, events)
+    final = replay(augment(tri0), events)
     assert final.same_triangles(augmented_at(motion, 0, Fraction(1)))
     # the two detector backends agree on the interleaved history
     bisect = detect_flips(motion, tri0, detector="bisect")
@@ -353,10 +360,13 @@ def test_simultaneous_disjoint_swaps_in_one_stage():
 
 
 def test_initial_mismatch_rejected():
-    motion, _ = swap_motion(4, "s1")
-    wrong, _ = initial_triangulation(SlotConfig(4, epsilon=Fraction(1, 32)))
-    with pytest.raises(KineticError):
-        detect_flips(motion, wrong)
+    # the check compares complexes: the start complex flipped, or another
+    # strand count's, is not the motion's start
+    motion, tri0 = swap_motion(4, "s1")
+    wrong, _ = initial_triangulation(SlotConfig(5))
+    for initial in (_flipped(tri0), wrong):
+        with pytest.raises(KineticError, match="does not match the motion's start"):
+            detect_flips(motion, initial)
 
 
 def test_collision_is_detected():
@@ -380,7 +390,7 @@ def test_collision_on_the_second_half_is_detected():
         2: Stationary(point(5, 5)),
         3: Stationary(point(Fraction(9, 5), Fraction(-3, 5))),
     }),))
-    assert position_at(motion, 1, 0, Fraction(3, 4)) == point(Fraction(9, 5), Fraction(-3, 5))
+    assert positions_at(motion, 0, Fraction(3, 4))[1] == point(Fraction(9, 5), Fraction(-3, 5))
     with pytest.raises(CollisionError, match="strands 1 and 3 collide during stage 0"):
         kinetic._check_collisions(motion, 0)
 
@@ -544,7 +554,7 @@ def test_three_strand_walls_take_the_full_recompute(fallbacks):
 
 def test_replay_empty_is_identity():
     _, tri0 = swap_motion(4, "s1")
-    assert replay(tri0, []) == augment(tri0)
+    assert replay(augment(tri0), []) == augment(tri0)
 
 
 def test_replay_event_and_inverse_restores_complex():

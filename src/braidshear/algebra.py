@@ -8,7 +8,7 @@ two products to a unique canonical form (gcd-reduced, denominator leading
 coefficient positive under the graded-lexicographic monomial order), so
 equality is structural; the constructor is that routine on one factor
 each.  The label rules in ``coordinates`` do their arithmetic on
-polynomials and build each label through it.
+polynomials and build a label through it only when the label is read.
 
 Polynomials carry integer coefficients on packed monomials.  A polynomial
 lives in a ring: an interned tuple of variable names in ``_name_key``
@@ -31,13 +31,12 @@ so equality and hashing do not depend on the ring.
 polynomial division using a heap", J. Symb. Comput. 2011): the products of
 the quotient terms with the divisor's lower terms are merged through a
 heap keyed by the packed monomial, so each remainder term is formed once,
-in descending order.  It is the only
-division the Ptolemy flip needs: every Ptolemy label is a Laurent
-polynomial in the seed variables (Fomin and Zelevinsky, "Cluster algebras
-IV", 2007), so with ``x.num = m*p`` for its monomial-with-content part m,
-``(a*c + b*d)/x`` has numerator ``(a.num*c.num*b.den*d.den +
-b.num*d.num*a.den*c.den)/p * x.den``, an exact quotient, over the monomial
-``a.den*b.den*c.den*d.den*m`` (see ``coordinates.apply_ptolemy_flip``).
+in descending order.  It is the only division either flip rule takes:
+both carry their labels in separated form, a monomial times polynomials
+over the seed variables (Fomin and Zelevinsky, "Cluster algebras IV",
+2007), and a flip gives the new diagonal one polynomial, a sum of two
+products divided exactly by the old diagonal's (see
+``coordinates.apply_ptolemy_flip`` and ``coordinates.apply_shear_flip``).
 
 ``poly_gcd`` returns the full gcd over Z: content, constant and monomial
 shortcuts, then the heuristic gcd.  ``from_factors`` divides every
@@ -63,7 +62,7 @@ class AlgebraError(Exception):
 
 
 class ZeroFunctionDivision(AlgebraError, ZeroDivisionError):
-    """A zero denominator, or a flip dividing by a label that is zero."""
+    """A zero denominator."""
 
 
 _DIGIT_CHUNKS = re.compile(r"(\d+)")
@@ -304,14 +303,6 @@ class Polynomial:
         """Nonnegative gcd of all coefficients."""
         return math.gcd(*self._packed.values()) if self._packed else 0
 
-    def monomial_part(self) -> "Polynomial":
-        """The content times the monomial of least exponents: the largest
-        monomial that divides ``self`` (zero for zero)."""
-        if self.is_zero:
-            return self
-        ring = self._ring
-        return _poly(ring, {ring.pack(_least_exponents(ring, self._packed)): self.content()})
-
     # -- equality ------------------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -438,7 +429,7 @@ class Polynomial:
         so far with the divisor's lower terms are merged through a heap in
         which products of one monomial share an entry (Monagan and Pearce's
         chaining), so the remainder is never rescanned.  A monomial divisor,
-        as each Ptolemy flip has, divides term by term instead.
+        such as a seed's F = 1, divides term by term instead.
         """
         if divisor.is_zero:
             raise AlgebraError("division by the zero polynomial")

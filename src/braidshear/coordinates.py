@@ -5,40 +5,44 @@ Two update rules are supported for the flip of a quadrilateral
 c = (w,z), d = (z,u):
 
 * Ptolemy: the new diagonal (v, z) gets (a*c + b*d)/x where x is the old
-  diagonal label; every other label is unchanged.  The labels are Laurent
-  polynomials, so the rule is one exact division (``apply_ptolemy_flip``).
+  diagonal label; every other label is unchanged.
 * shear: the new diagonal gets 1/e, the side pair {a, c} is scaled by
   (1+e) and the pair {b, d} by e/(1+e), where e is the old diagonal label.
 
-A label is read as a ``RationalFunction``, a canonical value without
-arithmetic.  Ptolemy labels are carried as those values (``LabelState``):
-the rule computes on their numerator and denominator polynomials and
-builds the new label through the reducing constructor.
+Both rules carry their labels in one separated form (Fomin and Zelevinsky,
+"Cluster algebras IV: Coefficients", Prop. 3.13 and section 5): over the
+seed variables y, edge j holds an integer vector c_j and a polynomial F_j.
+Both start from the seed, unit vectors and F = 1, and a flip does integer
+work on the vectors and gives the new diagonal one polynomial by one
+exact division, (y^alpha prod P + y^beta prod Q) / F_k.
+
+Every Ptolemy label is a Laurent polynomial in y with positive
+coefficients (FZ IV), so it is y^{c_j} F_j with F_j divisible by no
+variable (``LabelState``).  With low = min(c_a + c_c, c_b + c_d),
+componentwise, the flip of k = (u, w) is
+
+    F'_k = (y^{c_a+c_c-low} F_a F_c + y^{c_b+c_d-low} F_b F_d) / F_k,
+    c'_k = low - c_k.
 
 The shear rule is Fock-Goncharov X-mutation (Fock and Goncharov, "Cluster
-ensembles, quantization and the dilogarithm", Ann. ENS 2009), so shear
-labels are carried in separated form (``ShearState``; Fomin and
-Zelevinsky, "Cluster algebras IV: Coefficients", Prop. 3.13 and section
-5).  Over the seed variables y, edge j holds an integer c-vector c_j and an
-F-polynomial F_j with constant term 1, and its label is
+ensembles, quantization and the dilogarithm", Ann. ENS 2009), so edge j
+holds a c-vector c_j and an F-polynomial F_j with constant term 1, and its
+label is (``ShearState``)
 
     y_j = y^{c_j} * prod_i F_i^{b_ij},
 
 where b_ij = +1 if edge i follows j counterclockwise in a triangle of the
 complex, -1 if it precedes it, and 0 otherwise.  Flipping k = (u, w), with
-b_kj = -1 on the sides (u,v), (w,z) and +1 on (v,w), (z,u), is integer
-work on the c-vectors,
+b_kj = -1 on the sides (u,v), (w,z) and +1 on (v,w), (z,u), is
 
     c'_k = -c_k,    c'_j = c_j + [b_kj]_+ c_k - b_kj * min(c_k, 0),
-
-and one exact polynomial division for the new diagonal,
-
     F'_k = (y^{[c_k]_+} prod_i F_i^{[b_ik]_+}
             + y^{[-c_k]_+} prod_i F_i^{[-b_ik]_+}) / F_k.
 
-No gcd is taken on the flip path.  A label becomes a rational function
-only when it is read: its factors, a monomial and up to two F's a side,
-go to ``RationalFunction.from_factors``, which reduces them pair by pair,
+No gcd is taken on the flip path of either rule.  A label becomes a
+``RationalFunction``, a canonical value without arithmetic, only when it
+is read: its factors, a monomial and up to two F's a side, go to
+``RationalFunction.from_factors``, which reduces them pair by pair,
 so labels stay exact and canonical with no gcd of an expanded product.
 Both rules, written directly in sympy's polynomial arithmetic, are the
 test oracles in tests/oracles.py.
@@ -63,7 +67,6 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 from braidshear.algebra import (
     Polynomial,
     RationalFunction,
-    ZeroFunctionDivision,
     poly_product,
 )
 from braidshear.braid import (  # MAX_STRANDS and StrandCountError re-exported
@@ -110,60 +113,11 @@ def _norm(edge: Edge) -> Edge:
     return (a, b) if a <= b else (b, a)
 
 
-@dataclass(frozen=True)
-class LabelState:
-    """A triangle complex together with one rational function per edge."""
-
-    complex: EdgeComplex
-    labels: Mapping[Edge, RationalFunction]
-
-    def __post_init__(self):
-        labels = {_norm(e): v for e, v in self.labels.items()}
-        if set(labels) != set(self.complex.edges()):
-            raise InternalInvariantError("label keys do not match the edge set")
-        object.__setattr__(self, "labels", labels)
-
-    def label(self, edge: Edge) -> RationalFunction:
-        return self.labels[_norm(edge)]
-
-
-def seed_state(complex_: EdgeComplex) -> LabelState:
-    """Fresh independent variables, one per edge, all in the one ring of
-    the edge names."""
-    edges = sorted(complex_.edges())
-    seeds = Polynomial.variables(edge_var_name(*e) for e in edges)
-    return LabelState(complex_, {e: RationalFunction(x) for e, x in zip(edges, seeds)})
-
-
-def apply_ptolemy_flip(state: LabelState, quad: Tuple[int, int, int, int]) -> LabelState:
-    """The new diagonal (v, z) gets (a*c + b*d)/x by one exact division.
-
-    Labels are Laurent polynomials in the seed variables, so with x.num =
-    m*p for its monomial-with-content part m, p divides the numerator of
-    the sum (see the algebra module docstring) and the new label has a
-    monomial denominator.
-    """
-    u, v, w, z = quad
-    x, a, b, c, d = (state.label(e) for e in ((u, w), (u, v), (v, w), (w, z), (z, u)))
-    if not all(label.is_laurent() for label in (x, a, b, c, d)):
-        raise ValueError("Ptolemy flips need Laurent labels (monomial denominators)")
-    if x.is_zero:
-        raise ZeroFunctionDivision(f"flip of the diagonal {(u, w)} labelled 0")
-    m = x.num.monomial_part()
-    bd, ac = b.den * d.den, a.den * c.den
-    q = (a.num * c.num * bd + b.num * d.num * ac).exact_div(x.num.exact_div(m))
-    if q is None:
-        raise InternalInvariantError(f"Ptolemy division inexact at flip of {(u, w)}")
-    labels = dict(state.labels)
-    del labels[_norm((u, w))]
-    labels[_norm((v, z))] = RationalFunction(q * x.den, ac * bd * m)
-    return LabelState(state.complex.flip((u, w), quad), labels)
-
-
-class ShearState:
-    """A triangle complex with shear labels in separated form: a c-vector
-    over the seed variables ``names`` and an F-polynomial per edge (see
-    the module docstring)."""
+class _SeparatedState:
+    """A triangle complex with labels in separated form: per edge an
+    integer vector c over the seed variables ``names`` and a polynomial F
+    (see the module docstring).  A subclass gives ``_factors(j)``, the F's
+    of the numerator and the denominator of label j."""
 
     __slots__ = ("complex", "names", "c", "F", "_labels")
 
@@ -175,7 +129,7 @@ class ShearState:
         F: Mapping[Edge, Polynomial],
     ):
         if set(c) != set(complex_.edges()) or set(F) != set(c):
-            raise InternalInvariantError("shear data keys do not match the edge set")
+            raise InternalInvariantError("label data keys do not match the edge set")
         self.complex = complex_
         self.names = names
         self.c = c
@@ -183,9 +137,9 @@ class ShearState:
         self._labels: Dict[Edge, RationalFunction] = {}
 
     @classmethod
-    def seed(cls, complex_: EdgeComplex) -> "ShearState":
-        """Fresh variables named as by ``seed_state``, one per edge: unit
-        c-vectors and F = 1."""
+    def seed(cls, complex_: EdgeComplex):
+        """Fresh variables, one per edge, all in the one ring of the edge
+        names: unit vectors and F = 1."""
         edges = sorted(complex_.edges())
         names = tuple(edge_var_name(*e) for e in edges)
         c = {e: tuple(int(i == k) for i in range(len(edges))) for k, e in enumerate(edges)}
@@ -195,33 +149,50 @@ class ShearState:
         edge = _norm(edge)
         value = self._labels.get(edge)
         if value is None:
-            value = self._labels[edge] = self._materialize(edge)
+            c = self.c[edge]
+            num, den = self._factors(edge)
+            value = self._labels[edge] = RationalFunction.from_factors(
+                [_monomial(self.names, [max(x, 0) for x in c]), *num],
+                [_monomial(self.names, [max(-x, 0) for x in c]), *den],
+            )
         return value
 
     @property
     def labels(self) -> Dict[Edge, RationalFunction]:
         return {e: self.label(e) for e in self.c}
 
-    def _materialize(self, j: Edge) -> RationalFunction:
-        # y^{[c]_+} prod F_i^{[b_ij]_+} over y^{[-c]_+} prod F_i^{[-b_ij]_+}:
-        # the side after j in each of its triangles has b_ij = +1
-        c = self.c[j]
-        num = [_monomial(self.names, [max(x, 0) for x in c])]
-        den = [_monomial(self.names, [max(-x, 0) for x in c])]
-        for tri in self.complex.edge_triangles(j):
-            after, before = _neighbour_sides(tri, j)
-            num.append(self.F[after])
-            den.append(self.F[before])
-        return RationalFunction.from_factors(num, den)
-
     def __eq__(self, other) -> bool:
-        if not isinstance(other, ShearState):
+        if type(other) is not type(self):
             return NotImplemented
         if self.complex != other.complex:
             return False
         if (self.names, self.c, self.F) == (other.names, other.c, other.F):
             return True
         return self.labels == other.labels
+
+
+class LabelState(_SeparatedState):
+    """Ptolemy labels: edge j holds y^{c_j} F_j, F_j divisible by no variable."""
+
+    __slots__ = ()
+
+    def _factors(self, j: Edge) -> Tuple[List[Polynomial], List[Polynomial]]:
+        return [self.F[j]], []
+
+
+class ShearState(_SeparatedState):
+    """Shear labels: edge j holds y^{c_j} prod_i F_i^{b_ij}."""
+
+    __slots__ = ()
+
+    def _factors(self, j: Edge) -> Tuple[List[Polynomial], List[Polynomial]]:
+        # the side after j in each of its triangles has b_ij = +1
+        num, den = [], []
+        for tri in self.complex.edge_triangles(j):
+            after, before = _neighbour_sides(tri, j)
+            num.append(self.F[after])
+            den.append(self.F[before])
+        return num, den
 
 
 _ONE = Polynomial.one()
@@ -241,6 +212,49 @@ def _neighbour_sides(tri: Tuple[int, int, int], edge: Edge) -> Tuple[Edge, Edge]
     raise InternalInvariantError(f"edge {edge} is not a side of {tri}")
 
 
+def _exchange(state, quad, c: Mapping[Edge, Tuple[int, ...]], c_new, alpha, P, beta, Q):
+    """``state`` with the vectors ``c`` and the diagonal k of ``quad``
+    flipped: the new diagonal gets the vector ``c_new`` and, by one exact
+    division, F'_k = (y^alpha prod_{j in P} F_j + y^beta prod_{j in Q} F_j) / F_k."""
+    u, v, w, z = quad
+    k, new = _norm((u, w)), _norm((v, z))
+    F = dict(state.F)
+    total = poly_product([_monomial(state.names, alpha), *(F[j] for j in P)]) + poly_product(
+        [_monomial(state.names, beta), *(F[j] for j in Q)]
+    )
+    F[new] = total.exact_div(F.pop(k))
+    if F[new] is None:
+        raise InternalInvariantError(f"F-polynomial division inexact at flip of {k}")
+    c = dict(c)
+    del c[k]
+    c[new] = tuple(c_new)
+    return type(state)(state.complex.flip(k, quad), state.names, c, F)
+
+
+def apply_ptolemy_flip(state: LabelState, quad: Tuple[int, int, int, int]) -> LabelState:
+    """The new diagonal (v, z) gets (a*c + b*d)/x by one exact division,
+    no gcd."""
+    u, v, w, z = quad
+    a, b, c, d = (_norm(e) for e in ((u, v), (v, w), (w, z), (z, u)))
+    vec = state.c
+    ac = [x + y for x, y in zip(vec[a], vec[c])]
+    bd = [x + y for x, y in zip(vec[b], vec[d])]
+    low = [min(x, y) for x, y in zip(ac, bd)]
+    # in each variable one of the two monomials is 1, and the F's are
+    # positive with no variable factor, so F'_k has no variable factor
+    # either: the next division by it stays exact
+    return _exchange(
+        state,
+        quad,
+        vec,
+        [x - y for x, y in zip(low, vec[_norm((u, w))])],
+        [x - y for x, y in zip(ac, low)],
+        (a, c),
+        [x - y for x, y in zip(bd, low)],
+        (b, d),
+    )
+
+
 def apply_shear_flip(state: ShearState, quad: Tuple[int, int, int, int]) -> ShearState:
     """X-mutation at the diagonal of ``quad`` on separated labels: integer
     c-vector updates and one exact division, no gcd."""
@@ -253,26 +267,16 @@ def apply_shear_flip(state: ShearState, quad: Tuple[int, int, int, int]) -> Shea
     pos = [max(x, 0) for x in ck]
     neg = [min(x, 0) for x in ck]
     c = dict(state.c)
-    F = dict(state.F)
     for j in grow:
         c[j] = tuple(x + y for x, y in zip(c[j], neg))
     for j in shrink:
         c[j] = tuple(x + y for x, y in zip(c[j], pos))
     # b_ik = -b_ki: the grown sides enter the y^{[c_k]_+} term
-    total = poly_product([_monomial(state.names, pos)] + [F[j] for j in grow]) + poly_product(
-        [_monomial(state.names, [-x for x in neg])] + [F[j] for j in shrink]
-    )
-    f_new = total.exact_div(F.pop(k))
-    if f_new is None:
-        raise InternalInvariantError(f"F-polynomial division inexact at flip of {k}")
+    flipped = _exchange(state, quad, c, [-x for x in ck], pos, grow, [-x for x in neg], shrink)
     # packed key 0 is the constant monomial in every ring
-    if f_new._packed.get(0) != 1:
+    if flipped.F[_norm((v, z))]._packed.get(0) != 1:
         raise InternalInvariantError(f"F-polynomial constant term is not 1 at flip of {k}")
-    del c[k]
-    new = _norm((v, z))
-    c[new] = tuple(-x for x in ck)
-    F[new] = f_new
-    return ShearState(state.complex.flip(k, quad), state.names, c, F)
+    return flipped
 
 
 def apply_flip(
@@ -287,7 +291,7 @@ def apply_flip(
 
 def _seed(complex_: EdgeComplex, system: LabelSystem) -> Union[LabelState, ShearState]:
     """The seed state that ``system``'s flip rule takes."""
-    return seed_state(complex_) if system is LabelSystem.PTOLEMY else ShearState.seed(complex_)
+    return (LabelState if system is LabelSystem.PTOLEMY else ShearState).seed(complex_)
 
 
 # -- executable identity checks -------------------------------------------

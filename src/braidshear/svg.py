@@ -10,33 +10,31 @@ from typing import Mapping
 
 from braidshear.geometry import EdgeComplex, Point
 
+SIZE = 480  # width in pixels
+MARGIN = 40.0  # pixels kept clear on each side
+
 
 def triangulation_svg(
-    points: Mapping[int, Point],
-    complex_: EdgeComplex,
-    *,
-    edge_labels: bool = True,
-    size: int = 480,
-    margin: float = 40.0,
+    points: Mapping[int, Point], complex_: EdgeComplex, *, edge_labels: bool = True
 ) -> str:
     pts = {i: (float(p.x), float(p.y)) for i, p in points.items()}
     xs = [x for x, _ in pts.values()]
     ys = [y for _, y in pts.values()]
     span_x = max(xs) - min(xs) or 1.0
     span_y = max(ys) - min(ys) or 1.0
-    scale = (size - 2 * margin) / max(span_x, span_y)
-    height = span_y * scale + 2 * margin
+    scale = (SIZE - 2 * MARGIN) / max(span_x, span_y)
+    height = span_y * scale + 2 * MARGIN
 
     def place(i):
         x, y = pts[i]
         return (
-            margin + (x - min(xs)) * scale,
-            height - margin - (y - min(ys)) * scale,
+            MARGIN + (x - min(xs)) * scale,
+            height - MARGIN - (y - min(ys)) * scale,
         )
 
     lines = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
-        f'height="{height:.1f}" viewBox="0 0 {size} {height:.1f}">',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SIZE}" '
+        f'height="{height:.1f}" viewBox="0 0 {SIZE} {height:.1f}">',
         '<rect width="100%" height="100%" fill="white"/>',
     ]
     for a, b in sorted(complex_.edges()):

@@ -18,7 +18,7 @@ from sympy.polys.rings import ring
 from braidshear import roots
 from braidshear.algebra import Polynomial
 from braidshear.braid import compile_motion, initial_triangulation, slot_position
-from braidshear.coordinates import LabelSystem, edge_var_name, seed_state
+from braidshear.coordinates import LabelState, LabelSystem, edge_var_name
 from braidshear.geometry import GeometryError, Point
 from braidshear.kinetic import (
     FAR_VERTEX,
@@ -499,10 +499,10 @@ def sympy_collision_polys(motion, stage_idx):
 
 # -- the label rules in sympy --------------------------------------------------
 #
-# The product carries Ptolemy labels as reduced rational functions updated by
-# its own exact division, and shear labels as c-vectors and F-polynomials;
-# these write each rule directly in sympy's polynomial arithmetic, to check
-# them.  A product label n/d agrees with an oracle label p/q iff n*q == p*d.
+# The product carries the labels of both rules in separated form, a vector
+# and a polynomial per edge, updated by its own exact division; these write
+# each rule directly on whole labels in sympy's polynomial arithmetic, to
+# check it.  A product label n/d agrees with an oracle label p/q iff n*q == p*d.
 
 
 def _norm(edge):
@@ -530,7 +530,8 @@ class SympyState(NamedTuple):
 
 
 def sympy_state(state, system):
-    """The labels of a ``LabelState`` in sympy, over the variables they use."""
+    """The labels of a product state of either rule in sympy, over the
+    variables they use."""
     names = sorted({v for f in state.labels.values() for v in (*f.num.vars, *f.den.vars)})
     symbols = [sp.Symbol(name) for name in names]
     if system is LabelSystem.PTOLEMY:
@@ -595,7 +596,7 @@ def sympy_entries(word, cfg, system):
     edges as ``run_invariant`` does."""
     tri0, _ = initial_triangulation(cfg)
     motion, perm = compile_motion(word, cfg)
-    state = sympy_state(seed_state(augment(tri0)), system)
+    state = sympy_state(LabelState.seed(augment(tri0)), system)
     flip = sympy_ptolemy_flip if system is LabelSystem.PTOLEMY else sympy_shear_flip
     for event in detect_flips(motion, tri0):
         state = flip(state, event.quad)

@@ -27,7 +27,6 @@ from braidshear.coordinates import (
     first_difference,
     invariants_equal,
     run_invariant,
-    seed_state,
 )
 from braidshear.geometry import EdgeComplex
 from braidshear.kinetic import DegeneracyError, FlipEvent, augment, detect_flips
@@ -58,7 +57,7 @@ def square_complex():
 
 
 def square_state():
-    return seed_state(square_complex())
+    return LabelState.seed(square_complex())
 
 
 def square_shear():
@@ -97,7 +96,7 @@ def test_ptolemy_flips_match_the_rational_function_rule(data):
     # random flip sequences on a fan-triangulated convex polygon: the
     # exact-division rule gives the labels of the rule written in sympy
     n = data.draw(st.integers(5, 8), label="polygon size")
-    state = seed_state(convex_polygon_complex([(1, i, i + 1) for i in range(2, n)]))
+    state = LabelState.seed(convex_polygon_complex([(1, i, i + 1) for i in range(2, n)]))
     oracle = sympy_state(state, LabelSystem.PTOLEMY)
     for _ in range(data.draw(st.integers(1, 10), label="flips")):
         interior = interior_edges(state.complex)
@@ -122,24 +121,16 @@ def test_run_invariant_ptolemy_matches_the_oracle_on_random_words():
         assert labels_match(inv.entries, oracle), word.text()
 
 
-@pytest.mark.parametrize("edge", [(1, 3), (1, 2)])
-def test_ptolemy_flip_rejects_a_non_laurent_label(edge):
-    state = square_state()
-    labels = dict(state.labels)
-    labels[edge] = RationalFunction(Polynomial.one(), 1 + pvar(1, 3))
-    with pytest.raises(ValueError, match="Laurent"):
-        apply_ptolemy_flip(LabelState(state.complex, labels), (1, 2, 3, 4))
-
-
-@pytest.mark.parametrize("value", [Fraction(2), Fraction(1, 2), Fraction(-3, 4)])
-@pytest.mark.parametrize("edge", [(1, 3), (1, 2), (3, 4)])
+@pytest.mark.parametrize("value", [2, -3], ids=["value0", "value3"])
+@pytest.mark.parametrize("edge", [(1, 2), (3, 4)], ids=["edge1", "edge2"])
 def test_ptolemy_flip_accepts_constant_labels(edge, value):
+    # an integer side label is the zero vector with a constant F
     state = square_state()
-    labels = dict(state.labels)
-    labels[edge] = RationalFunction(
-        Polynomial.constant(value.numerator), Polynomial.constant(value.denominator)
-    )
-    state = LabelState(state.complex, labels)
+    c, F = dict(state.c), dict(state.F)
+    c[edge] = (0,) * len(state.names)
+    F[edge] = Polynomial.constant(value)
+    state = LabelState(state.complex, state.names, c, F)
+    assert state.label(edge) == RationalFunction(Polynomial.constant(value))
     flipped = apply_ptolemy_flip(state, (1, 2, 3, 4))
     oracle = sympy_ptolemy_flip(sympy_state(state, LabelSystem.PTOLEMY), (1, 2, 3, 4))
     assert labels_match(flipped.labels, oracle.labels)
@@ -194,7 +185,7 @@ def test_shear_numeric_specialization_separated():
 
 def test_shear_seed_reads_the_ptolemy_seed_variables():
     complex_ = convex_polygon_complex([(1, 2, 3), (1, 3, 4), (1, 4, 5)])
-    assert ShearState.seed(complex_).labels == seed_state(complex_).labels
+    assert ShearState.seed(complex_).labels == LabelState.seed(complex_).labels
 
 
 def test_shear_double_flip_is_identity():
@@ -211,7 +202,7 @@ def test_flip_locality():
     quad = complex_.quad_around((1, 3))
     support = {(1, 2), (2, 3), (3, 4), (1, 4), (1, 3)}
     seeds = {
-        LabelSystem.PTOLEMY: seed_state(complex_),
+        LabelSystem.PTOLEMY: LabelState.seed(complex_),
         LabelSystem.SHEAR: ShearState.seed(complex_),
     }
     for system, octagon in seeds.items():
@@ -229,7 +220,7 @@ def test_separated_shear_labels_match_the_rational_function_rule(data):
     n = data.draw(st.integers(5, 8), label="polygon size")
     complex_ = convex_polygon_complex([(1, i, i + 1) for i in range(2, n)])
     state = ShearState.seed(complex_)
-    oracle = sympy_state(seed_state(complex_), LabelSystem.SHEAR)
+    oracle = sympy_state(LabelState.seed(complex_), LabelSystem.SHEAR)
     for _ in range(data.draw(st.integers(1, 10), label="flips")):
         interior = interior_edges(state.complex)
         quad = state.complex.quad_around(data.draw(st.sampled_from(interior)))
@@ -252,7 +243,7 @@ def test_mirrored_rule_is_the_frozen_rule_on_the_reversed_complex(data):
     # orientation reversed
     n = data.draw(st.integers(4, 8), label="polygon size")
     complex_ = convex_polygon_complex([(1, i, i + 1) for i in range(2, n)])
-    oracle = sympy_state(seed_state(complex_), LabelSystem.SHEAR)
+    oracle = sympy_state(LabelState.seed(complex_), LabelSystem.SHEAR)
     state = ShearState.seed(reversed_complex(complex_))
     for _ in range(data.draw(st.integers(1, 7), label="flips")):
         interior = interior_edges(state.complex)
@@ -351,7 +342,7 @@ def flip_states(n, text, system):
     except DegeneracyError:
         assume(False)
     base = augment(tri0)
-    state = seed_state(base) if system is LabelSystem.PTOLEMY else ShearState.seed(base)
+    state = LabelState.seed(base) if system is LabelSystem.PTOLEMY else ShearState.seed(base)
     for event in events:
         state = apply_flip(state, event.quad, system)
         yield event, state
@@ -388,6 +379,68 @@ def test_ptolemy_labels_are_positive_laurent_polynomials(word):
         assert all(coeff > 0 for coeff in label.den.terms.values()), (word, event)
 
 
+def assert_separated_ptolemy(state, where):
+    """Each F is positive with no variable factor, and each label read has
+    a monic monomial denominator: the form ``LabelState`` relies on."""
+    for edge, F in state.F.items():
+        assert all(coeff > 0 for coeff in F.terms.values()), (where, edge)
+        # no variable factor: each variable is missing from some term
+        assert all(0 in column for column in zip(*F.terms)), (where, edge)
+        den = state.label(edge).den
+        assert den.is_monomial and den.lead_coeff() == 1, (where, edge)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_ptolemy_separated_form_holds_on_fan_polygons(data):
+    n = data.draw(st.integers(4, 8), label="polygon size")
+    state = LabelState.seed(convex_polygon_complex([(1, i, i + 1) for i in range(2, n)]))
+    assert_separated_ptolemy(state, "seed")
+    for step in range(data.draw(st.integers(1, 12), label="flips")):
+        edge = data.draw(st.sampled_from(interior_edges(state.complex)))
+        state = apply_ptolemy_flip(state, state.complex.quad_around(edge))
+        assert_separated_ptolemy(state, (step, edge))
+
+
+@settings(max_examples=10, deadline=None)
+@given(random_words())
+def test_ptolemy_separated_form_holds_along_random_words(word):
+    for event, state in flip_states(*word, LabelSystem.PTOLEMY):
+        assert_separated_ptolemy(state, (word, event))
+
+
+def test_no_flip_takes_a_gcd(monkeypatch):
+    # both rules run a word's flips with poly_gcd raising; a label read
+    # reduces through it afterwards
+    import braidshear.algebra as algebra
+
+    cfg = SlotConfig(5)
+    tri0, _ = initial_triangulation(cfg)
+    motion, _ = compile_motion(parse_braid("s3 s4 s2 s1 s3'", n=5), cfg)
+    events = detect_flips(motion, tri0)
+    base = augment(tri0)
+    rules = [
+        (LabelState, apply_ptolemy_flip, sympy_ptolemy_flip, LabelSystem.PTOLEMY),
+        (ShearState, apply_shear_flip, sympy_shear_flip, LabelSystem.SHEAR),
+    ]
+
+    def no_gcd(f, g):
+        raise AssertionError("a flip took a gcd")
+
+    for cls, flip, oracle_flip, system in rules:
+        state = cls.seed(base)
+        with monkeypatch.context() as patch:
+            patch.setattr(algebra, "poly_gcd", no_gcd)
+            for event in events:
+                state = flip(state, event.quad)
+            with pytest.raises(AssertionError, match="took a gcd"):
+                RationalFunction(1 + pvar(1, 2), pvar(1, 2))
+        oracle = sympy_state(cls.seed(base), system)
+        for event in events:
+            oracle = oracle_flip(oracle, event.quad)
+        assert labels_match(state.labels, oracle.labels), system
+
+
 # -- relation checks -----------------------------------------------------------
 
 
@@ -417,7 +470,7 @@ def test_pentagon_detects_wrong_side_assignment():
         return state.flipped(quad, changes)
 
     start = convex_polygon_complex([(1, 2, 3), (1, 3, 4), (1, 4, 5)])
-    seed = sympy_state(seed_state(start), LabelSystem.SHEAR)
+    seed = sympy_state(LabelState.seed(start), LabelSystem.SHEAR)
     short = seed
     for edge in [(1, 4), (1, 3)]:
         short = wrong_shear(short, short.complex.quad_around(edge))
@@ -762,6 +815,10 @@ def test_run_invariant_shear_matches_the_oracle_on_random_words():
     [
         (7, "s1' s5' s3 s4 s1 s6 s2' s3", LabelSystem.SHEAR),
         (5, "s3 s4 s2 s1", LabelSystem.PTOLEMY),
+        # large labels of two CI pins: the Ptolemy growth word and the
+        # 3.5 MB shear output
+        (6, "s2 s5 s3 s5 s5 s5 s4' s3' s5'", LabelSystem.PTOLEMY),
+        (6, "s3 s4 s1 s3 s5 s1 s4' s1", LabelSystem.SHEAR),
     ],
 )
 def test_invariant_entries_equal_the_flip_rule_run_on_numbers(n, text, system):

@@ -26,8 +26,9 @@ minors of the movers, built once per half (see ``_stage_event_polys``).
 A collision is excluded by one integer resultant per strand pair.
 
 Every real root of every event polynomial in a stage is isolated in a
-bracket (a wall), and the brackets are refined until pairwise disjoint,
-so each holds exactly one event time.  A wall isolated from a single
+bracket (a wall), and one ordered pass refines the brackets until
+pairwise disjoint, so each holds exactly one event time; event times
+closer than ``SEPARATION_FLOOR`` are a degeneracy.  A wall isolated from a single
 polynomial is decided by that polynomial alone, its certificate, as in a
 kinetic data structure: the complex changes across the bracket exactly
 when the certificate's sign differs at the two ends (a root of even
@@ -62,12 +63,13 @@ product runs ``sturm``.
 
 from __future__ import annotations
 
+from bisect import insort_left, insort_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations
 from math import lcm
-from operator import mul
+from operator import attrgetter, mul
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from braidshear import roots
@@ -82,6 +84,9 @@ from braidshear.geometry import (
 FAR_VERTEX = 0
 
 DEFAULT_MIN_BRACKET = Fraction(1, 2 ** 20)
+# Event times closer than this are inseparable; it lies far below 2**-622, the
+# least width 200 fixes reach (each keeps over an eighth of the narrower bracket).
+SEPARATION_FLOOR = DEFAULT_MIN_BRACKET / 2 ** 1000
 DEFAULT_GRID = 64
 
 
@@ -514,20 +519,13 @@ class _Wall:
 
     def shrink(self, width: Fraction) -> None:
         if self.exact is not None:
-            delta = width / 2
-            self.lo = self.exact - delta
-            self.hi = self.exact + delta
+            self.lo, self.hi = self.exact - width / 2, self.exact + width / 2
         else:
             refined = roots.refine_root(self.poly, roots.IsolatedRoot(self.lo, self.hi), width)
             self.lo, self.hi = refined.lo, refined.hi
 
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-    def contains_root_of(self, other: "_Wall") -> Optional[bool]:
-        """True if this wall's event time equals the other's (exact check)."""
-        if self.exact is not None and other.exact is not None:
-            return self.exact == other.exact
+    def contains_root_of(self, other: "_Wall") -> bool:
+        """True if the walls' event times are equal (exact check; one at most is exact)."""
         if self.exact is not None:
             return roots.evaluate(other.poly, self.exact) == 0
         if other.exact is not None:
@@ -575,42 +573,44 @@ def _stage_walls(motion: Motion, stage_idx: int) -> List[_Wall]:
 
 def _separate_walls(walls: List[_Wall], w_min: Fraction) -> List[_Wall]:
     """Refine brackets until pairwise disjoint, merging exactly equal
-    event times (they remain one bracket holding several flips)."""
-    for _ in range(200):
-        # (lo, hi) as integers over one denominator sort much faster than
-        # as Fractions, in the same order
-        den = lcm(*(x.denominator for w in walls for x in (w.lo, w.hi)))
-        walls.sort(
-            key=lambda w: (
-                w.lo.numerator * (den // w.lo.denominator),
-                w.hi.numerator * (den // w.hi.denominator),
-            )
+    event times (they remain one bracket holding several flips).  One pass
+    over the walls sorted by (lo, hi) fixes the first overlapping pair and
+    resumes at it, the walls before it untouched: a fix narrows the pair
+    (put back ahead of its ties) or merges it inside its union (after)."""
+    # (lo, hi) as integers over one denominator sort much faster than
+    # as Fractions, in the same order
+    den = lcm(*(x.denominator for w in walls for x in (w.lo, w.hi)))
+    walls.sort(
+        key=lambda w: (
+            w.lo.numerator * (den // w.lo.denominator),
+            w.hi.numerator * (den // w.hi.denominator),
         )
-        overlap = None
-        for a, b in zip(walls, walls[1:]):
-            if b.lo < a.hi:
-                overlap = (a, b)
-                break
-        if overlap is None:
-            return walls
-        a, b = overlap
+    )
+    ends, i = attrgetter("lo", "hi"), 0
+    while i + 1 < len(walls):
+        a, b = walls[i], walls[i + 1]
+        if a.hi <= b.lo:
+            i += 1
+            continue
+        del walls[i : i + 2]
+        wa, wb = a.hi - a.lo, b.hi - b.lo
         if a.contains_root_of(b):
             merged = _Wall(a.poly, min(a.lo, b.lo), max(a.hi, b.hi), exact=a.exact or b.exact)
             if merged.exact is None:
                 g = roots.gcd(a.poly, b.poly)
-                (iso,) = roots.isolate_roots(g, merged.lo, merged.hi) if roots.degree(g) >= 1 else (None,)
-                if iso is None:
-                    raise KineticError("merge lost the shared root")
+                (iso,) = roots.isolate_roots(g, merged.lo, merged.hi)
                 merged = _Wall(g, iso.lo, iso.hi)
-                merged.shrink(min(w_min, a.width(), b.width()))
-            walls.remove(a)
-            walls.remove(b)
-            walls.append(merged)
+                merged.shrink(min(w_min, wa, wb))
+            insort_right(walls, merged, i, key=ends)
         else:
-            target = min(a.width(), b.width()) / 4
+            target = min(wa, wb) / 4
+            if target < SEPARATION_FLOOR:
+                raise DegeneracyError("event times failed to separate")
             a.shrink(target)
             b.shrink(target)
-    raise DegeneracyError("event times failed to separate")
+            insort_left(walls, b, i, key=ends)
+            insort_left(walls, a, i, key=ends)
+    return walls
 
 
 # -- transition classification (shared by both backends) ------------------

@@ -27,6 +27,7 @@ from braidshear.kinetic import (
     Stationary,
     _HALF_COS_SIN,
     _HALVES,
+    _Wall,
     _apply_transition,
     _check_collisions,
     _padd,
@@ -222,6 +223,36 @@ def replay(complex_, events):
         except Exception as exc:
             raise InconsistentEventError(f"cannot replay {ev}: {exc}") from exc
     return complex_
+
+
+# -- wall separation by restarting after every fix -------------------------
+
+
+def restart_separate_walls(walls, w_min):
+    """``kinetic._separate_walls`` as a loop that re-sorts the walls and
+    rescans them from the first after every fix, with no give-up: run it
+    only on walls that separate."""
+    while True:
+        walls.sort(key=lambda w: (w.lo, w.hi))
+        overlap = next(((a, b) for a, b in zip(walls, walls[1:]) if b.lo < a.hi), None)
+        if overlap is None:
+            return walls
+        a, b = overlap
+        wa, wb = a.hi - a.lo, b.hi - b.lo
+        if a.contains_root_of(b):
+            merged = _Wall(a.poly, min(a.lo, b.lo), max(a.hi, b.hi), exact=a.exact or b.exact)
+            if merged.exact is None:
+                g = roots.gcd(a.poly, b.poly)
+                (iso,) = roots.isolate_roots(g, merged.lo, merged.hi)
+                merged = _Wall(g, iso.lo, iso.hi)
+                merged.shrink(min(w_min, wa, wb))
+            walls.remove(a)
+            walls.remove(b)
+            walls.append(merged)
+        else:
+            target = min(wa, wb) / 4
+            a.shrink(target)
+            b.shrink(target)
 
 
 # -- event polynomials by one determinant per subset ---------------------------
@@ -636,6 +667,24 @@ def shadow_entries(word, cfg, system, point):
         for (p, q), value in values.items()
         if FAR_VERTEX not in (p, q)
     }
+
+
+def exchange_column(complex_, j):
+    """``{i: b_ij}`` on ``complex_``: +1 for each triangle of edge j in which
+    side i follows j counterclockwise, -1 for each in which it precedes j."""
+    column = {}
+    for a, b, c in complex_.edge_triangles(j):
+        for p, q, r in ((a, b, c), (b, c, a), (c, a, b)):
+            if {p, q} == set(j):
+                after, before = _norm((q, r)), _norm((r, p))
+                column[after] = column.get(after, 0) + 1
+                column[before] = column.get(before, 0) - 1
+    return column
+
+
+def ensemble_image(values, complex_, j):
+    """The shear coordinate of edge j under p: A -> X, prod_i x_i^{b_ij}."""
+    return math.prod(values[i] ** b for i, b in exchange_column(complex_, j).items())
 
 
 def evaluate(f, point):

@@ -31,6 +31,7 @@ from braidshear.coordinates import (
 from braidshear.geometry import EdgeComplex
 from braidshear.kinetic import DegeneracyError, FlipEvent, augment, detect_flips
 from oracles import (
+    ensemble_image,
     evaluate,
     interior_edges,
     labels_match,
@@ -796,6 +797,41 @@ def test_invariant_json_round_trip():
             assert parse_canonical(rec["value"]["den"]) == to_sympy(value.den)
 
 
+def test_shear_labels_are_the_ensemble_map_of_the_ptolemy_labels():
+    # Fock and Goncharov's map p: A -> X commutes with the flips: seed shear
+    # at the image of a Ptolemy point, run both rules along the same
+    # certified events, and every final shear label is the image of the
+    # final Ptolemy labels, read on the final complex
+    def at(f, values):
+        return Fraction(evaluate(f.num, values), evaluate(f.den, values))
+
+    rng = random.Random(24)
+    flips = 0
+    for _ in range(24):
+        n = rng.randint(4, 6)
+        text = " ".join(
+            f"s{rng.randint(1, n - 1)}" + ("'" if rng.random() < 0.5 else "")
+            for _ in range(rng.randint(3, 5))
+        )
+        cfg = SlotConfig(n)
+        tri0, _ = initial_triangulation(cfg)
+        motion, _ = compile_motion(parse_braid(text, n=n), cfg)
+        seed = augment(tri0)
+        x = {e: Fraction(rng.randint(1, 9)) for e in seed.edges()}
+        point = {edge_var_name(*e): v for e, v in x.items()}
+        y = {edge_var_name(*j): ensemble_image(x, seed, j) for j in seed.edges()}
+        ptolemy, shear = LabelState.seed(seed), ShearState.seed(seed)
+        for event in detect_flips(motion, tri0):
+            ptolemy = apply_flip(ptolemy, event.quad, LabelSystem.PTOLEMY)
+            shear = apply_flip(shear, event.quad, LabelSystem.SHEAR)
+            flips += 1
+        assert shear.complex == ptolemy.complex
+        X = {e: at(ptolemy.label(e), point) for e in ptolemy.complex.edges()}
+        for j in shear.complex.edges():
+            assert at(shear.label(j), y) == ensemble_image(X, shear.complex, j), (text, j)
+    assert flips > 24 * 20
+
+
 def test_run_invariant_shear_matches_the_oracle_on_random_words():
     rng = random.Random(3)
     for _ in range(4):
@@ -815,10 +851,11 @@ def test_run_invariant_shear_matches_the_oracle_on_random_words():
     [
         (7, "s1' s5' s3 s4 s1 s6 s2' s3", LabelSystem.SHEAR),
         (5, "s3 s4 s2 s1", LabelSystem.PTOLEMY),
-        # large labels of two CI pins: the Ptolemy growth word and the
-        # 3.5 MB shear output
+        # large labels of three CI pins: the Ptolemy growth word and the
+        # 3.5 MB and 9.9 MB shear outputs
         (6, "s2 s5 s3 s5 s5 s5 s4' s3' s5'", LabelSystem.PTOLEMY),
         (6, "s3 s4 s1 s3 s5 s1 s4' s1", LabelSystem.SHEAR),
+        (7, "s4' s2' s3 s4 s2 s2", LabelSystem.SHEAR),
     ],
 )
 def test_invariant_entries_equal_the_flip_rule_run_on_numbers(n, text, system):

@@ -41,6 +41,7 @@ from oracles import (
     _position_functions,
     full_recompute_detect_flips,
     replay,
+    restart_separate_walls,
     sympy_value,
 )
 
@@ -669,11 +670,92 @@ def test_separate_walls_exact_marker_merges_with_matching_interval_root():
 def test_separate_walls_gives_up_as_a_degeneracy():
     from braidshear.kinetic import _Wall, _separate_walls
 
-    # roots 2^-1000 and 1/(2^1000 + 1) lie about 2^-2000 apart, far below
-    # what the fixed number of refinement rounds can split
+    # roots 2^-1000 and 1/(2^1000 + 1) lie about 2^-2000 apart, below the
+    # width floor (SEPARATION_FLOOR) under which event times are inseparable
     walls = [_Wall([-1, 2 ** 1000 + k], Fraction(0), Fraction(1)) for k in (0, 1)]
     with pytest.raises(DegeneracyError, match="failed to separate"):
         _separate_walls(walls, DEFAULT_MIN_BRACKET)
+
+
+def _synthetic_walls(seed):
+    """Walls of 2-14 polynomials whose roots come from one pool: roots
+    shared exactly and roots 2^-18 to 2^-26 apart; some sets hold the exact
+    t = 1/2 wall, built as ``_stage_walls`` builds it."""
+    from braidshear.kinetic import _Wall
+
+    rng = random.Random(seed)
+    half = Fraction(1, 2)
+    pool = []
+    for _ in range(rng.randint(1, 6)):
+        r = Fraction(rng.randint(1, 996), 997)
+        pool.append(r)
+        for _ in range(rng.randint(0, 2)):
+            pool.append(r + Fraction(rng.choice((-1, 1)), 2 ** rng.randint(18, 26)))
+    if rng.random() < 0.3:
+        pool.append(half)
+    w_min = Fraction(1, 2 ** rng.randint(6, 20))
+    walls = []
+    for k in range(rng.randint(2, 14)):
+        chosen = rng.sample(pool, rng.randint(1, min(3, len(pool))))
+        poly = _poly_with_roots(*chosen)
+        if half in chosen:
+            if not any(w.exact for w in walls):
+                walls.append(_Wall(poly, half, half, exact=half))
+            chosen.remove(half)
+        if chosen:
+            work = _poly_with_roots(*chosen)
+            for iso in roots.isolate_roots(work, Fraction(0), Fraction(1)):
+                walls.append(_Wall(work, iso.lo, iso.hi, cert=((k,), poly)))
+    for w in walls:
+        w.shrink(w_min)
+    return walls, w_min
+
+
+def _wall_data(walls):
+    return [(w.lo, w.hi, w.exact, w.poly, w.cert is None) for w in walls]
+
+
+@pytest.mark.parametrize("seeds", [range(0, 100), range(100, 200)])
+def test_separate_walls_matches_the_restart_loop(seeds):
+    from braidshear.kinetic import _separate_walls
+
+    merged = narrowed = 0
+    for seed in seeds:
+        walls, w_min = _synthetic_walls(seed)
+        widths = {id(w): w.hi - w.lo for w in walls}
+        ours = _separate_walls(list(walls), w_min)
+        theirs = restart_separate_walls(*_synthetic_walls(seed))
+        assert _wall_data(ours) == _wall_data(theirs), seed
+        assert all(a.hi <= b.lo for a, b in zip(ours, ours[1:]))
+        merged += len(ours) < len(walls)
+        narrowed += any(w.hi - w.lo < widths.get(id(w), 0) for w in ours)
+    # many sets take each fix: a merge, and a narrowing that stays
+    assert merged > 40 and narrowed > 40
+
+
+def test_separate_walls_splits_300_roots_2_to_the_minus_30_apart():
+    # neighbours overlap at DEFAULT_MIN_BRACKET: 475 fixes in the one pass
+    from braidshear.kinetic import _Wall, _separate_walls
+
+    gap = Fraction(1, 2 ** 30)
+
+    def walls():
+        out = []
+        for k in range(1, 301):
+            poly = [-(2 ** 30 + 3 * k), 3 * 2 ** 30]  # the root 1/3 + k 2^-30
+            (iso,) = roots.isolate_roots(poly, Fraction(0), Fraction(1))
+            out.append(_Wall(poly, iso.lo, iso.hi, cert=((k,), poly)))
+        for w in out:
+            w.shrink(DEFAULT_MIN_BRACKET)
+        return out
+
+    separated = _separate_walls(walls(), DEFAULT_MIN_BRACKET)
+    theirs = restart_separate_walls(walls(), DEFAULT_MIN_BRACKET)
+    assert _wall_data(separated) == _wall_data(theirs)
+    assert [w.cert[0] for w in separated] == [(k,) for k in range(1, 301)]
+    for k, w in enumerate(separated, 1):
+        assert w.lo < Fraction(1, 3) + k * gap < w.hi
+    assert all(a.hi <= b.lo for a, b in zip(separated, separated[1:]))
 
 
 # -- integer event polynomials against the rational-function oracle -------

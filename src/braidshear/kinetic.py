@@ -28,22 +28,21 @@ A collision is excluded by one integer resultant per strand pair.
 Every real root of every event polynomial in a stage is isolated in a
 bracket (a wall), and one ordered pass refines the brackets until
 pairwise disjoint, so each holds exactly one event time; event times
-closer than ``SEPARATION_FLOOR`` are a degeneracy.  A wall isolated from a single
-polynomial is decided by that polynomial alone, its certificate, as in a
-kinetic data structure: the complex changes across the bracket exactly
-when the certificate's sign differs at the two ends (a root of even
-multiplicity is a touch, not a crossing; the sign change is found once,
-when the stage's walls are built) and its 4-subset is the quad
-around an edge of the current complex, and the change is the flip of that
-edge.  Three kinds of wall fall back to rebuilding the complex by
-``delaunay()`` at both bracket ends and classifying the difference:
-merged walls (several polynomials with exactly equal roots, which may
-hold simultaneous flips), the exact t = 1/2 wall where the two
-half-stages meet, and walls whose flip would not be simplicial because
-the quad's other diagonal is already an edge (only the n = 3 tetrahedron,
-where the transition merely reverses orientation).  Apart from these,
-``delaunay()`` runs only at the start, to check the initial complex, and
-at stage ends, to check the replayed one.
+closer than ``SEPARATION_FLOOR`` are a degeneracy.  A wall is decided by
+the polynomials whose root it holds, its certificates, as in a kinetic
+data structure: no other orient or incircle sign changes across the
+bracket, so the complex changes there exactly by the flips of the edges
+whose quads are the 4-subsets of the certificates that change sign (a
+root of even multiplicity is a touch, not a crossing; the sign changes
+are found once, when the stage's walls are built).  A wall may hold
+several certificates: polynomials with exactly equal roots merge into one
+wall, whose flips are simultaneous, and the exact t = 1/2 wall, where the
+two half-stages meet, reads each half's polynomial on its own side.  A
+flip whose new diagonal is already an edge, or that of another flip of
+the wall, is skipped: on a generic motion that happens only when every
+strand is collinear (at each event of the n = 3 tetrahedron), and the
+transition merely reverses orientation.  ``delaunay()`` runs only at the start, to check
+the initial complex, and at stage ends, to check the replayed one.
 
 A stage's walls (event polynomials, separated brackets, certificates)
 depend only on its set of trajectories, so each distinct stage's walls are
@@ -51,8 +50,8 @@ built once per ``detect_flips`` call, or once per memo a caller shares
 between calls (``equal`` shares one between its two words).  A repeat
 takes them with each certificate's strands relabeled by the trajectory
 they follow (a repeated braid letter), and then every wall is decided on
-the current complex as for a first occurrence, fallback walls and the
-stage-end check included.
+the current complex as for a first occurrence, the stage-end check
+included.
 
 Two detector backends share one contract: ``sturm`` is the certified
 detector above (complete); ``bisect`` samples a grid and bisects intervals
@@ -500,22 +499,24 @@ class _Wall:
     """A bracketed event time: an isolating interval of one event
     polynomial, or an exact rational time.
 
-    A wall isolated from a single event polynomial carries its
-    certificate ``(subset, coeffs)``: the polynomial's 4-subset and the
-    signed polynomial itself, not made squarefree.  Merged and exact walls
-    carry none.  ``crosses`` tells, once the brackets are final, whether
-    the certificate changes sign across the bracket.
+    ``certs`` holds one certificate ``(subset, p_lo, p_hi)`` per event
+    polynomial whose root the wall holds: its 4-subset and the signed
+    polynomial, not made squarefree, read at ``lo`` (``p_lo``) and at
+    ``hi`` (``p_hi``).  The two differ only at the exact t = 1/2 wall,
+    where they are the subset's polynomials on the first and second half.
+    ``crossing``, set once the brackets are final, holds the subsets whose
+    certificate changes sign across the bracket.
     """
 
-    __slots__ = ("poly", "lo", "hi", "exact", "cert", "crosses")
+    __slots__ = ("poly", "lo", "hi", "exact", "certs", "crossing")
 
-    def __init__(self, poly, lo, hi, exact=None, cert=None, crosses=False):
+    def __init__(self, poly, lo, hi, exact=None, certs=(), crossing=()):
         self.poly = poly
         self.lo = lo
         self.hi = hi
         self.exact = exact
-        self.cert = cert
-        self.crosses = crosses
+        self.certs = list(certs)
+        self.crossing = crossing
 
     def shrink(self, width: Fraction) -> None:
         if self.exact is not None:
@@ -540,34 +541,41 @@ class _Wall:
 def _stage_walls(motion: Motion, stage_idx: int) -> List[_Wall]:
     walls: List[_Wall] = []
     half_mark = Fraction(1, 2)
-    mid_seen = False
+    # subset -> its polynomials with a root at t = 1/2, first half first
+    mid: Dict[Tuple[int, ...], List[List[int]]] = {}
     for poly, d_lo, d_hi, subset in _stage_event_polys(motion, stage_idx):
         # primitive already, and not made squarefree: isolate_roots counts
         # distinct roots anyway
         work = poly
         for boundary in (d_lo, d_hi):
             while len(work) >= 2 and roots._is_root(work, boundary):
-                if boundary in (Fraction(0), Fraction(1)):
+                if boundary != half_mark:
                     raise DegeneracyError(
                         f"stage {stage_idx}: event exactly at a stage boundary"
                     )
                 work = roots.deflate_at(work, boundary)
-                if not mid_seen:
-                    walls.append(_Wall(poly, half_mark, half_mark, exact=half_mark))
-                    mid_seen = True
+        if work is not poly:  # deflated at t = 1/2
+            mid.setdefault(subset, []).append(poly)
         if len(work) >= 2:
             for iso in roots.isolate_roots(work, d_lo, d_hi):
-                walls.append(_Wall(work, iso.lo, iso.hi, cert=(subset, poly)))
+                walls.append(_Wall(work, iso.lo, iso.hi, certs=[(subset, poly, poly)]))
+    if mid:
+        # both halves reach the positions at t = 1/2, so a subset's
+        # polynomial vanishes there on both or on neither
+        certs = [(subset, p_lo, p_hi) for subset, (p_lo, p_hi) in mid.items()]
+        walls.append(_Wall(None, half_mark, half_mark, exact=half_mark, certs=certs))
     for wall in walls:
         wall.shrink(DEFAULT_MIN_BRACKET)
     walls = _separate_walls(walls, DEFAULT_MIN_BRACKET)
     for wall in walls:
-        if wall.cert is not None:
-            poly, lo, hi = wall.cert[1], wall.lo, wall.hi
-            # a root of even multiplicity is a touch: no sign change, no flip
-            wall.crosses = (roots._value(poly, lo.numerator, lo.denominator) > 0) != (
-                roots._value(poly, hi.numerator, hi.denominator) > 0
-            )
+        lo, hi = wall.lo, wall.hi
+        # a root of even multiplicity is a touch: no sign change, no flip
+        wall.crossing = tuple(
+            subset
+            for subset, p_lo, p_hi in wall.certs
+            if (roots._value(p_lo, lo.numerator, lo.denominator) > 0)
+            != (roots._value(p_hi, hi.numerator, hi.denominator) > 0)
+        )
     return walls
 
 
@@ -595,11 +603,12 @@ def _separate_walls(walls: List[_Wall], w_min: Fraction) -> List[_Wall]:
         del walls[i : i + 2]
         wa, wb = a.hi - a.lo, b.hi - b.lo
         if a.contains_root_of(b):
-            merged = _Wall(a.poly, min(a.lo, b.lo), max(a.hi, b.hi), exact=a.exact or b.exact)
+            certs = a.certs + b.certs
+            merged = _Wall(a.poly, min(a.lo, b.lo), max(a.hi, b.hi), a.exact or b.exact, certs)
             if merged.exact is None:
                 g = roots.gcd(a.poly, b.poly)
                 (iso,) = roots.isolate_roots(g, merged.lo, merged.hi)
-                merged = _Wall(g, iso.lo, iso.hi)
+                merged = _Wall(g, iso.lo, iso.hi, certs=certs)
                 merged.shrink(min(w_min, wa, wb))
             insort_right(walls, merged, i, key=ends)
         else:
@@ -614,6 +623,18 @@ def _separate_walls(walls: List[_Wall], w_min: Fraction) -> List[_Wall]:
 
 
 # -- transition classification (shared by both backends) ------------------
+
+_Flip = Tuple[Tuple[int, int], Tuple[int, int, int, int]]
+
+
+def _check_disjoint(flips: List[_Flip], stage_idx: int) -> None:
+    """Simultaneous flips, sorted by edge, must not share a triangle."""
+    tris = {edge: {frozenset(q[:3]), frozenset((q[0], q[2], q[3]))} for edge, q in flips}
+    for e1, e2 in combinations(tris, 2):
+        if tris[e1] & tris[e2]:
+            raise DegeneracyError(
+                f"stage {stage_idx}: simultaneous events at {e1} and {e2} share a triangle"
+            )
 
 
 def _apply_transition(
@@ -636,25 +657,15 @@ def _apply_transition(
     added = sorted(fresh_hi.edges() - current.edges())
     if len(removed) != len(added) or not removed:
         raise KineticError(f"stage {stage_idx}: unbalanced transition {removed} -> {added}")
-    quads = {}
-    for edge in removed:
-        quads[edge] = fresh_lo.quad_around(edge)
-        if current.quad_around(edge) != quads[edge]:
+    flips = [(edge, fresh_lo.quad_around(edge)) for edge in removed]
+    for edge, quad in flips:
+        if current.quad_around(edge) != quad:
             raise KineticError(f"stage {stage_idx}: replayed orientation diverged at {edge}")
-    if len(removed) > 1:
-        tris = {
-            edge: {frozenset((q[0], q[1], q[2])), frozenset((q[0], q[2], q[3]))}
-            for edge, q in quads.items()
-        }
-        for e1, e2 in combinations(removed, 2):
-            if tris[e1] & tris[e2]:
-                raise DegeneracyError(
-                    f"stage {stage_idx}: simultaneous events at {e1} and {e2} share a triangle"
-                )
+    _check_disjoint(flips, stage_idx)
     result = current
-    for edge in removed:
-        result = result.flip(edge, quads[edge])
-        events.append(FlipEvent(stage_idx, t_lo, t_hi, edge, quads[edge]))
+    for edge, quad in flips:
+        result = result.flip(edge, quad)
+        events.append(FlipEvent(stage_idx, t_lo, t_hi, edge, quad))
     if not result.same_triangles(fresh_hi):
         raise KineticError(f"stage {stage_idx}: transition is not a flip set")
     return result
@@ -677,71 +688,54 @@ def _generic_complex_near(
     raise DegeneracyError(f"stage {stage_idx}: no generic sample near {t}")
 
 
-_Flip = Tuple[Tuple[int, int], Tuple[int, int, int, int]]
+def _certified_flips(current: EdgeComplex, wall: _Wall, stage_idx: int) -> List[_Flip]:
+    """The ``(edge, quad)`` flips a wall makes on ``current``, sorted by
+    edge and decided by its certificates alone (see the module docstring).
 
-
-def _certified_flips(current: EdgeComplex, wall: _Wall) -> Optional[List[_Flip]]:
-    """The ``(edge, quad)`` flips a wall makes on ``current``, decided by
-    its certificate alone (see the module docstring); ``None`` when the
-    wall has no certificate or its flip would not be simplicial, and the
-    full recompute must decide it.
-
-    Only the certificate's polynomial has a root in the bracket, so no
+    Only the certificates' polynomials have a root in the bracket, so no
     other orient or incircle sign, and no other edge's legality, changes
     across it.
     """
-    if wall.cert is None:
-        return None
-    if not wall.crosses:
-        return []
-    subset = wall.cert[0]
-    members = set(subset)
-    for edge in combinations(subset, 2):
-        if not current.has_edge(edge):
-            continue
-        quad = current.quad_around(edge)
-        if set(quad) == members:
-            if current.has_edge((quad[1], quad[3])):
-                return None
-            return [(edge, quad)]
-    return []
+    flips = []
+    for subset in wall.crossing:
+        members = set(subset)
+        for edge in combinations(subset, 2):
+            if current.has_edge(edge) and set(quad := current.quad_around(edge)) == members:
+                # not simplicial when the new diagonal is an edge already
+                if not current.has_edge(quad[1::2]):
+                    flips.append((edge, quad))
+                break
+    if len(flips) > 1:
+        # nor when two flips add the same diagonal; on a generic motion
+        # either happens only when every strand is collinear (as at each
+        # event of the n = 3 tetrahedron): the triangles merely reverse
+        # orientation
+        new = [frozenset(quad[1::2]) for _, quad in flips]
+        flips = sorted(flip for flip, diagonal in zip(flips, new) if new.count(diagonal) == 1)
+        _check_disjoint(flips, stage_idx)
+    return flips
 
 
 def _relabeled_walls(walls: List[_Wall], first: Stage, stage: Stage) -> List[_Wall]:
-    """``first``'s walls for a stage with the same trajectories: each
-    certificate's 4-subset maps every strand of ``first`` to the strand of
-    ``stage`` on the same trajectory (the far vertex to itself)."""
+    """``first``'s walls for a stage with the same trajectories, holding
+    what deciding them takes, the brackets and the crossing subsets: each
+    subset maps every strand of ``first`` to the strand of ``stage`` on the
+    same trajectory (the far vertex to itself)."""
     strand_of = {traj: s for s, traj in stage.trajectories.items()}
     sigma = {s: strand_of[traj] for s, traj in first.trajectories.items()}
     sigma[FAR_VERTEX] = FAR_VERTEX
     out = []
     for w in walls:
-        cert = w.cert and (tuple(sorted(sigma[v] for v in w.cert[0])), w.cert[1])
-        out.append(_Wall(w.poly, w.lo, w.hi, w.exact, cert, w.crosses))
+        crossing = tuple(tuple(sorted(sigma[v] for v in subset)) for subset in w.crossing)
+        out.append(_Wall(w.poly, w.lo, w.hi, w.exact, crossing=crossing))
     return out
 
 
 def _detect_stage_sturm(
-    motion: Motion,
-    stage_idx: int,
-    current: EdgeComplex,
-    events: List[FlipEvent],
-    walls: List[_Wall],
+    stage_idx: int, current: EdgeComplex, events: List[FlipEvent], walls: List[_Wall]
 ) -> EdgeComplex:
     for wall in walls:
-        flips = _certified_flips(current, wall)
-        if flips is None:
-            current = _apply_transition(
-                current,
-                augmented_at(motion, stage_idx, wall.lo),
-                augmented_at(motion, stage_idx, wall.hi),
-                stage_idx,
-                wall.lo,
-                wall.hi,
-                events,
-            )
-            continue
-        for edge, quad in flips:
+        for edge, quad in _certified_flips(current, wall, stage_idx):
             current = current.flip(edge, quad)
             events.append(FlipEvent(stage_idx, wall.lo, wall.hi, edge, quad))
     return current
@@ -820,7 +814,7 @@ def detect_flips(
             walls, first = walls_of[key]
             if first is not stage:
                 walls = _relabeled_walls(walls, first, stage)
-            current = _detect_stage_sturm(motion, stage_idx, current, events, walls)
+            current = _detect_stage_sturm(stage_idx, current, events, walls)
         if not current.same_triangles(augmented_at(motion, stage_idx, Fraction(1))):
             raise KineticError(f"stage {stage_idx}: end complex mismatch")
     return events

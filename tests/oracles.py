@@ -240,11 +240,12 @@ def restart_separate_walls(walls, w_min):
         a, b = overlap
         wa, wb = a.hi - a.lo, b.hi - b.lo
         if a.contains_root_of(b):
-            merged = _Wall(a.poly, min(a.lo, b.lo), max(a.hi, b.hi), exact=a.exact or b.exact)
+            certs = a.certs + b.certs
+            merged = _Wall(a.poly, min(a.lo, b.lo), max(a.hi, b.hi), a.exact or b.exact, certs)
             if merged.exact is None:
                 g = roots.gcd(a.poly, b.poly)
                 (iso,) = roots.isolate_roots(g, merged.lo, merged.hi)
-                merged = _Wall(g, iso.lo, iso.hi)
+                merged = _Wall(g, iso.lo, iso.hi, certs=certs)
                 merged.shrink(min(w_min, wa, wb))
             walls.remove(a)
             walls.remove(b)

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -219,7 +220,7 @@ def test_reused_walls_equal_the_fresh_walls_of_each_repeat(n):
     rng = random.Random(1200 + n)
 
     def key(wall):
-        return wall.lo, wall.hi, wall.exact, wall.cert and wall.cert[0]
+        return wall.lo, wall.hi, wall.exact, wall.crossing
 
     repeats = 0
     for _ in range(3):
@@ -464,15 +465,24 @@ def crossing_arc(dx=0, dy=0):
 
 @pytest.fixture
 def fallbacks(monkeypatch):
-    """Brackets that ``detect_flips`` decides by the full recompute."""
+    """Signs that ``detect_flips`` decides a bracket by the full recompute
+    rather than by its certificates: each ``_apply_transition`` call as
+    ``(stage, t_lo, t_hi)``, and each complex rebuilt inside a stage as
+    ``(stage, t)``."""
     seen = []
-    real = kinetic._apply_transition
+    real_transition, real_augmented = kinetic._apply_transition, kinetic.augmented_at
 
-    def spy(current, fresh_lo, fresh_hi, stage_idx, t_lo, t_hi, events):
+    def transition(current, fresh_lo, fresh_hi, stage_idx, t_lo, t_hi, events):
         seen.append((stage_idx, t_lo, t_hi))
-        return real(current, fresh_lo, fresh_hi, stage_idx, t_lo, t_hi, events)
+        return real_transition(current, fresh_lo, fresh_hi, stage_idx, t_lo, t_hi, events)
 
-    monkeypatch.setattr(kinetic, "_apply_transition", spy)
+    def augmented(motion, stage, t):
+        if 0 < t < 1:
+            seen.append((stage, t))
+        return real_augmented(motion, stage, t)
+
+    monkeypatch.setattr(kinetic, "_apply_transition", transition)
+    monkeypatch.setattr(kinetic, "augmented_at", augmented)
     return seen
 
 
@@ -483,11 +493,11 @@ def test_tangential_cocircularity_emits_no_flip(fallbacks):
         unit_circle_and(Arc(point(3, 0), point(Fraction(21, 5), Fraction(8, 5)), 1))
     )
     (wall,) = _stage_walls(motion, 0)
-    subset, poly = wall.cert
-    assert subset == (1, 2, 3, 4)
+    ((subset, poly, p_hi),) = wall.certs
+    assert subset == (1, 2, 3, 4) and p_hi is poly and wall.crossing == ()
     assert wall.lo < Fraction(2, 3) < wall.hi
     assert roots.degree(roots.squarefree_part(poly)) < roots.degree(poly)
-    assert _certified_flips(augment(tri0), wall) == []
+    assert _certified_flips(augment(tri0), wall, 0) == []
     assert detect_flips(motion, tri0) == [] == full_recompute_detect_flips(motion, tri0)
     assert fallbacks == []
 
@@ -495,14 +505,15 @@ def test_tangential_cocircularity_emits_no_flip(fallbacks):
 def test_simple_cocircularity_root_emits_one_flip(fallbacks):
     motion, tri0 = single_stage(unit_circle_and(crossing_arc()))
     (wall,) = _stage_walls(motion, 0)
-    assert _certified_flips(augment(tri0), wall) == [((1, 2), (1, 3, 2, 4))]
+    assert wall.crossing == ((1, 2, 3, 4),)
+    assert _certified_flips(augment(tri0), wall, 0) == [((1, 2), (1, 3, 2, 4))]
     events = detect_flips(motion, tri0)
     assert events == [FlipEvent(0, wall.lo, wall.hi, (1, 2), (1, 3, 2, 4))]
     assert events == full_recompute_detect_flips(motion, tri0)
     assert fallbacks == []
 
 
-def test_exact_half_wall_takes_the_full_recompute(fallbacks):
+def test_exact_half_wall_is_decided_by_its_certificates(fallbacks):
     # strand 4 crosses the circle through strands 1-3 exactly at t = 1/2
     motion, tri0 = single_stage({
         1: Stationary(point(0, 0)),
@@ -511,43 +522,144 @@ def test_exact_half_wall_takes_the_full_recompute(fallbacks):
         4: Arc(point(2, Fraction(1, 2)), point(3, Fraction(1, 2)), 1, Fraction(3, 2)),
     })
     walls = _stage_walls(motion, 0)
-    (marker,) = [w for w in walls if w.cert is None]
+    (marker,) = [w for w in walls if w.exact is not None]
     assert marker.exact == Fraction(1, 2)
+    # each subset's certificate reads the first half's polynomial at lo and
+    # the second half's at hi
+    assert marker.certs and all(p_lo != p_hi for _, p_lo, p_hi in marker.certs)
+    assert (1, 2, 3, 4) in marker.crossing
     events = detect_flips(motion, tri0)
     assert events == full_recompute_detect_flips(motion, tri0)
-    assert fallbacks == [(0, marker.lo, marker.hi)]
+    assert fallbacks == []
     assert (events[0].t_lo, events[0].t_hi) == (marker.lo, marker.hi)
 
 
-def test_merged_wall_takes_the_full_recompute(fallbacks):
+def test_merged_wall_is_decided_by_its_certificates(fallbacks):
     # two congruent copies of the crossing motion: their incircle
     # certificates share every root, so those walls merge, and the two
-    # flips come from one full recompute in one bracket
+    # flips come from the merged wall's certificates in one bracket
     motion, tri0 = single_stage({
         **unit_circle_and(crossing_arc()),
         **unit_circle_and(crossing_arc(20, 7), shift=(20, 7), first=5),
     })
     walls = _stage_walls(motion, 0)
-    merged = [(0, w.lo, w.hi) for w in walls if w.cert is None]
+    merged = [(0, w.lo, w.hi) for w in walls if len(w.certs) > 1]
     assert merged and all(w.exact is None for w in walls)
     events = detect_flips(motion, tri0)
     assert events == full_recompute_detect_flips(motion, tri0)
-    assert fallbacks == merged
+    assert fallbacks == []
     twins = [ev for ev in events if ev.edge in ((1, 2), (5, 6))]
     assert [ev.quad for ev in twins] == [(1, 3, 2, 4), (5, 7, 6, 8)]
     assert (0, twins[0].t_lo, twins[0].t_hi) == (0, twins[1].t_lo, twins[1].t_hi)
     assert (0, twins[0].t_lo, twins[0].t_hi) in merged
 
 
-def test_three_strand_walls_take_the_full_recompute(fallbacks):
+def test_three_strand_walls_are_decided_by_their_certificates(fallbacks):
     # at n = 3 the hull-closure complex is a tetrahedron: every subset is
-    # all four vertices and the other diagonal of every quad is an edge
+    # all four vertices and the other diagonal of every quad is an edge, so
+    # a crossing certificate flips nothing
     motion, tri0 = swap_motion(3, "s1")
     walls = _stage_walls(motion, 0)
-    decided = [_certified_flips(augment(tri0), w) for w in walls]
-    assert None in decided and all(d in (None, []) for d in decided)
-    assert detect_flips(motion, tri0) == []
-    assert fallbacks == [(0, w.lo, w.hi) for w, d in zip(walls, decided) if d is None]
+    assert any(w.crossing for w in walls)
+    assert all(_certified_flips(augment(tri0), w, 0) == [] for w in walls)
+    assert detect_flips(motion, tri0) == [] == full_recompute_detect_flips(motion, tri0)
+    assert fallbacks == []
+
+
+def test_all_strands_collinear_at_once_flips_nothing(fallbacks):
+    # strands 1-3 lie on one line and strand 4 crosses it twice, once at
+    # t = 1/2: every subset holding strand 4 crosses there, and two of the
+    # flips they name would both add the diagonal (1, 2)
+    motion, tri0 = single_stage({
+        1: Stationary(point(Fraction(-23, 2), Fraction(-7, 2))),
+        2: Stationary(point(Fraction(1, 2), Fraction(-13, 2))),
+        3: Stationary(point(Fraction(-5, 2), Fraction(-23, 4))),
+        4: Arc(point(Fraction(-27, 4), -3), point(Fraction(-19, 4), -4), -1, Fraction(3, 4)),
+    })
+    walls = _stage_walls(motion, 0)
+    assert [len(w.crossing) for w in walls] == [4, 4]
+    assert all(_certified_flips(augment(tri0), w, 0) == [] for w in walls)
+    assert detect_flips(motion, tri0) == [] == full_recompute_detect_flips(motion, tri0)
+    assert fallbacks == []
+
+
+def merged_flips(motion, events):
+    """The events whose bracket is a wall holding several certificates."""
+    brackets = {
+        (k, w.lo, w.hi)
+        for k in range(len(motion.stages))
+        for w in _stage_walls(motion, k)
+        if len(w.certs) > 1
+    }
+    return [ev for ev in events if ev[:3] in brackets]
+
+
+def test_merged_walls_that_flip_match_the_full_recompute(fallbacks):
+    # 70 events, some of them decided by merged walls, which flip on few
+    # short words
+    cfg = SlotConfig(12).with_bulge(Fraction(2))
+    motion, _ = compile_motion(parse_braid("s10 s7", n=12), cfg)
+    tri0, _ = initial_triangulation(cfg)
+    events = detect_flips(motion, tri0)
+    assert fallbacks == []
+    assert len(events) == 70 and merged_flips(motion, events)
+    assert events == full_recompute_detect_flips(motion, tri0)
+
+
+def random_crossing_arc(rng):
+    """A random half-turn near the unit circle, which it may cross."""
+    cx, cy = (Fraction(rng.randint(-12, 12), 8) for _ in range(2))
+    r = Fraction(rng.randint(4, 16), 8)
+    ux, uy, norm = rng.choice([(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1), (3, 4, 5), (-4, 3, 5)])
+    start = point(cx + r * ux / norm, cy + r * uy / norm)
+    return Arc(point(cx, cy), start, rng.choice([1, -1]), Fraction(rng.randint(1, 8), 4))
+
+
+def twin_motion(rng):
+    """Two congruent copies of a random crossing motion far apart: strands
+    1-4 and their image under a quarter turn and a shift, strands 5-8.  A
+    shift alone would keep the lines through twin strands parallel, and
+    with them every collinearity of one twin pair with another strand."""
+    dx, dy = Fraction(rng.randint(30, 40)), Fraction(rng.randint(-9, 9))
+
+    def image(p):
+        return point(dx - p.y, dy + p.x)
+
+    near = unit_circle_and(random_crossing_arc(rng))
+    far = {}
+    for s, traj in near.items():
+        if isinstance(traj, Arc):
+            far[s + 4] = Arc(image(traj.center), image(traj.start), traj.direction, traj.scale)
+        else:
+            far[s + 4] = Stationary(image(traj.point))
+    return single_stage({**near, **far})
+
+
+def test_seeded_twin_motions_match_the_full_recompute(fallbacks):
+    # their incircle certificates have equal roots, so the twin flips share
+    # one bracket
+    rng = random.Random(2500)
+    twins = 0
+    for _ in range(12):
+        try:
+            motion, tri0 = twin_motion(rng)
+        except (KineticError, DegenerateInputError):
+            continue  # a start on the circle or on a fixed strand
+        expected = _outcome(full_recompute_detect_flips, motion, tri0)
+        events = _outcome(detect_flips, motion, tri0)
+        assert events == expected
+        if isinstance(events, list):
+            twins += len(merged_flips(motion, events)) >= 2
+    assert fallbacks == []
+    assert twins >= 6
+
+
+def test_simultaneous_certified_flips_sharing_a_triangle_are_degenerate():
+    pentagon = augment(convex_polygon_complex([(1, 2, 3), (1, 3, 4), (1, 4, 5)]))
+    wall = kinetic._Wall(None, Fraction(1, 3), Fraction(1, 2), crossing=((1, 2, 3, 4), (1, 3, 4, 5)))
+    message = "stage 2: simultaneous events at (1, 3) and (1, 4) share a triangle"
+    with pytest.raises(DegeneracyError, match=re.escape(message)):
+        _certified_flips(pentagon, wall, 2)
 
 
 # -- replay ----------------------------------------------------------------
@@ -698,21 +810,22 @@ def _synthetic_walls(seed):
     for k in range(rng.randint(2, 14)):
         chosen = rng.sample(pool, rng.randint(1, min(3, len(pool))))
         poly = _poly_with_roots(*chosen)
+        cert = ((k,), poly, poly)
         if half in chosen:
             if not any(w.exact for w in walls):
-                walls.append(_Wall(poly, half, half, exact=half))
+                walls.append(_Wall(poly, half, half, exact=half, certs=[cert]))
             chosen.remove(half)
         if chosen:
             work = _poly_with_roots(*chosen)
             for iso in roots.isolate_roots(work, Fraction(0), Fraction(1)):
-                walls.append(_Wall(work, iso.lo, iso.hi, cert=((k,), poly)))
+                walls.append(_Wall(work, iso.lo, iso.hi, certs=[cert]))
     for w in walls:
         w.shrink(w_min)
     return walls, w_min
 
 
 def _wall_data(walls):
-    return [(w.lo, w.hi, w.exact, w.poly, w.cert is None) for w in walls]
+    return [(w.lo, w.hi, w.exact, w.poly, w.certs) for w in walls]
 
 
 @pytest.mark.parametrize("seeds", [range(0, 100), range(100, 200)])
@@ -744,7 +857,7 @@ def test_separate_walls_splits_300_roots_2_to_the_minus_30_apart():
         for k in range(1, 301):
             poly = [-(2 ** 30 + 3 * k), 3 * 2 ** 30]  # the root 1/3 + k 2^-30
             (iso,) = roots.isolate_roots(poly, Fraction(0), Fraction(1))
-            out.append(_Wall(poly, iso.lo, iso.hi, cert=((k,), poly)))
+            out.append(_Wall(poly, iso.lo, iso.hi, certs=[((k,), poly, poly)]))
         for w in out:
             w.shrink(DEFAULT_MIN_BRACKET)
         return out
@@ -752,7 +865,7 @@ def test_separate_walls_splits_300_roots_2_to_the_minus_30_apart():
     separated = _separate_walls(walls(), DEFAULT_MIN_BRACKET)
     theirs = restart_separate_walls(walls(), DEFAULT_MIN_BRACKET)
     assert _wall_data(separated) == _wall_data(theirs)
-    assert [w.cert[0] for w in separated] == [(k,) for k in range(1, 301)]
+    assert [[c[0] for c in w.certs] for w in separated] == [[(k,)] for k in range(1, 301)]
     for k, w in enumerate(separated, 1):
         assert w.lo < Fraction(1, 3) + k * gap < w.hi
     assert all(a.hi <= b.lo for a, b in zip(separated, separated[1:]))

@@ -67,6 +67,9 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 from braidshear.algebra import (
     Polynomial,
     RationalFunction,
+    _bits_for,
+    _layout,
+    _poly,
     poly_product,
 )
 from braidshear.braid import (  # MAX_STRANDS and StrandCountError re-exported
@@ -130,11 +133,15 @@ class _SeparatedState:
     ):
         if set(c) != set(complex_.edges()) or set(F) != set(c):
             raise InternalInvariantError("label data keys do not match the edge set")
+        self._fill(complex_, names, c, F)
+
+    def _fill(self, complex_, names, c, F):
         self.complex = complex_
         self.names = names
         self.c = c
         self.F = F
         self._labels: Dict[Edge, RationalFunction] = {}
+        return self
 
     @classmethod
     def seed(cls, complex_: EdgeComplex):
@@ -199,7 +206,15 @@ _ONE = Polynomial.one()
 
 
 def _monomial(names: Tuple[str, ...], exps: Sequence[int]) -> Polynomial:
-    return Polynomial(names, {tuple(exps): 1}) if any(exps) else _ONE
+    """y^exps over ``names`` (exponents >= 0), its one key packed directly."""
+    degree = sum(exps)
+    if not degree:
+        return _ONE
+    ring, shifts = _layout(names, _bits_for(degree))
+    key = degree << ring.top
+    for s, e in zip(shifts, exps):
+        key |= e << s
+    return _poly(ring, {key: 1})
 
 
 def _neighbour_sides(tri: Tuple[int, int, int], edge: Edge) -> Tuple[Edge, Edge]:
@@ -218,6 +233,9 @@ def _exchange(state, quad, c: Mapping[Edge, Tuple[int, ...]], c_new, alpha, P, b
     division, F'_k = (y^alpha prod_{j in P} F_j + y^beta prod_{j in Q} F_j) / F_k."""
     u, v, w, z = quad
     k, new = _norm((u, w)), _norm((v, z))
+    # the flip changes two keys: checking them keeps the keys the edge set
+    if k not in state.F or new in state.F:
+        raise InternalInvariantError(f"label data keys do not match the flip of {k}")
     F = dict(state.F)
     total = poly_product([_monomial(state.names, alpha), *(F[j] for j in P)]) + poly_product(
         [_monomial(state.names, beta), *(F[j] for j in Q)]
@@ -228,7 +246,7 @@ def _exchange(state, quad, c: Mapping[Edge, Tuple[int, ...]], c_new, alpha, P, b
     c = dict(c)
     del c[k]
     c[new] = tuple(c_new)
-    return type(state)(state.complex.flip(k, quad), state.names, c, F)
+    return object.__new__(type(state))._fill(state.complex.flip(k, quad), state.names, c, F)
 
 
 def apply_ptolemy_flip(state: LabelState, quad: Tuple[int, int, int, int]) -> LabelState:

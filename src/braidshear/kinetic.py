@@ -23,26 +23,37 @@ common denominator D, once.  The orient and incircle polynomials come
 from one Laplace expansion along the moving strands' rows: integer minors
 of the stationary strands, shared by both halves, weight polynomial
 minors of the movers, built once per half (see ``_stage_event_polys``).
+On a circular arc W divides X^2 + Y^2, so a mover's incircle row is
+divided by W once, and its minors are built from entries of degree 2.
 A collision is excluded by one integer resultant per strand pair.
 
 Every real root of every event polynomial in a stage is isolated in a
 bracket (a wall), and one ordered pass refines the brackets until
 pairwise disjoint, so each holds exactly one event time; event times
-closer than ``SEPARATION_FLOOR`` are a degeneracy.  A wall is decided by
-the polynomials whose root it holds, its certificates, as in a kinetic
-data structure: no other orient or incircle sign changes across the
-bracket, so the complex changes there exactly by the flips of the edges
-whose quads are the 4-subsets of the certificates that change sign (a
-root of even multiplicity is a touch, not a crossing; the sign changes
-are found once, when the stage's walls are built).  A wall may hold
-several certificates: polynomials with exactly equal roots merge into one
-wall, whose flips are simultaneous, and the exact t = 1/2 wall, where the
-two half-stages meet, reads each half's polynomial on its own side.  A
-flip whose new diagonal is already an edge, or that of another flip of
-the wall, is skipped: on a generic motion that happens only when every
-strand is collinear (at each event of the n = 3 tetrahedron), and the
-transition merely reverses orientation.  ``delaunay()`` runs only at the start, to check
-the initial complex, and at stage ends, to check the replayed one.
+closer than ``SEPARATION_FLOOR`` are a degeneracy.  Nearly every event
+polynomial is a quadratic with irrational roots, whose brackets come in
+closed form (``roots.irrational_quadratic_cells``, the brackets isolation
+and refinement give): such a root is no stage boundary and is simple, so
+its certificate changes sign across any bracket that holds it.
+
+A wall is decided by the polynomials whose root it holds, its
+certificates, as in a kinetic data structure: no other orient or incircle
+sign changes across the bracket, so the complex changes there exactly by
+the flips of the edges whose quads are the 4-subsets of the certificates
+that change sign (a root of even multiplicity is a touch, not a crossing;
+the sign changes are found once, when the stage's walls are built).  A
+wall may hold several certificates: polynomials with exactly equal roots
+merge into one wall, whose flips are simultaneous, and the exact t = 1/2
+wall, where the two half-stages meet, reads each half's polynomial on its
+own side.  A flip whose new diagonal is already an edge, or that of
+another flip of the wall, is skipped: on a generic motion that happens
+only when every strand is collinear (at each event of the n = 3
+tetrahedron), and the transition merely reverses orientation.
+``delaunay()`` runs only at the start, to check the initial complex, and
+at stage ends, to check the replayed one.  A stage end that does not
+match after a wall with several certificates is a nongeneric motion (a
+``DegeneracyError``, retried at another bulge); after single-certificate
+walls only it is an internal error.
 
 A stage's walls (event polynomials, separated brackets, certificates)
 depend only on its set of trajectories, so each distinct stage's walls are
@@ -270,12 +281,14 @@ def augmented_at(motion: Motion, stage: int, t: Fraction) -> EdgeComplex:
 # strands.  Scaling the columns by (1, 1, W), or (W, W, 1, W^2), turns a
 # stationary row into a power of W times the integer row (x, y, 1), or
 # (x, y, x^2 + y^2, 1), and a mover's row into (X, Y, W), or (W X, W Y,
-# X^2 + Y^2, W^2).  Laplace expansion along the mover rows R then gives
-# the determinant, up to a power of W, as the sum over column sets C with
-# |C| = |R| of (-1)^(sum R + sum C) det(integer rows, columns not in C)
-# det(mover rows, columns C): integer weights, which depend only on the
-# subset and serve both halves, times the mover minors, built once per
-# half.  The powers of W go when W is divided out.
+# X^2 + Y^2, W^2), or that row divided by W, (X, Y, (X^2 + Y^2) / W, W),
+# when W divides X^2 + Y^2, as on a circular arc.  Laplace expansion along
+# the mover rows R then gives the determinant, up to a power of W, as the
+# sum over column sets C with |C| = |R| of (-1)^(sum R + sum C)
+# det(integer rows, columns not in C) det(mover rows, columns C): integer
+# weights, which depend only on the subset and serve both halves, times
+# the mover minors, built once per half.  The powers of W go when W is
+# divided out.
 
 # (W, cos, sin) numerators in t on each half of a half-turn: (1 + u^2,
 # 1 - u^2, 2u) at u = 2t, then (1 + u^2, -2u, 1 - u^2) / 2 at u = 2t - 1,
@@ -442,7 +455,10 @@ def _stage_event_polys(
             xs, ys = stage.numerators[half][s]
             z = _padd(_pmul(xs, xs), _pmul(ys, ys))
             rows[True, s] = (xs, ys, w)
-            rows[False, s] = (_pmul(w, xs), _pmul(w, ys), z, w2)
+            # on a circular arc W divides X^2 + Y^2: the row over W has
+            # entries of degree 2, not 4
+            zw = roots.exact_quotient(z, w)
+            rows[False, s] = (_pmul(w, xs), _pmul(w, ys), z, w2) if zw is None else (xs, ys, zw, w)
         # (far, movers) -> the coefficients of their minors, one tuple per
         # degree, column sets in the order of the weights
         columns: Dict[Tuple[bool, Tuple[int, ...]], list] = {}
@@ -544,6 +560,13 @@ def _stage_walls(motion: Motion, stage_idx: int) -> List[_Wall]:
     # subset -> its polynomials with a root at t = 1/2, first half first
     mid: Dict[Tuple[int, ...], List[List[int]]] = {}
     for poly, d_lo, d_hi, subset in _stage_event_polys(motion, stage_idx):
+        cells = roots.irrational_quadratic_cells(poly, d_lo, d_hi, DEFAULT_MIN_BRACKET)
+        if cells is not None:
+            # simple irrational roots: none is a stage boundary, each
+            # bracket is final and the certificate changes sign across it
+            certs = [(subset, poly, poly)]
+            walls += (_Wall(poly, lo, hi, certs=certs, crossing=(subset,)) for lo, hi in cells)
+            continue
         # primitive already, and not made squarefree: isolate_roots counts
         # distinct roots anyway
         work = poly
@@ -558,16 +581,18 @@ def _stage_walls(motion: Motion, stage_idx: int) -> List[_Wall]:
             mid.setdefault(subset, []).append(poly)
         if len(work) >= 2:
             for iso in roots.isolate_roots(work, d_lo, d_hi):
-                walls.append(_Wall(work, iso.lo, iso.hi, certs=[(subset, poly, poly)]))
+                lo, hi = roots.refine_root(work, iso, DEFAULT_MIN_BRACKET)
+                walls.append(_Wall(work, lo, hi, certs=[(subset, poly, poly)]))
     if mid:
         # both halves reach the positions at t = 1/2, so a subset's
         # polynomial vanishes there on both or on neither
         certs = [(subset, p_lo, p_hi) for subset, (p_lo, p_hi) in mid.items()]
         walls.append(_Wall(None, half_mark, half_mark, exact=half_mark, certs=certs))
-    for wall in walls:
-        wall.shrink(DEFAULT_MIN_BRACKET)
+        walls[-1].shrink(DEFAULT_MIN_BRACKET)
     walls = _separate_walls(walls, DEFAULT_MIN_BRACKET)
     for wall in walls:
+        if wall.crossing:  # a closed-form wall that kept its one certificate
+            continue
         lo, hi = wall.lo, wall.hi
         # a root of even multiplicity is a touch: no sign change, no flip
         wall.crossing = tuple(
@@ -804,6 +829,10 @@ def detect_flips(
     # stage trajectories -> (walls of the first occurrence, that stage)
     walls_of = {} if stage_walls is None else stage_walls
     for stage_idx, stage in enumerate(motion.stages):
+        # a wall with several certificates is simultaneous events, which a
+        # nongeneric motion can put there: a mismatch after it is a
+        # degeneracy, retried at another bulge
+        mismatch = KineticError
         if detector == "bisect":
             current = _detect_stage_bisect(motion, stage_idx, current, events)
         else:
@@ -812,11 +841,13 @@ def detect_flips(
                 _check_collisions(motion, stage_idx)
                 walls_of[key] = (_stage_walls(motion, stage_idx), stage)
             walls, first = walls_of[key]
+            if any(len(w.certs) > 1 for w in walls):
+                mismatch = DegeneracyError
             if first is not stage:
                 walls = _relabeled_walls(walls, first, stage)
             current = _detect_stage_sturm(stage_idx, current, events, walls)
         if not current.same_triangles(augmented_at(motion, stage_idx, Fraction(1))):
-            raise KineticError(f"stage {stage_idx}: end complex mismatch")
+            raise mismatch(f"stage {stage_idx}: end complex mismatch")
     return events
 
 

@@ -18,13 +18,20 @@ interval by Descartes' rule of signs when that count is 0 or 1, and by
 the Sturm count otherwise; refinement of a root of degree 1 or 2 computes
 its last bisection cell from the exact root (``math.isqrt``), checks it by
 two signs and bisects only when the check fails.
+
+An integer quadratic whose discriminant is not a square, so whose roots
+are irrational, skips both (``irrational_quadratic_cells``): no point of
+the bisection grid is a root, so the recursion only ever splits an
+interval at its midpoint and bisection continues on the same grid.  The
+bracket of each root is then its cell at the final grid depth, from one
+``math.isqrt`` and two signs, unless both roots share that cell.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import List, NamedTuple, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 
 class RootIsolationError(Exception):
@@ -262,10 +269,7 @@ def refine_root(coeffs: Sequence, root: IsolatedRoot, width: Fraction) -> Isolat
     and bisection runs only when that cell fails its check.
     """
     f = normalize(coeffs)
-    lo, hi = root
-    den = math.lcm(lo.denominator, hi.denominator)
-    a = lo.numerator * (den // lo.denominator)
-    b = hi.numerator * (den // hi.denominator)
+    a, b, den, steps = _grid(*root, width)
     v_lo, v_hi = _value(f, a, den), _value(f, b, den)
     if v_lo and v_hi and (v_lo > 0) == (v_hi > 0):
         f = squarefree_part(f)
@@ -274,8 +278,6 @@ def refine_root(coeffs: Sequence, root: IsolatedRoot, width: Fraction) -> Isolat
         raise RootIsolationError("isolating interval endpoint is a root")
     positive = v_lo > 0
     wn, wd = width.numerator, width.denominator
-    # the number of halvings: the least k with (b - a) / (den 2^k) < width
-    steps = ((b - a) * wd // (wn * den)).bit_length()
     if steps and 2 <= len(f) <= 3:
         cell = _root_cell(f, a, b, den, steps, positive)
         if cell is not None:
@@ -295,6 +297,51 @@ def refine_root(coeffs: Sequence, root: IsolatedRoot, width: Fraction) -> Isolat
     return IsolatedRoot(Fraction(a, den), Fraction(b, den))
 
 
+def _grid(lo: Fraction, hi: Fraction, width: Fraction) -> Tuple[int, int, int, int]:
+    """``(a, b, den, steps)``: lo = a/den and hi = b/den over one
+    denominator, and the number of halvings, the least k with
+    (b - a) / (den 2^k) < width."""
+    den = math.lcm(lo.denominator, hi.denominator)
+    a = lo.numerator * (den // lo.denominator)
+    b = hi.numerator * (den // hi.denominator)
+    return a, b, den, ((b - a) * width.denominator // (width.numerator * den)).bit_length()
+
+
+def _root_cells(f: Coeffs, a: int, b: int, den: int, steps: int) -> Tuple[List[int], bool]:
+    """The index of the cell, of the 2^steps equal cells of (a/den, b/den),
+    that holds each real root of f (degree 1 or 2), in increasing order and
+    both roots of a quadratic even when equal, from floor(root * den *
+    2^steps) by one ``math.isqrt``; and whether the roots are rational
+    (a quadratic's discriminant is a square)."""
+    scale = den << steps
+    if len(f) == 2:
+        floors, rational = [-f[0] * scale // f[1]], True
+    else:
+        c0, c1, c2 = f if f[2] > 0 else [-c for c in f]
+        disc = (c1 * c1 - 4 * c0 * c2) * scale * scale
+        if disc < 0:
+            return [], False
+        s = math.isqrt(disc)
+        rational = s * s == disc
+        floors = [(-c1 * scale - s - (not rational)) // (2 * c2), (-c1 * scale + s) // (2 * c2)]
+    return [(num - (a << steps)) // (b - a) for num in floors], rational
+
+
+def _checked_cell(
+    f: Coeffs, j: int, a: int, b: int, den: int, steps: int, positive: bool
+) -> Optional[IsolatedRoot]:
+    """Cell j of the 2^steps equal cells of (a/den, b/den) when f has the
+    sign ``positive`` at its left end and the other one at its right end,
+    else None."""
+    scale = den << steps
+    left = (a << steps) + j * (b - a)
+    right = left + (b - a)
+    v_left, v_right = _value(f, left, scale), _value(f, right, scale)
+    if v_left == 0 or v_right == 0 or (v_left > 0) != positive or (v_right > 0) == positive:
+        return None
+    return IsolatedRoot(Fraction(left, scale), Fraction(right, scale))
+
+
 def _root_cell(
     f: Coeffs, a: int, b: int, den: int, steps: int, positive: bool
 ) -> Optional[IsolatedRoot]:
@@ -303,31 +350,49 @@ def _root_cell(
     when its ends fail the sign check, as when the root is one of them.
     The check makes it bisection's cell: the interval holds one root, the
     cell brackets it and no grid point is it, so every step keeps it."""
-    scale = den << steps
-    if len(f) == 2:  # the root -f0/f1
-        num, cut = -f[0] * scale, f[1]
-    else:
-        c0, c1, c2 = f if f[2] > 0 else [-c for c in f]
-        # the smaller root where f starts on the sign of its leading term
-        disc = (c1 * c1 - 4 * c0 * c2) * scale * scale
-        if disc < 0:
-            return None
-        s = math.isqrt(disc)
-        if positive == (f[2] > 0):
-            num = -c1 * scale - s - (s * s != disc)
-        else:
-            num = -c1 * scale + s
-        cut = 2 * c2
-    # floor(root * scale), then the index of its cell
-    j = (num // cut - (a << steps)) // (b - a)
+    cells, _ = _root_cells(f, a, b, den, steps)
+    if not cells:
+        return None
+    # the smaller root where f starts on the sign of its leading term
+    j = cells[0 if positive == (f[-1] > 0) else -1]
     if not 0 <= j < 1 << steps:
         return None
-    left = (a << steps) + j * (b - a)
-    right = left + (b - a)
-    v_left, v_right = _value(f, left, scale), _value(f, right, scale)
-    if v_left == 0 or v_right == 0 or (v_left > 0) != positive or (v_right > 0) == positive:
+    return _checked_cell(f, j, a, b, den, steps, positive)
+
+
+def irrational_quadratic_cells(
+    coeffs: Coeffs, lo: Fraction, hi: Fraction, width: Fraction
+) -> Optional[List[IsolatedRoot]]:
+    """``refine_root(coeffs, iso, width)`` for each ``iso`` of
+    ``isolate_roots(coeffs, lo, hi)``, in closed form, when ``coeffs`` is an
+    integer quadratic without rational roots (its discriminant is not a
+    square; one ``math.isqrt`` decides that and gives both cells).  None
+    sends the caller to those routines: a square discriminant, both roots in
+    one cell, or a cell that fails its sign check.
+
+    No root is rational, so no point of the bisection grid of (lo, hi) is
+    one, and the isolation recursion splits every interval at its
+    midpoint: each interval it returns is a grid cell holding one root.
+    Bisection then halves that cell down to the grid depth K, the least with
+    (hi - lo) / 2^K < width.  When the roots lie in different depth-K cells,
+    isolation stops at depth K or above, so each root's bracket is its
+    depth-K cell.
+    """
+    if len(coeffs) != 3:
         return None
-    return IsolatedRoot(Fraction(left, scale), Fraction(right, scale))
+    a, b, den, steps = _grid(lo, hi, width)
+    cells, rational = _root_cells(coeffs, a, b, den, steps)
+    if rational or len(set(cells)) < len(cells):
+        return None
+    out = []
+    # f has the sign of its leading term left of the smaller root only
+    for j, positive in zip(cells, (coeffs[2] > 0, coeffs[2] < 0)):
+        if 0 <= j < 1 << steps:
+            cell = _checked_cell(coeffs, j, a, b, den, steps, positive)
+            if cell is None:
+                return None
+            out.append(cell)
+    return out
 
 
 def count_roots_closed(coeffs: Sequence, lo: Fraction, hi: Fraction) -> int:

@@ -583,6 +583,26 @@ def test_all_strands_collinear_at_once_flips_nothing(fallbacks):
     assert fallbacks == []
 
 
+def test_end_mismatch_after_simultaneous_certificates_is_a_degeneracy():
+    # strands 1, 2 and 4 lie on one line and strand 5 crosses it between 1
+    # and 2 exactly at t = 1/2: four subsets cross in the exact wall, and
+    # their flips do not give the end complex.  That is a nongeneric motion,
+    # which a caller retries at another bulge, not an internal error.
+    motion, tri0 = single_stage({
+        1: Stationary(point(-1, -2)),
+        2: Stationary(point(0, -2)),
+        3: Stationary(point(Fraction(-3, 2), -3)),
+        4: Stationary(point(Fraction(3, 2), -2)),
+        5: Arc(
+            point(Fraction(-6, 5), Fraction(-7, 5)), point(Fraction(-3, 5), Fraction(-11, 5)), -1
+        ),
+    })
+    walls = _stage_walls(motion, 0)
+    assert [len(w.certs) for w in walls if w.exact is not None] == [4]
+    with pytest.raises(DegeneracyError, match="stage 0: end complex mismatch"):
+        detect_flips(motion, tri0)
+
+
 def merged_flips(motion, events):
     """The events whose bracket is a wall holding several certificates."""
     brackets = {

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -295,6 +296,75 @@ def _kernel_case(rng):
     return f, lo, hi
 
 
+_CELL = Fraction(1, 2 ** 21)  # the bisection cell of a half-stage at width 2^-20
+
+
+def _quadratic_case(rng, kind):
+    """An integer quadratic N^2 (x - m)^2 - K, roots m +- sqrt(K) / N, of
+    one kind: irrational roots anywhere in [0, 1] ("random"), in one cell
+    ("one cell") or in adjacent ones ("adjacent"), within a cell of 0, 1/2
+    or 1 ("boundary"); or rational roots: simple, double or dyadic."""
+    if kind in ("rational", "double", "dyadic"):
+        if kind == "dyadic":
+            den = 2 ** rng.randint(1, 22)
+        else:
+            den = rng.choice([3, 5, 7, 12, 2 ** 21 * 3])
+        p = Fraction(rng.randint(1, den - 1), den)
+        if kind == "double":
+            q = p
+        else:
+            q = Fraction(rng.randint(-den, 2 * den), rng.choice([1, 3, 2 ** 20]))
+        return normalize(poly_from_roots([p, q]))
+    n = 2 ** rng.randint(26, 30) * rng.choice([1, 3, 5])
+    if kind == "random":
+        m, spread = Fraction(rng.randint(0, 2 ** 30), 2 ** 30), Fraction(1, rng.randint(2, 40))
+    elif kind == "one cell":  # m a cell centre, sqrt(K)/N below a quarter cell
+        m, spread = (rng.randint(0, 2 ** 21 - 1) + Fraction(1, 2)) * _CELL, _CELL / 8
+    elif kind == "adjacent":  # m a grid point
+        m, spread = rng.randint(1, 2 ** 21 - 1) * _CELL, _CELL / 2
+    else:
+        m = rng.choice([0, Fraction(1, 2), 1]) + rng.randint(-8, 8) * _CELL / 8
+        spread = _CELL * Fraction(rng.randint(1, 24), 8)
+    k = rng.randint(1, int(spread * spread * n * n) + 1)
+    if math.isqrt(k) ** 2 == k:
+        k += 1
+    mn = m * n
+    # (n x - mn)^2 - k with mn = a / b: times b^2
+    a, b = mn.numerator, mn.denominator
+    return normalize([a * a - k * b * b, -2 * a * b * n, b * b * n * n])
+
+
+def _check_quadratic_cells(f):
+    """``irrational_quadratic_cells`` on both half-stages: None exactly when
+    the discriminant is a square or both roots share a bisection cell, else
+    the plain Sturm recursion's brackets bisected below 2^-20.  Returns the
+    number of brackets it gave, or None."""
+    from oracles import sturm_isolate
+
+    c0, c1, c2 = f
+    disc = c1 * c1 - 4 * c0 * c2
+    square = disc >= 0 and math.isqrt(disc) ** 2 == disc
+    # both roots lie in the cell of the vertex m when it is not a grid point
+    # and f has the sign of its leading term at both ends of that cell
+    m = Fraction(-c1, 2 * c2)
+    left = math.floor(m / _CELL) * _CELL
+    one_cell = (
+        disc > 0
+        and left != m
+        and (evaluate(f, left) > 0) == (evaluate(f, left + _CELL) > 0) == (c2 > 0)
+    )
+    width, given = Fraction(1, 2 ** 20), 0
+    for lo, hi in ((Fraction(0), Fraction(1, 2)), (Fraction(1, 2), Fraction(1))):
+        cells = roots_module.irrational_quadratic_cells(f, lo, hi, width)
+        if square or one_cell:
+            assert cells is None, (f, lo)
+            continue
+        expected = [fraction_refine_root(f, iso, width) for iso in sturm_isolate(f, lo, hi)]
+        assert cells == expected, (f, lo)
+        given += len(cells)
+    return None if square or one_cell else given
+
+
 def test_isolation_and_refinement_match_plain_sturm_and_bisection(monkeypatch):
     # Descartes' rule decides most intervals and low degrees take their last
     # bisection cell directly; neither may change an interval
@@ -327,3 +397,14 @@ def test_isolation_and_refinement_match_plain_sturm_and_bisection(monkeypatch):
     assert decided.count(0) > 100 and decided.count(1) > 100 and 2 in decided
     found = [c for c in cells if c is not None]
     assert len(found) > 100 and len(found) < len(cells)  # some cells fall back
+    # an irrational quadratic takes its brackets in closed form
+    kinds = ["random", "one cell", "adjacent", "boundary", "rational", "double", "dyadic"]
+    outcome = {
+        kind: [_check_quadratic_cells(_quadratic_case(rng, kind)) for _ in range(12)]
+        for kind in kinds
+    }
+    assert outcome["random"].count(None) == 0 and sum(outcome["random"]) > 12
+    assert outcome["one cell"] == [None] * 12
+    assert outcome["adjacent"] == [2] * 12
+    assert outcome["boundary"].count(None) < 6 and sum(filter(None, outcome["boundary"])) > 6
+    assert all(outcome[kind] == [None] * 12 for kind in ("rational", "double", "dyadic"))

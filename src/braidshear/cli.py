@@ -241,7 +241,11 @@ def _cmd_snapshot(args) -> int:
         stage = min(int(t), stages - 1)
         points = positions_at(motion, stage, t - stage)
     complex_ = delaunay(sorted(points.items()))
-    _write_output(args, triangulation_svg(points, complex_, edge_labels=not args.no_labels))
+    try:
+        svg = triangulation_svg(points, complex_, edge_labels=not args.no_labels)
+    except OverflowError:  # float() of a coordinate beyond float range
+        raise CliError(EXIT_PARSE, "usage", "positions exceed the float range of an SVG")
+    _write_output(args, svg)
     return EXIT_OK
 
 

@@ -373,22 +373,17 @@ def _homogeneous_positions(stage: Stage, half: int) -> Dict[int, Tuple[List[int]
     return out
 
 
-def _det(rows: Sequence[Sequence[int]]) -> int:
-    if not rows:
-        return 1
-    return sum(
-        (-1) ** j * c * _det([r[:j] + r[j + 1:] for r in rows[1:]]) for j, c in enumerate(rows[0])
-    )
-
-
 @lru_cache(maxsize=4096)
 def _weights(rows: Tuple[Tuple[int, ...], ...], width: int) -> Tuple[int, ...]:
     """(-1)^(sum C) det(rows, columns not in C) for every column set C of
-    the mover rows that complete ``rows`` to a square matrix; cached, as
-    stages of one motion share their stationary points."""
+    the mover rows that complete ``rows`` to a square matrix: the
+    ``_minors`` of the integer rows, as polynomials of degree 0, each read
+    at the complement of C (the empty determinant 1 without rows); cached,
+    as stages of one motion share their stationary points."""
+    minors = _minors([[[c] for c in r] for r in rows]) if rows else {(): [1]}
     out = []
     for cols in combinations(range(width), width - len(rows)):
-        k = _det([tuple(c for i, c in enumerate(r) if i not in cols) for r in rows])
+        (k,) = minors[tuple(i for i in range(width) if i not in cols)]
         out.append(-k if sum(cols) % 2 else k)
     return tuple(out)
 

@@ -12,19 +12,20 @@ q^d * f(p/q).
 
 The isolation API guarantees open intervals whose endpoints are not roots
 and that contain exactly one root each, refinable to any requested width.
-Isolation and refinement return exactly the intervals of the plain Sturm
-recursion and of plain bisection, with less work: isolation decides an
-interval by Descartes' rule of signs when that count is 0 or 1, and by
-the Sturm count otherwise; refinement of a root of degree 1 or 2 computes
-its last bisection cell from the exact root (``math.isqrt``), checks it by
-two signs and bisects only when the check fails.
+Isolation returns exactly the intervals of the plain Sturm recursion,
+with less work: it decides an interval by Descartes' rule of signs when
+that count is 0 or 1, and by the Sturm count otherwise.  Refinement is
+plain bisection on integer numerators.
 
-An integer quadratic whose discriminant is not a square, so whose roots
-are irrational, skips both (``irrational_quadratic_cells``): no point of
-the bisection grid is a root, so the recursion only ever splits an
-interval at its midpoint and bisection continues on the same grid.  The
-bracket of each root is then its cell at the final grid depth, from one
-``math.isqrt`` and two signs, unless both roots share that cell.
+The one closed form is for an integer quadratic whose discriminant is not
+a square, so whose roots are irrational, and it replaces both isolation
+and refinement when a stage's event brackets are first built
+(``irrational_quadratic_cells``): no point of the bisection grid is a
+root, so the recursion only ever splits an interval at its midpoint and
+bisection continues on the same grid.  The bracket of each root is then
+its cell at the final grid depth, from one ``math.isqrt`` and two signs,
+unless both roots share that cell.  A bracket shrunk later, to separate
+it from another, is bisected.
 """
 
 from __future__ import annotations
@@ -265,11 +266,12 @@ def refine_root(coeffs: Sequence, root: IsolatedRoot, width: Fraction) -> Isolat
     same steps as bisecting its squarefree part; only a root of even
     multiplicity needs ``squarefree_part``.
 
-    For degree 1 and 2 the last cell is computed directly (``_root_cell``)
-    and bisection runs only when that cell fails its check.
+    Every refinement bisects, whatever the degree: the closed form of
+    ``irrational_quadratic_cells`` serves only the first brackets of a
+    stage, and a separation shrink of one of them comes here.
     """
     f = normalize(coeffs)
-    a, b, den, steps = _grid(*root, width)
+    a, b, den = _grid(*root)
     v_lo, v_hi = _value(f, a, den), _value(f, b, den)
     if v_lo and v_hi and (v_lo > 0) == (v_hi > 0):
         f = squarefree_part(f)
@@ -278,10 +280,6 @@ def refine_root(coeffs: Sequence, root: IsolatedRoot, width: Fraction) -> Isolat
         raise RootIsolationError("isolating interval endpoint is a root")
     positive = v_lo > 0
     wn, wd = width.numerator, width.denominator
-    if steps and 2 <= len(f) <= 3:
-        cell = _root_cell(f, a, b, den, steps, positive)
-        if cell is not None:
-            return cell
     while (b - a) * wd >= wn * den:
         mid = a + b
         a, b, den = 2 * a, 2 * b, 2 * den
@@ -297,67 +295,10 @@ def refine_root(coeffs: Sequence, root: IsolatedRoot, width: Fraction) -> Isolat
     return IsolatedRoot(Fraction(a, den), Fraction(b, den))
 
 
-def _grid(lo: Fraction, hi: Fraction, width: Fraction) -> Tuple[int, int, int, int]:
-    """``(a, b, den, steps)``: lo = a/den and hi = b/den over one
-    denominator, and the number of halvings, the least k with
-    (b - a) / (den 2^k) < width."""
+def _grid(lo: Fraction, hi: Fraction) -> Tuple[int, int, int]:
+    """``(a, b, den)``: lo = a/den and hi = b/den over one denominator."""
     den = math.lcm(lo.denominator, hi.denominator)
-    a = lo.numerator * (den // lo.denominator)
-    b = hi.numerator * (den // hi.denominator)
-    return a, b, den, ((b - a) * width.denominator // (width.numerator * den)).bit_length()
-
-
-def _root_cells(f: Coeffs, a: int, b: int, den: int, steps: int) -> Tuple[List[int], bool]:
-    """The index of the cell, of the 2^steps equal cells of (a/den, b/den),
-    that holds each real root of f (degree 1 or 2), in increasing order and
-    both roots of a quadratic even when equal, from floor(root * den *
-    2^steps) by one ``math.isqrt``; and whether the roots are rational
-    (a quadratic's discriminant is a square)."""
-    scale = den << steps
-    if len(f) == 2:
-        floors, rational = [-f[0] * scale // f[1]], True
-    else:
-        c0, c1, c2 = f if f[2] > 0 else [-c for c in f]
-        disc = (c1 * c1 - 4 * c0 * c2) * scale * scale
-        if disc < 0:
-            return [], False
-        s = math.isqrt(disc)
-        rational = s * s == disc
-        floors = [(-c1 * scale - s - (not rational)) // (2 * c2), (-c1 * scale + s) // (2 * c2)]
-    return [(num - (a << steps)) // (b - a) for num in floors], rational
-
-
-def _checked_cell(
-    f: Coeffs, j: int, a: int, b: int, den: int, steps: int, positive: bool
-) -> Optional[IsolatedRoot]:
-    """Cell j of the 2^steps equal cells of (a/den, b/den) when f has the
-    sign ``positive`` at its left end and the other one at its right end,
-    else None."""
-    scale = den << steps
-    left = (a << steps) + j * (b - a)
-    right = left + (b - a)
-    v_left, v_right = _value(f, left, scale), _value(f, right, scale)
-    if v_left == 0 or v_right == 0 or (v_left > 0) != positive or (v_right > 0) == positive:
-        return None
-    return IsolatedRoot(Fraction(left, scale), Fraction(right, scale))
-
-
-def _root_cell(
-    f: Coeffs, a: int, b: int, den: int, steps: int, positive: bool
-) -> Optional[IsolatedRoot]:
-    """The one of 2^steps equal cells of (a/den, b/den) that holds the root
-    of f (degree 1 or 2, changing sign there), from the exact root; None
-    when its ends fail the sign check, as when the root is one of them.
-    The check makes it bisection's cell: the interval holds one root, the
-    cell brackets it and no grid point is it, so every step keeps it."""
-    cells, _ = _root_cells(f, a, b, den, steps)
-    if not cells:
-        return None
-    # the smaller root where f starts on the sign of its leading term
-    j = cells[0 if positive == (f[-1] > 0) else -1]
-    if not 0 <= j < 1 << steps:
-        return None
-    return _checked_cell(f, j, a, b, den, steps, positive)
+    return lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator), den
 
 
 def irrational_quadratic_cells(
@@ -380,18 +321,33 @@ def irrational_quadratic_cells(
     """
     if len(coeffs) != 3:
         return None
-    a, b, den, steps = _grid(lo, hi, width)
-    cells, rational = _root_cells(coeffs, a, b, den, steps)
-    if rational or len(set(cells)) < len(cells):
+    a, b, den = _grid(lo, hi)
+    # K, the least k with (b - a) / (den 2^k) < width
+    steps = ((b - a) * width.denominator // (width.numerator * den)).bit_length()
+    scale, step = den << steps, b - a
+    c0, c1, c2 = coeffs if coeffs[2] > 0 else [-c for c in coeffs]
+    disc = (c1 * c1 - 4 * c0 * c2) * scale * scale
+    if disc < 0:
+        return []
+    s = math.isqrt(disc)
+    if s * s == disc:
+        return None
+    # floor(root * scale) of each root, as no root is rational; then the
+    # index of its cell, of the 2^K equal cells of (lo, hi)
+    floors = ((-c1 * scale - s - 1) // (2 * c2), (-c1 * scale + s) // (2 * c2))
+    cells = [(num - (a << steps)) // step for num in floors]
+    if cells[0] == cells[1]:
         return None
     out = []
     # f has the sign of its leading term left of the smaller root only
     for j, positive in zip(cells, (coeffs[2] > 0, coeffs[2] < 0)):
         if 0 <= j < 1 << steps:
-            cell = _checked_cell(coeffs, j, a, b, den, steps, positive)
-            if cell is None:
+            left = (a << steps) + j * step
+            v_left, v_right = _value(coeffs, left, scale), _value(coeffs, left + step, scale)
+            # neither is 0, as no rational point is a root
+            if (v_left > 0) != positive or (v_right > 0) == positive:
                 return None
-            out.append(cell)
+            out.append(IsolatedRoot(Fraction(left, scale), Fraction(left + step, scale)))
     return out
 
 

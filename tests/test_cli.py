@@ -267,6 +267,28 @@ def test_snapshot_bytes_are_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--epsilon", "1" + "0" * 400, "--t", "0", ""],
+        ["--bulge", "1" + "0" * 400, "--t", "1/2", "s1"],
+    ],
+)
+def test_snapshot_beyond_float_range_is_a_usage_error(argv):
+    # exact positions that no float holds: one JSON line, not a traceback
+    proc = subprocess.run(
+        [sys.executable, "-m", "braidshear.cli", "snapshot", "--n", "3", *argv],
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    (line,) = proc.stderr.splitlines()
+    assert json.loads(line)["error"]["kind"] == "usage"
+
+
 def test_snapshot_deterministic(capsys):
     _, first, _ = run(capsys, "snapshot", "--n", "4", "--t", "1/3", "s1")
     _, second, _ = run(capsys, "snapshot", "--n", "4", "--t", "1/3", "s1")

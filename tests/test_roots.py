@@ -366,17 +366,13 @@ def _check_quadratic_cells(f):
 
 
 def test_isolation_and_refinement_match_plain_sturm_and_bisection(monkeypatch):
-    # Descartes' rule decides most intervals and low degrees take their last
-    # bisection cell directly; neither may change an interval
+    # Descartes' rule decides most intervals; it may not change one
     from oracles import sturm_isolate
 
-    decided, cells = [], []
-    descartes, root_cell = roots_module._descartes_signs, roots_module._root_cell
+    decided = []
+    descartes = roots_module._descartes_signs
     monkeypatch.setattr(
         roots_module, "_descartes_signs", lambda *a: decided.append(descartes(*a)) or decided[-1]
-    )
-    monkeypatch.setattr(
-        roots_module, "_root_cell", lambda *a: cells.append(root_cell(*a)) or cells[-1]
     )
     rng = random.Random(2026)
     checked = degrees = 0
@@ -395,8 +391,6 @@ def test_isolation_and_refinement_match_plain_sturm_and_bisection(monkeypatch):
         checked += 1
     assert seen_degrees == set(range(1, 7))
     assert decided.count(0) > 100 and decided.count(1) > 100 and 2 in decided
-    found = [c for c in cells if c is not None]
-    assert len(found) > 100 and len(found) < len(cells)  # some cells fall back
     # an irrational quadratic takes its brackets in closed form
     kinds = ["random", "one cell", "adjacent", "boundary", "rational", "double", "dyadic"]
     outcome = {
@@ -408,3 +402,28 @@ def test_isolation_and_refinement_match_plain_sturm_and_bisection(monkeypatch):
     assert outcome["adjacent"] == [2] * 12
     assert outcome["boundary"].count(None) < 6 and sum(filter(None, outcome["boundary"])) > 6
     assert all(outcome[kind] == [None] * 12 for kind in ("rational", "double", "dyadic"))
+
+
+def test_refine_root_bisects_linear_and_rational_quadratic_roots():
+    # degrees 1 and 2 bisect like any other, at the final width and at the
+    # quarter of the isolating width that a separation shrink asks for
+    rng = random.Random(28)
+    kinds = ["linear", "rational", "double", "dyadic"]
+    checked, on_midpoint = dict.fromkeys(kinds, 0), dict.fromkeys(kinds, 0)
+    for kind in kinds * 20:
+        if kind == "linear":
+            den = rng.choice([3, 7, 2 ** rng.randint(1, 22)])
+            f = normalize([-rng.randint(1, den - 1), den])
+        else:
+            f = _quadratic_case(rng, kind)
+        for lo, hi in ((Fraction(0), Fraction(1, 2)), (Fraction(1, 2), Fraction(1))):
+            if not evaluate(f, lo) or not evaluate(f, hi):
+                continue
+            for iso in isolate_roots(f, lo, hi):
+                for width in (Fraction(1, 2 ** 20), (iso.hi - iso.lo) / 4):
+                    expected = fraction_refine_root(f, iso, width)
+                    assert refine_root(f, iso, width) == expected, (f, iso, width)
+                    checked[kind] += 1
+                    on_midpoint[kind] += evaluate(f, (expected.lo + expected.hi) / 2) == 0
+    assert min(checked.values()) >= 30
+    assert on_midpoint["linear"] > 5 and on_midpoint["dyadic"] > 5

@@ -25,7 +25,9 @@ below 2^(w-1); a product that would reach it is computed in a ring with
 wider fields.  Operands in one ring (an identity test) are combined
 directly; others are first repacked into the ring of their merged names.
 ``vars`` and ``terms`` are a tuple view over the variables actually used,
-so equality and hashing do not depend on the ring.
+so equality and hashing do not depend on the ring.  The layout stays in
+this module: ``_pack`` is its one encoder, and callers build a monomial
+with ``monomial`` and read a constant term with ``constant_coeff``.
 
 ``exact_div`` is Johnson's heap division (Monagan and Pearce, "Sparse
 polynomial division using a heap", J. Symb. Comput. 2011): the products of
@@ -123,12 +125,6 @@ class _Ring:
         self.guards = sum(1 << (s + bits - 1) for s in self.shifts)
         self.cap = 1 << (bits - 1)
 
-    def pack(self, exps) -> int:
-        key = sum(exps) << self.top
-        for s, e in zip(self.shifts, exps):
-            key |= e << s
-        return key
-
 
 @lru_cache(maxsize=4096)
 def _ring(names: tuple, bits: int) -> _Ring:
@@ -152,6 +148,15 @@ def _bits_for(degree: int) -> int:
     while degree >= 1 << (bits - 1):
         bits *= 2
     return bits
+
+
+def _pack(top: int, shifts, exps) -> int:
+    """The key of the monomial with exponents ``exps`` in the fields at
+    ``shifts``, its total degree at ``top``: the one encoder of a key."""
+    key = sum(exps) << top
+    for s, e in zip(shifts, exps):
+        key |= e << s
+    return key
 
 
 def _poly(ring: _Ring, packed: dict, p: Optional["Polynomial"] = None) -> "Polynomial":
@@ -199,13 +204,7 @@ class Polynomial:
                 raise AlgebraError(f"exponents {exps} do not fit the variables {variables}")
             degree = max(degree, sum(exps))
         ring, shifts = _layout(variables, _bits_for(degree))
-        packed = {}
-        for exps, coeff in terms.items():
-            key = sum(exps) << ring.top
-            for s, e in zip(shifts, exps):
-                key |= e << s
-            packed[key] = coeff
-        _poly(ring, packed, self)
+        _poly(ring, {_pack(ring.top, shifts, exps): c for exps, c in terms.items()}, self)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -298,6 +297,11 @@ class Polynomial:
         if self.is_zero:
             return 0
         return self._packed[self._leading()]
+
+    def constant_coeff(self) -> int:
+        """Coefficient of the constant monomial, whose key is 0 in every
+        ring."""
+        return self._packed.get(0, 0)
 
     def content(self) -> int:
         """Nonnegative gcd of all coefficients."""
@@ -494,6 +498,19 @@ class Polynomial:
         return f"Polynomial({poly_to_str(self)!r})"
 
 
+_ONE = Polynomial.one()
+
+
+def monomial(names: tuple, exps) -> Polynomial:
+    """y^exps over the variables ``names`` (exponents >= 0), its one key
+    packed directly."""
+    degree = sum(exps)
+    if not degree:
+        return _ONE
+    ring, shifts = _layout(names, _bits_for(degree))
+    return _poly(ring, {_pack(ring.top, shifts, exps): 1})
+
+
 def _positive_lead(p: Polynomial) -> Polynomial:
     return -p if p.lead_coeff() < 0 else p
 
@@ -502,7 +519,7 @@ def _monomial_gcd(mono: Polynomial, other: Polynomial) -> Polynomial:
     """gcd of a one-term polynomial with any polynomial (primitive inputs)."""
     ring = Polynomial._common_ring(mono, other)
     keys = [*mono._packed_in(ring), *other._packed_in(ring)]
-    return _poly(ring, {ring.pack(_least_exponents(ring, keys)): 1})
+    return _poly(ring, {_pack(ring.top, ring.shifts, _least_exponents(ring, keys)): 1})
 
 
 def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -522,8 +539,6 @@ def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     pf, pg = f._div_int(cf), g._div_int(cg)
     if pf.is_constant or pg.is_constant:
         return Polynomial.constant(c)
-    if pf == pg or pf == -pg:
-        return Polynomial.constant(c) * _positive_lead(pf)
     if pf.is_monomial:
         return Polynomial.constant(c) * _monomial_gcd(pf, pg)
     if pg.is_monomial:

@@ -64,14 +64,7 @@ from fractions import Fraction
 from itertools import groupby
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from braidshear.algebra import (
-    Polynomial,
-    RationalFunction,
-    _bits_for,
-    _layout,
-    _poly,
-    poly_product,
-)
+from braidshear.algebra import Polynomial, RationalFunction, monomial, poly_product
 from braidshear.braid import (  # MAX_STRANDS and StrandCountError re-exported
     MAX_STRANDS,
     BraidWord,
@@ -150,7 +143,7 @@ class _SeparatedState:
         edges = sorted(complex_.edges())
         names = tuple(edge_var_name(*e) for e in edges)
         c = {e: tuple(int(i == k) for i in range(len(edges))) for k, e in enumerate(edges)}
-        return cls(complex_, names, c, dict.fromkeys(edges, _ONE))
+        return cls(complex_, names, c, dict.fromkeys(edges, Polynomial.one()))
 
     def label(self, edge: Edge) -> RationalFunction:
         edge = _norm(edge)
@@ -159,8 +152,8 @@ class _SeparatedState:
             c = self.c[edge]
             num, den = self._factors(edge)
             value = self._labels[edge] = RationalFunction.from_factors(
-                [_monomial(self.names, [max(x, 0) for x in c]), *num],
-                [_monomial(self.names, [max(-x, 0) for x in c]), *den],
+                [monomial(self.names, [max(x, 0) for x in c]), *num],
+                [monomial(self.names, [max(-x, 0) for x in c]), *den],
             )
         return value
 
@@ -202,21 +195,6 @@ class ShearState(_SeparatedState):
         return num, den
 
 
-_ONE = Polynomial.one()
-
-
-def _monomial(names: Tuple[str, ...], exps: Sequence[int]) -> Polynomial:
-    """y^exps over ``names`` (exponents >= 0), its one key packed directly."""
-    degree = sum(exps)
-    if not degree:
-        return _ONE
-    ring, shifts = _layout(names, _bits_for(degree))
-    key = degree << ring.top
-    for s, e in zip(shifts, exps):
-        key |= e << s
-    return _poly(ring, {key: 1})
-
-
 def _neighbour_sides(tri: Tuple[int, int, int], edge: Edge) -> Tuple[Edge, Edge]:
     """The sides of a counterclockwise triangle that follow and precede
     ``edge`` in its boundary order."""
@@ -237,8 +215,8 @@ def _exchange(state, quad, c: Mapping[Edge, Tuple[int, ...]], c_new, alpha, P, b
     if k not in state.F or new in state.F:
         raise InternalInvariantError(f"label data keys do not match the flip of {k}")
     F = dict(state.F)
-    total = poly_product([_monomial(state.names, alpha), *(F[j] for j in P)]) + poly_product(
-        [_monomial(state.names, beta), *(F[j] for j in Q)]
+    total = poly_product([monomial(state.names, alpha), *(F[j] for j in P)]) + poly_product(
+        [monomial(state.names, beta), *(F[j] for j in Q)]
     )
     F[new] = total.exact_div(F.pop(k))
     if F[new] is None:
@@ -291,18 +269,17 @@ def apply_shear_flip(state: ShearState, quad: Tuple[int, int, int, int]) -> Shea
         c[j] = tuple(x + y for x, y in zip(c[j], pos))
     # b_ik = -b_ki: the grown sides enter the y^{[c_k]_+} term
     flipped = _exchange(state, quad, c, [-x for x in ck], pos, grow, [-x for x in neg], shrink)
-    # packed key 0 is the constant monomial in every ring
-    if flipped.F[_norm((v, z))]._packed.get(0) != 1:
+    if flipped.F[_norm((v, z))].constant_coeff() != 1:
         raise InternalInvariantError(f"F-polynomial constant term is not 1 at flip of {k}")
     return flipped
 
 
 def apply_flip(
-    state: Union[LabelState, ShearState],
-    quad: Tuple[int, int, int, int],
-    system: LabelSystem,
+    state: Union[LabelState, ShearState], quad: Tuple[int, int, int, int]
 ) -> Union[LabelState, ShearState]:
-    if system is LabelSystem.PTOLEMY:
+    """The flip of ``quad``'s diagonal by the rule of ``state``'s class: the
+    Ptolemy rule for a ``LabelState``, the shear rule for a ``ShearState``."""
+    if isinstance(state, LabelState):
         return apply_ptolemy_flip(state, quad)
     return apply_shear_flip(state, quad)
 
@@ -329,7 +306,7 @@ def _paths_agree(complex_: EdgeComplex, path_a, path_b, system: LabelSystem) -> 
     for path in (path_a, path_b):
         state = seed
         for edge in path:
-            state = apply_flip(state, state.complex.quad_around(edge), system)
+            state = apply_flip(state, state.complex.quad_around(edge))
         ends.append(state)
     if ends[0].complex != ends[1].complex:
         raise InternalInvariantError("flip paths end on different triangulations")
@@ -398,12 +375,12 @@ class InvariantMap:
 
 
 def invariants_equal(a: InvariantMap, b: InvariantMap) -> bool:
-    if set(a.entries) != set(b.entries):
-        return False
-    return all(a.entries[e] == b.entries[e] for e in a.entries)
+    return first_difference(a, b) is None
 
 
 def first_difference(a: InvariantMap, b: InvariantMap) -> Optional[Edge]:
+    """The least edge whose labels differ, an edge keyed in one map only
+    included, or None if the maps are equal."""
     for edge in sorted(set(a.entries) | set(b.entries)):
         if a.entries.get(edge) != b.entries.get(edge):
             return edge
@@ -448,13 +425,13 @@ def run_invariant(
         for event in group:
             if state.complex.quad_around(event.edge) != event.quad:
                 raise InternalInvariantError(f"event quad diverged for {event}")
-            state = apply_flip(state, event.quad, system)
+            state = apply_flip(state, event.quad)
         if len(group) > 1:
             # events sharing a bracket are simultaneous; re-apply them in
             # the opposite order and insist on the same outcome
             other = before
             for event in reversed(group):
-                other = apply_flip(other, other.complex.quad_around(event.edge), system)
+                other = apply_flip(other, other.complex.quad_around(event.edge))
             if other != state:
                 raise InternalInvariantError(
                     f"simultaneous events {[e.edge for e in group]} do not commute"

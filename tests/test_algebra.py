@@ -1,5 +1,7 @@
+import ast
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy as sp
@@ -10,6 +12,7 @@ from braidshear.algebra import (
     Polynomial,
     RationalFunction,
     ZeroFunctionDivision,
+    monomial,
     poly_gcd,
     poly_to_str,
 )
@@ -316,3 +319,31 @@ def test_rf_json_round_trip():
     assert [parse_canonical(data[k]) for k in ("num", "den")] == [to_sympy(f.num), to_sympy(f.den)]
     # the constructor reduces before anything is written
     assert RationalFunction(2 * a * e, 4 * e).to_json() == {"num": "a", "den": "2"}
+
+
+def test_monomial_is_the_generic_constructor_packed_directly():
+    names = ("x", "y", "z")
+    for exps in [(0, 0, 0), (1, 0, 2), (0, 5, 0), (1 << 15, 0, 1)]:
+        assert monomial(names, exps) == Polynomial(names, {exps: 1})
+    assert monomial(names, (0, 0, 0)).constant_coeff() == 1
+    assert (monomial(names, (1, 0, 0)) + 7).constant_coeff() == 7
+
+
+def test_only_algebra_knows_the_packed_key_layout():
+    # the packed monomial keys are algebra's format: no other module imports
+    # an underscore name from it or reads a term map
+    src = Path(__file__).resolve().parents[1] / "src" / "braidshear"
+    breaches = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "algebra.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module == "braidshear.algebra":
+                breaches += [
+                    f"{path.name}:{node.lineno} imports {a.name}"
+                    for a in node.names
+                    if a.name.startswith("_")
+                ]
+            elif isinstance(node, ast.Attribute) and node.attr == "_packed":
+                breaches.append(f"{path.name}:{node.lineno} reads _packed")
+    assert not breaches

@@ -202,12 +202,8 @@ def test_flip_locality():
     )
     quad = complex_.quad_around((1, 3))
     support = {(1, 2), (2, 3), (3, 4), (1, 4), (1, 3)}
-    seeds = {
-        LabelSystem.PTOLEMY: LabelState.seed(complex_),
-        LabelSystem.SHEAR: ShearState.seed(complex_),
-    }
-    for system, octagon in seeds.items():
-        flipped = apply_flip(octagon, quad, system)
+    for octagon in (LabelState.seed(complex_), ShearState.seed(complex_)):
+        flipped = apply_flip(octagon, quad)
         for edge in octagon.complex.edges():
             if edge in support:
                 continue
@@ -345,7 +341,7 @@ def flip_states(n, text, system):
     base = augment(tri0)
     state = LabelState.seed(base) if system is LabelSystem.PTOLEMY else ShearState.seed(base)
     for event in events:
-        state = apply_flip(state, event.quad, system)
+        state = apply_flip(state, event.quad)
         yield event, state
 
 
@@ -822,8 +818,8 @@ def test_shear_labels_are_the_ensemble_map_of_the_ptolemy_labels():
         y = {edge_var_name(*j): ensemble_image(x, seed, j) for j in seed.edges()}
         ptolemy, shear = LabelState.seed(seed), ShearState.seed(seed)
         for event in detect_flips(motion, tri0):
-            ptolemy = apply_flip(ptolemy, event.quad, LabelSystem.PTOLEMY)
-            shear = apply_flip(shear, event.quad, LabelSystem.SHEAR)
+            ptolemy = apply_flip(ptolemy, event.quad)
+            shear = apply_flip(shear, event.quad)
             flips += 1
         assert shear.complex == ptolemy.complex
         X = {e: at(ptolemy.label(e), point) for e in ptolemy.complex.edges()}
@@ -929,3 +925,71 @@ def test_equal_shares_stage_walls_across_its_two_words(monkeypatch):
     # a different bulge keys different stages
     run_invariant(parse_braid("s1", n=4), cfg.with_bulge(Fraction(1, 2)), LabelSystem.PTOLEMY, stage_walls=memo)
     assert len(builds) == 7
+
+
+def test_unkeyed_slot_edges_are_an_internal_error(monkeypatch):
+    # after s1 at n=4 strands 2 and 4 hold slots 1 and 4, joined by the slot
+    # edge (1, 4); the identity in place of the braid's permutation keys that
+    # edge (2, 4), which no slot triangulation at n=4 holds
+    real = coordinates.compile_motion
+
+    def identity_permutation(word, cfg):
+        motion, perm = real(word, cfg)
+        assert perm == {1: 2, 2: 1, 3: 3, 4: 4}
+        return motion, {k: k for k in perm}
+
+    cfg = SlotConfig(4)
+    assert (2, 4) not in initial_triangulation(cfg)[1]
+    monkeypatch.setattr(coordinates, "compile_motion", identity_permutation)
+    for system in LabelSystem:
+        with pytest.raises(InternalInvariantError, match="do not cover the slot edges"):
+            run_invariant(parse_braid("s1", n=4), cfg, system)
+
+
+def _c_vector_flip(c, quad):
+    """The shear c-vector rule of the coordinates module docstring, in place:
+    c'_k = -c_k and c'_j = c_j + [b_kj]_+ c_k - b_kj min(c_k, 0) on the sides,
+    with b_kj = -1 on (u,v), (w,z) and +1 on (v,w), (z,u)."""
+    u, v, w, z = quad
+    ck = c.pop(tuple(sorted((u, w))))
+    for side, b in (((u, v), -1), ((v, w), 1), ((w, z), -1), ((z, u), 1)):
+        j = tuple(sorted(side))
+        c[j] = tuple(x + max(b, 0) * y - b * min(y, 0) for x, y in zip(c[j], ck))
+    c[tuple(sorted((v, z)))] = tuple(-y for y in ck)
+
+
+@pytest.mark.parametrize(
+    "n, text, k, flips, minimal_polynomial",
+    [
+        # the least dilatation of a 4-braid, 2.29663 (Ko, Los and Song 2002)
+        (4, "s1 s2 s3'", 14, 210, [1, -2, 0, -2, 1]),
+        # the least dilatation of a 5-braid, 1.72208 (Ham and Song 2007)
+        (5, "s1 s2 s3 s4 s1 s2", 10, 510, [1, -1, -1, -1, 1]),
+    ],
+)
+def test_c_vectors_grow_at_the_braids_dilatation(n, text, k, flips, minimal_polynomial):
+    # c-vectors are the braid's action on integral laminations, whose size
+    # grows like lambda^k over w^k; S_k is the sum of |c| entries after w^k,
+    # and sqrt(S_k / S_(k-2)) averages the growth over two periods
+    cfg = SlotConfig(n)
+    tri0, _ = initial_triangulation(cfg)
+    motion, _ = compile_motion(parse_braid(" ".join([text] * k), n=n), cfg)
+    events = detect_flips(motion, tri0)
+    base = augment(tri0)
+    edges = sorted(base.edges())
+    c = {e: tuple(int(i == j) for i in range(len(edges))) for j, e in enumerate(edges)}
+    state = ShearState.seed(base)
+    assert state.c == c
+    letters = len(text.split())
+    sizes = {}
+    for count, event in enumerate(events, 1):
+        _c_vector_flip(c, event.quad)
+        if count <= 30:
+            state = apply_flip(state, event.quad)
+            assert state.c == c, count
+        sizes[event.stage // letters + 1] = sum(abs(x) for vec in c.values() for x in vec)
+    assert len(events) == flips
+    x = sp.Symbol("x")
+    dilatation = float(max(sp.Poly(minimal_polynomial, x).real_roots()))
+    growth = math.sqrt(sizes[k] / sizes[k - 2])
+    assert abs(growth / dilatation - 1) < 0.005, (growth, dilatation)

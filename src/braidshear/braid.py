@@ -12,7 +12,7 @@ import re
 import string
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from braidshear.geometry import EdgeComplex, Point, delaunay
 from braidshear.kinetic import Arc, Motion, Stage, Stationary
@@ -50,9 +50,9 @@ class BraidWord:
 _ITEM = re.compile(r"s(\d+)('|\^-1)?", re.ASCII)
 
 
-def parse_braid(text: str, n: Optional[int] = None) -> BraidWord:
-    """Parse a braid word: items like ``s2`` / ``s2'`` / ``s2^-1`` separated
-    by ASCII whitespace.  The strand count is ``n`` or, if omitted, max(index)+1."""
+def parse_braid(text: str, n: int) -> BraidWord:
+    """Parse a braid word on ``n`` strands: items like ``s2`` / ``s2'`` /
+    ``s2^-1`` separated by ASCII whitespace."""
     letters: List[Tuple[int, int, int]] = []
     pos = 0
     while pos < len(text):
@@ -70,10 +70,6 @@ def parse_braid(text: str, n: Optional[int] = None) -> BraidWord:
         sign = -1 if match.group(2) else 1
         letters.append((index, sign, pos))
         pos = match.end()
-    if n is None:
-        if not letters:
-            raise BraidParseError("cannot infer strand count from an empty word", 0)
-        n = max(i for i, _, _ in letters) + 1
     for index, _, at in letters:
         if index > n - 1:
             raise BraidParseError(
@@ -90,21 +86,6 @@ class StrandCountError(ValueError):
     ``MAX_STRANDS``."""
 
 
-def _too_many_strands(n: int) -> StrandCountError:
-    return StrandCountError(f"n={n} is rejected: at most {MAX_STRANDS} strands are supported")
-
-
-def check_strand_count(n: int) -> None:
-    """Reject n < 3, which has no triangulation, and n > ``MAX_STRANDS``
-    (see ``SlotConfig``)."""
-    if n < 3:
-        raise StrandCountError(
-            f"n={n} is rejected: a Delaunay triangulation needs at least 3 strands"
-        )
-    if n > MAX_STRANDS:
-        raise _too_many_strands(n)
-
-
 @dataclass(frozen=True)
 class SlotConfig:
     n: int
@@ -112,12 +93,16 @@ class SlotConfig:
     bulge: Fraction = Fraction(1)
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("need at least 2 strands")
+        if self.n < 3:
+            raise StrandCountError(
+                f"n={self.n} is rejected: a Delaunay triangulation needs at least 3 strands"
+            )
         # a motion's stages hold O(n^4) event polynomials each, so a stray
         # large n would exhaust memory instead of failing
         if self.n > MAX_STRANDS:
-            raise _too_many_strands(self.n)
+            raise StrandCountError(
+                f"n={self.n} is rejected: at most {MAX_STRANDS} strands are supported"
+            )
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
         if self.bulge <= 0:

@@ -13,6 +13,7 @@ import json
 import re
 import string
 import sys
+from dataclasses import fields, replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
@@ -22,7 +23,6 @@ from braidshear.braid import (
     BraidParseError,
     SlotConfig,
     StrandCountError,
-    check_strand_count,
     compile_motion,
     initial_triangulation,
     parse_braid,
@@ -56,7 +56,7 @@ EXIT_PARSE = 2
 EXIT_DEGENERACY = 3
 EXIT_INTERNAL = 4
 
-_CONFIG_KEYS = {"n", "epsilon", "bulge"}
+_CONFIG_KEYS = tuple(field.name for field in fields(SlotConfig))
 
 
 class CliError(Exception):
@@ -87,7 +87,7 @@ def _load_config(path: Optional[str]) -> dict:
         raise CliError(EXIT_PARSE, "usage", f"cannot read config {path}: {exc}")
     if not isinstance(data, dict):
         raise CliError(EXIT_PARSE, "usage", "config file must hold a JSON object")
-    unknown = set(data) - _CONFIG_KEYS
+    unknown = set(data).difference(_CONFIG_KEYS)
     if unknown:
         raise CliError(EXIT_PARSE, "usage", f"unknown config keys: {sorted(unknown)}")
     return data
@@ -134,19 +134,18 @@ def _resolve_config(args) -> SlotConfig:
         raise CliError(EXIT_PARSE, "usage", f"n must be an integer, got {n!r}")
     n = value
     try:
-        check_strand_count(n)
+        cfg = SlotConfig(n)
     except StrandCountError as exc:
         raise CliError(EXIT_PARSE, "usage", str(exc))
-    if args.epsilon is not None:
-        epsilon = _rational_flag(args.epsilon, "--epsilon")
-    else:
-        epsilon = _rational_flag(str(file_cfg.get("epsilon", "1/64")), "config epsilon")
-    if args.bulge is not None:
-        bulge = _rational_flag(args.bulge, "--bulge")
-    else:
-        bulge = _rational_flag(str(file_cfg.get("bulge", "1")), "config bulge")
+    # the rationals after n: a flag, else the config file, else the default
+    values = {}
+    for key in _CONFIG_KEYS[1:]:
+        if getattr(args, key) is not None:
+            values[key] = _rational_flag(getattr(args, key), f"--{key}")
+        elif key in file_cfg:
+            values[key] = _rational_flag(str(file_cfg[key]), f"config {key}")
     try:
-        return SlotConfig(n, epsilon, bulge)
+        return replace(cfg, **values)
     except ValueError as exc:
         raise CliError(EXIT_PARSE, "usage", str(exc))
 

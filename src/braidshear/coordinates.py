@@ -65,15 +65,7 @@ from itertools import groupby
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from braidshear.algebra import Polynomial, RationalFunction, monomial, poly_product
-from braidshear.braid import (  # MAX_STRANDS and StrandCountError re-exported
-    MAX_STRANDS,
-    BraidWord,
-    SlotConfig,
-    StrandCountError,
-    check_strand_count,
-    compile_motion,
-    initial_triangulation,
-)
+from braidshear.braid import BraidWord, SlotConfig, compile_motion, initial_triangulation
 from braidshear.geometry import EdgeComplex
 from braidshear.kinetic import (
     FAR_VERTEX,
@@ -404,7 +396,6 @@ def run_invariant(
     same result.  ``stage_walls`` is handed to ``detect_flips``, so that
     calls sharing it build the walls of each distinct stage once.
     """
-    check_strand_count(cfg.n)
     initial, slot_edges = initial_triangulation(cfg)
     base = augment(initial)
     bulges = [cfg.bulge + d for d in DEFAULT_JITTER]

@@ -226,15 +226,15 @@ def _lattice_points(
     t = Fraction(t)
     if not 0 <= t <= 1:
         raise KineticError(f"time {t} outside [0, 1]")
-    half = 0 if t <= Fraction(1, 2) else 1  # the halves agree at t = 1/2
+    half = 0 if t <= _HALVES[0][1] else 1  # the halves agree where they meet
     p, q = t.numerator, t.denominator
-    basis = (q * q, p * q, p * p)  # p^i q^(2-i)
     st = motion.stages[stage]
+    # every numerator has three coefficients, so each value is q^2 f(p/q)
     points = [
-        (s, Point(sum(map(mul, xs, basis)), sum(map(mul, ys, basis))))
+        (s, Point(roots.value_at(xs, p, q), roots.value_at(ys, p, q)))
         for s, (xs, ys) in sorted(st.numerators[half].items())
     ]
-    return points, st.denominator * sum(map(mul, _HALF_COS_SIN[half][0], basis))
+    return points, st.denominator * roots.value_at(_HALF_COS_SIN[half][0], p, q)
 
 
 def positions_at(motion: Motion, stage: int, t: Fraction) -> Dict[int, Point]:
@@ -502,7 +502,7 @@ def _check_collisions(motion: Motion, stage_idx: int) -> None:
         (a0, a1, a2), (b0, b1, b2) = (list(p) + [0] * (3 - len(p)) for p in (dx, dy))
         if (a2 * b0 - a0 * b2) ** 2 != (a2 * b1 - a1 * b2) * (a1 * b0 - a0 * b1):
             continue
-        if roots.has_common_root_in(dx, dy, Fraction(half, 2), Fraction(half + 1, 2)):
+        if roots.has_common_root_in(dx, dy, *_HALVES[half]):
             raise CollisionError(f"strands {i} and {j} collide during stage {stage_idx}")
 
 
@@ -551,7 +551,7 @@ class _Wall:
 
 def _stage_walls(motion: Motion, stage_idx: int) -> List[_Wall]:
     walls: List[_Wall] = []
-    half_mark = Fraction(1, 2)
+    half_mark = _HALVES[0][1]
     # subset -> its polynomials with a root at t = 1/2, first half first
     mid: Dict[Tuple[int, ...], List[List[int]]] = {}
     for poly, d_lo, d_hi, subset in _stage_event_polys(motion, stage_idx):
@@ -566,7 +566,7 @@ def _stage_walls(motion: Motion, stage_idx: int) -> List[_Wall]:
         # distinct roots anyway
         work = poly
         for boundary in (d_lo, d_hi):
-            while len(work) >= 2 and roots._is_root(work, boundary):
+            while len(work) >= 2 and roots.is_root(work, boundary):
                 if boundary != half_mark:
                     raise DegeneracyError(
                         f"stage {stage_idx}: event exactly at a stage boundary"
@@ -593,8 +593,8 @@ def _stage_walls(motion: Motion, stage_idx: int) -> List[_Wall]:
         wall.crossing = tuple(
             subset
             for subset, p_lo, p_hi in wall.certs
-            if (roots._value(p_lo, lo.numerator, lo.denominator) > 0)
-            != (roots._value(p_hi, hi.numerator, hi.denominator) > 0)
+            if (roots.value_at(p_lo, lo.numerator, lo.denominator) > 0)
+            != (roots.value_at(p_hi, hi.numerator, hi.denominator) > 0)
         )
     return walls
 

@@ -69,7 +69,7 @@ def degree(coeffs: Coeffs) -> int:
     return len(coeffs) - 1
 
 
-def _value(coeffs: Coeffs, p: int, q: int) -> int:
+def value_at(coeffs: Coeffs, p: int, q: int) -> int:
     """q^d * f(p/q) for d = degree(f), by homogeneous Horner over Z."""
     acc, qk = 0, 1
     for c in reversed(coeffs):
@@ -78,14 +78,14 @@ def _value(coeffs: Coeffs, p: int, q: int) -> int:
     return acc
 
 
-def _is_root(coeffs: Coeffs, x: Fraction) -> bool:
-    return _value(coeffs, x.numerator, x.denominator) == 0
+def is_root(coeffs: Coeffs, x: Fraction) -> bool:
+    return value_at(coeffs, x.numerator, x.denominator) == 0
 
 
 def evaluate(coeffs: Sequence, x: Fraction) -> Fraction:
     if not coeffs:
         return Fraction(0)
-    return Fraction(_value(coeffs, x.numerator, x.denominator), x.denominator ** degree(coeffs))
+    return Fraction(value_at(coeffs, x.numerator, x.denominator), x.denominator ** degree(coeffs))
 
 
 def derivative(coeffs: Coeffs) -> Coeffs:
@@ -173,7 +173,7 @@ def sturm_chain(f: Sequence) -> List[Coeffs]:
 
 def _variations(chain: List[Coeffs], x: Fraction) -> int:
     p, q = x.numerator, x.denominator
-    signs = [v > 0 for v in (_value(poly, p, q) for poly in chain) if v]
+    signs = [v > 0 for v in (value_at(poly, p, q) for poly in chain) if v]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
@@ -189,12 +189,12 @@ _SPLIT_FRACTIONS = [Fraction(1, 2), Fraction(3, 7), Fraction(4, 7), Fraction(5, 
 def _split_point(f: Coeffs, lo: Fraction, hi: Fraction) -> Fraction:
     for frac in _SPLIT_FRACTIONS:
         mid = lo + (hi - lo) * frac
-        if not _is_root(f, mid):
+        if not is_root(f, mid):
             return mid
     k = 23
     while True:
         mid = lo + (hi - lo) * Fraction(11, k)
-        if not _is_root(f, mid):
+        if not is_root(f, mid):
             return mid
         k += 2
 
@@ -272,10 +272,10 @@ def refine_root(coeffs: Sequence, root: IsolatedRoot, width: Fraction) -> Isolat
     """
     f = normalize(coeffs)
     a, b, den = _grid(*root)
-    v_lo, v_hi = _value(f, a, den), _value(f, b, den)
+    v_lo, v_hi = value_at(f, a, den), value_at(f, b, den)
     if v_lo and v_hi and (v_lo > 0) == (v_hi > 0):
         f = squarefree_part(f)
-        v_lo, v_hi = _value(f, a, den), _value(f, b, den)
+        v_lo, v_hi = value_at(f, a, den), value_at(f, b, den)
     if v_lo == 0 or v_hi == 0:
         raise RootIsolationError("isolating interval endpoint is a root")
     positive = v_lo > 0
@@ -283,7 +283,7 @@ def refine_root(coeffs: Sequence, root: IsolatedRoot, width: Fraction) -> Isolat
     while (b - a) * wd >= wn * den:
         mid = a + b
         a, b, den = 2 * a, 2 * b, 2 * den
-        v = _value(f, mid, den)
+        v = value_at(f, mid, den)
         if v == 0:
             lo, hi, m = Fraction(a, den), Fraction(b, den), Fraction(mid, den)
             delta = min(width / 4, (hi - m) / 2, (m - lo) / 2)
@@ -343,7 +343,7 @@ def irrational_quadratic_cells(
     for j, positive in zip(cells, (coeffs[2] > 0, coeffs[2] < 0)):
         if 0 <= j < 1 << steps:
             left = (a << steps) + j * step
-            v_left, v_right = _value(coeffs, left, scale), _value(coeffs, left + step, scale)
+            v_left, v_right = value_at(coeffs, left, scale), value_at(coeffs, left + step, scale)
             # neither is 0, as no rational point is a root
             if (v_left > 0) != positive or (v_right > 0) == positive:
                 return None
@@ -356,7 +356,7 @@ def count_roots_closed(coeffs: Sequence, lo: Fraction, hi: Fraction) -> int:
     f = squarefree_part(coeffs)
     count = 0
     for x in {lo, hi}:  # a squarefree f has each endpoint as a simple root at most
-        if degree(f) >= 1 and _is_root(f, x):
+        if degree(f) >= 1 and is_root(f, x):
             f = deflate_at(f, x)
             count += 1
     if degree(f) >= 1:

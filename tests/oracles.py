@@ -694,3 +694,38 @@ def evaluate(f, point):
         coeff * math.prod(point[name] ** e for name, e in zip(f.vars, exps))
         for exps, coeff in f.terms.items()
     )
+
+
+# -- the Artin action of braids on the free group ------------------------------
+
+
+def free_reduce(word):
+    """A word of F_n, nonzero ints with -k for the inverse of x_k, with
+    every adjacent pair g g^-1 cancelled."""
+    out = []
+    for g in word:
+        if out and out[-1] == -g:
+            out.pop()
+        else:
+            out.append(g)
+    return tuple(out)
+
+
+def artin_images(letters, n):
+    """The images of x_1, ..., x_n under the Artin action of the braid word
+    ``letters`` ((index, sign) pairs), freely reduced.  sigma_i sends x_i
+    to x_i x_{i+1} x_i^-1 and x_{i+1} to x_i; sigma_i^-1 sends x_i to
+    x_{i+1} and x_{i+1} to x_{i+1}^-1 x_i x_{i+1}; other generators are
+    fixed.  The letters act in turn, each substituted into the images so
+    far.  The action is faithful (Artin 1925), so two words are the same
+    braid exactly when their images agree."""
+    images = tuple((k,) for k in range(1, n + 1))
+    for i, sign in letters:
+        step = {k: (k,) for k in range(1, n + 1)}
+        if sign == 1:
+            step[i], step[i + 1] = (i, i + 1, -i), (i,)
+        else:
+            step[i], step[i + 1] = (i + 1,), (-(i + 1), i, i + 1)
+        step.update({-k: tuple(-g for g in reversed(w)) for k, w in step.items()})
+        images = tuple(free_reduce([h for g in image for h in step[g]]) for image in images)
+    return images

@@ -329,21 +329,39 @@ def test_monomial_is_the_generic_constructor_packed_directly():
     assert (monomial(names, (1, 0, 0)) + 7).constant_coeff() == 7
 
 
-def test_only_algebra_knows_the_packed_key_layout():
-    # the packed monomial keys are algebra's format: no other module imports
-    # an underscore name from it or reads a term map
+def _private(name):
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def test_no_module_reads_another_modules_private_names():
+    # a module owns its underscore names: no other braidshear module imports
+    # one or reads one off the module, and only algebra reads a term map
+    # (packed monomial keys are algebra's format)
     src = Path(__file__).resolve().parents[1] / "src" / "braidshear"
     breaches = []
     for path in sorted(src.glob("*.py")):
-        if path.name == "algebra.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.ImportFrom) and node.module == "braidshear.algebra":
-                breaches += [
-                    f"{path.name}:{node.lineno} imports {a.name}"
-                    for a in node.names
-                    if a.name.startswith("_")
-                ]
-            elif isinstance(node, ast.Attribute) and node.attr == "_packed":
-                breaches.append(f"{path.name}:{node.lineno} reads _packed")
+        own = "braidshear" if path.stem == "__init__" else f"braidshear.{path.stem}"
+        tree = ast.parse(path.read_text(), str(path))
+        modules = {}  # local name -> the braidshear module bound to it
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules.update((a.asname or a.name, a.name) for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module == "braidshear":
+                modules.update((a.asname or a.name, f"braidshear.{a.name}") for a in node.names)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                module = "braidshear" + (f".{node.module}" if node.module else "")
+                module = module if node.level else node.module
+                if module.split(".")[0] == "braidshear" and module != own:
+                    breaches += [
+                        f"{path.name}:{node.lineno} imports {module}.{a.name}"
+                        for a in node.names
+                        if _private(a.name)
+                    ]
+            elif isinstance(node, ast.Attribute):
+                owner = modules.get(ast.unparse(node.value), own)
+                if owner.split(".")[0] == "braidshear" and owner != own and _private(node.attr):
+                    breaches.append(f"{path.name}:{node.lineno} reads {owner}.{node.attr}")
+                elif node.attr == "_packed" and path.name != "algebra.py":
+                    breaches.append(f"{path.name}:{node.lineno} reads _packed")
     assert not breaches

@@ -44,12 +44,6 @@ def test_parse_error_carries_position():
     assert "s1" in err.value.expected
 
 
-def test_parse_infers_strand_count():
-    assert parse_braid("s2 s1").n == 3
-    with pytest.raises(BraidParseError):
-        parse_braid("")
-
-
 def test_parse_empty_word_with_n():
     word = parse_braid("", n=4)
     assert word.letters == ()
@@ -74,6 +68,8 @@ def test_slot_positions_on_flattened_parabola():
 def test_config_validation():
     with pytest.raises(ValueError):
         SlotConfig(1)
+    with pytest.raises(StrandCountError, match="needs at least 3 strands"):
+        SlotConfig(2)
     with pytest.raises(ValueError):
         SlotConfig(3, epsilon=Fraction(0))
     with pytest.raises(ValueError):
@@ -123,16 +119,16 @@ def test_empty_word_motion():
 
 
 def test_single_generator_transposition():
-    motion, perm = compile_motion(parse_braid("s1", n=2), SlotConfig(2))
+    motion, perm = compile_motion(parse_braid("s1", n=3), SlotConfig(3))
     assert len(motion.stages) == 1
-    assert perm == {1: 2, 2: 1}
+    assert perm == {1: 2, 2: 1, 3: 3}
     arcs = [t for t in motion.stages[0].trajectories.values() if isinstance(t, Arc)]
     assert len(arcs) == 2
     assert all(a.direction == 1 for a in arcs)
 
 
 def test_inverse_generator_turns_clockwise():
-    motion, _ = compile_motion(parse_braid("s1'", n=2), SlotConfig(2))
+    motion, _ = compile_motion(parse_braid("s1'", n=3), SlotConfig(3))
     arcs = [t for t in motion.stages[0].trajectories.values() if isinstance(t, Arc)]
     assert all(a.direction == -1 for a in arcs)
 

@@ -9,13 +9,20 @@ from hypothesis import strategies as st
 
 import braidshear.coordinates as coordinates
 from braidshear.algebra import Polynomial, RationalFunction
-from braidshear.braid import SlotConfig, compile_motion, initial_triangulation, parse_braid
+from braidshear.braid import (
+    MAX_STRANDS,
+    BraidWord,
+    SlotConfig,
+    StrandCountError,
+    compile_motion,
+    initial_triangulation,
+    parse_braid,
+)
 from braidshear.coordinates import (
     InternalInvariantError,
     LabelState,
     LabelSystem,
     ShearState,
-    StrandCountError,
     apply_flip,
     apply_ptolemy_flip,
     apply_shear_flip,
@@ -31,6 +38,7 @@ from braidshear.coordinates import (
 from braidshear.geometry import EdgeComplex
 from braidshear.kinetic import DegeneracyError, FlipEvent, augment, detect_flips
 from oracles import (
+    artin_images,
     ensemble_image,
     evaluate,
     interior_edges,
@@ -828,6 +836,98 @@ def test_shear_labels_are_the_ensemble_map_of_the_ptolemy_labels():
     assert flips > 24 * 20
 
 
+def test_ptolemy_labels_satisfy_the_separation_formula():
+    # Fomin and Zelevinsky IV, Cor. 6.3: run both rules along the same
+    # certified events; with C the final shear c-vectors as columns, the
+    # g-vectors are the columns of G = (C^-1)^T (Nakanishi and Zelevinsky
+    # 2012), and every final Ptolemy label at x is x^{g_j} F_j(y), with F_j
+    # the shear F-polynomial and y the ensemble image of x in the seed
+    rng = random.Random(30)
+    flips = 0
+    for _ in range(20):
+        n = rng.randint(4, 6)
+        text = " ".join(
+            f"s{rng.randint(1, n - 1)}" + ("'" if rng.random() < 0.5 else "")
+            for _ in range(rng.randint(3, 5))
+        )
+        cfg = SlotConfig(n)
+        tri0, _ = initial_triangulation(cfg)
+        motion, _ = compile_motion(parse_braid(text, n=n), cfg)
+        seed = augment(tri0)
+        edges = sorted(seed.edges())
+        x = {e: Fraction(rng.randint(1, 9)) for e in edges}
+        point = {edge_var_name(*e): v for e, v in x.items()}
+        y = {edge_var_name(*i): ensemble_image(x, seed, i) for i in edges}
+        ptolemy, shear = LabelState.seed(seed), ShearState.seed(seed)
+        for event in detect_flips(motion, tri0):
+            ptolemy = apply_flip(ptolemy, event.quad)
+            shear = apply_flip(shear, event.quad)
+            flips += 1
+        final = sorted(shear.complex.edges())
+        C = sp.Matrix([shear.c[j] for j in final]).T
+        assert C.det() in (1, -1), text
+        G = C.inv().T
+        for col, j in enumerate(final):
+            x_g = math.prod(x[i] ** int(G[row, col]) for row, i in enumerate(edges))
+            label = ptolemy.label(j)
+            value = Fraction(evaluate(label.num, point), evaluate(label.den, point))
+            assert value == x_g * evaluate(shear.F[j], y), (text, j)
+    assert flips > 20 * 20
+
+
+def _relation_pair(rng, n):
+    """Two letter lists on n >= 4 strands, one relation move apart: a braid
+    relation, a far commutation, or an inserted w w^-1."""
+    def letters(k):
+        return [(rng.randint(1, n - 1), rng.choice((1, -1))) for _ in range(k)]
+
+    move = rng.choice(("braid", "far", "cancel"))
+    if move == "braid":
+        i, s = rng.randint(1, n - 2), rng.choice((1, -1))
+        a, b = [(i, s), (i + 1, s), (i, s)], [(i + 1, s), (i, s), (i + 1, s)]
+    elif move == "far":
+        i = rng.randint(1, n - 3)
+        x, y = (i, rng.choice((1, -1))), (rng.randint(i + 2, n - 1), rng.choice((1, -1)))
+        a, b = [x, y], [y, x]
+    else:
+        w = letters(rng.randint(1, 2))
+        a, b = [], w + [(i, -s) for i, s in reversed(w)]
+    u, v = letters(rng.randint(0, 3)), letters(rng.randint(0, 3))
+    return u + a + v, u + b + v
+
+
+def test_t_agrees_with_the_artin_action_on_relation_moves_and_the_full_twist():
+    # the Artin action on F_n is faithful, so it decides which words are one
+    # braid: T must agree on them, and T also forgets the central full twist
+    for n in (4, 5):
+        # the oracle: inverse letters cancel and the braid relation holds,
+        # while a letter and a swapped pair of neighbours act nontrivially
+        identity = artin_images([], n)
+        for i in range(1, n):
+            assert artin_images([(i, 1), (i, -1)], n) == identity
+            assert artin_images([(i, -1), (i, 1)], n) == identity
+            assert artin_images([(i, 1)], n) != identity
+        for i in range(1, n - 1):
+            a, b = [(i, 1), (i + 1, 1), (i, 1)], [(i + 1, 1), (i, 1), (i + 1, 1)]
+            assert artin_images(a, n) == artin_images(b, n)
+            assert artin_images(a[:2], n) != artin_images(b[:2], n)
+    rng = random.Random(31)
+    for k in range(12):
+        n = 4 + k % 2
+        twist = [(i, 1) for i in range(1, n)] * n
+        wa, wb = _relation_pair(rng, n)
+        assert artin_images(wa, n) == artin_images(wb, n)
+        assert artin_images(twist + wa, n) == artin_images(wa + twist, n) != artin_images(wa, n)
+        for system in LabelSystem:
+            walls: dict = {}
+            ta, tb, tt = (
+                run_invariant(BraidWord(n, tuple(w)), SlotConfig(n), system, stage_walls=walls)
+                for w in (wa, wb, twist + wa)
+            )
+            assert invariants_equal(ta, tb), (tb.word, ta.word)
+            assert invariants_equal(ta, tt), ta.word
+
+
 def test_run_invariant_shear_matches_the_oracle_on_random_words():
     rng = random.Random(3)
     for _ in range(4):
@@ -890,13 +990,13 @@ def test_run_invariant_rejects_two_strands_like_the_cli():
 
 
 def test_run_invariant_rejects_more_than_max_strands_like_the_cli():
-    n = coordinates.MAX_STRANDS + 1
+    n = MAX_STRANDS + 1
     word = parse_braid("s1", n=n)
     for system in LabelSystem:
-        with pytest.raises(StrandCountError, match=f"at most {coordinates.MAX_STRANDS} strands"):
+        with pytest.raises(StrandCountError, match=f"at most {MAX_STRANDS} strands"):
             run_invariant(word, SlotConfig(n), system)
     # the largest accepted n still runs
-    assert coordinates.check_strand_count(coordinates.MAX_STRANDS) is None
+    assert SlotConfig(MAX_STRANDS).n == MAX_STRANDS
 
 
 def test_equal_shares_stage_walls_across_its_two_words(monkeypatch):

@@ -163,7 +163,7 @@ def _poly(ring: _Ring, packed: dict, p: Optional["Polynomial"] = None) -> "Polyn
     """A polynomial (``p``, or a new one) on a term map packed in ``ring``
     without zero coefficients."""
     p = object.__new__(Polynomial) if p is None else p
-    for slot, value in zip(Polynomial.__slots__, (ring, packed, None, None, None, None)):
+    for slot, value in zip(Polynomial.__slots__, (ring, packed, None, None)):
         _set(p, slot, value)
     return p
 
@@ -193,7 +193,7 @@ class Polynomial:
     coefficients.  The zero polynomial has no terms.
     """
 
-    __slots__ = ("_ring", "_packed", "_lead", "_vars", "_terms", "_hash")
+    __slots__ = ("_ring", "_packed", "_lead", "_vars")
 
     def __init__(self, variables: Iterable[str] = (), terms: Optional[Mapping[tuple, int]] = None):
         variables = tuple(variables)
@@ -250,14 +250,10 @@ class Polynomial:
 
     @property
     def terms(self) -> dict:
-        view = self._terms
-        if view is None:
-            ring = self._ring
-            mask = ring.mask
-            shifts = [ring.shifts[ring.index[name]] for name in self.vars]
-            view = {tuple(k >> s & mask for s in shifts): c for k, c in self._packed.items()}
-            _set(self, "_terms", view)
-        return view
+        ring = self._ring
+        mask = ring.mask
+        shifts = [ring.shifts[ring.index[name]] for name in self.vars]
+        return {tuple(k >> s & mask for s in shifts): c for k, c in self._packed.items()}
 
     @property
     def is_zero(self) -> bool:
@@ -321,11 +317,7 @@ class Polynomial:
         return len(a) == len(b) and self.vars == other.vars and self.terms == other.terms
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((self.vars, frozenset(self.terms.items())))
-            _set(self, "_hash", h)
-        return h
+        return hash((self.vars, frozenset(self.terms.items())))
 
     # -- arithmetic ----------------------------------------------------
 
@@ -618,7 +610,7 @@ class RationalFunction:
     no arithmetic: callers compute on ``num`` and ``den`` and construct.
     """
 
-    __slots__ = ("num", "den", "_hash")
+    __slots__ = ("num", "den")
 
     def __new__(cls, num: Polynomial, den: Optional[Polynomial] = None):
         """The canonical form of ``num/den``."""
@@ -660,7 +652,6 @@ class RationalFunction:
         obj = object.__new__(cls)
         _set(obj, "num", num)
         _set(obj, "den", den)
-        _set(obj, "_hash", None)
         return obj
 
     def __setattr__(self, name, value):
@@ -681,11 +672,7 @@ class RationalFunction:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((self.num, self.den))
-            _set(self, "_hash", h)
-        return h
+        return hash((self.num, self.den))
 
     def to_json(self) -> dict:
         return {"num": poly_to_str(self.num), "den": poly_to_str(self.den)}

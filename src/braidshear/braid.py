@@ -64,7 +64,10 @@ def parse_braid(text: str, n: int) -> BraidWord:
             raise BraidParseError(
                 f"unexpected token {text[pos]!r}", pos, "generator like s1, s1' or s1^-1"
             )
-        index = int(match.group(1))
+        try:
+            index = int(match.group(1))
+        except ValueError:  # more digits than int() converts
+            raise BraidParseError("generator index has too many digits", pos) from None
         if index == 0:
             raise BraidParseError("generator index must be at least 1", pos)
         sign = -1 if match.group(2) else 1

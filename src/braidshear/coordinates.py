@@ -107,7 +107,7 @@ class _SeparatedState:
     (see the module docstring).  A subclass gives ``_factors(j)``, the F's
     of the numerator and the denominator of label j."""
 
-    __slots__ = ("complex", "names", "c", "F", "_labels")
+    __slots__ = ("complex", "names", "c", "F")
 
     def __init__(
         self,
@@ -125,7 +125,6 @@ class _SeparatedState:
         self.names = names
         self.c = c
         self.F = F
-        self._labels: Dict[Edge, RationalFunction] = {}
         return self
 
     @classmethod
@@ -139,15 +138,12 @@ class _SeparatedState:
 
     def label(self, edge: Edge) -> RationalFunction:
         edge = _norm(edge)
-        value = self._labels.get(edge)
-        if value is None:
-            c = self.c[edge]
-            num, den = self._factors(edge)
-            value = self._labels[edge] = RationalFunction.from_factors(
-                [monomial(self.names, [max(x, 0) for x in c]), *num],
-                [monomial(self.names, [max(-x, 0) for x in c]), *den],
-            )
-        return value
+        c = self.c[edge]
+        num, den = self._factors(edge)
+        return RationalFunction.from_factors(
+            [monomial(self.names, [max(x, 0) for x in c]), *num],
+            [monomial(self.names, [max(-x, 0) for x in c]), *den],
+        )
 
     @property
     def labels(self) -> Dict[Edge, RationalFunction]:
@@ -178,23 +174,15 @@ class ShearState(_SeparatedState):
     __slots__ = ()
 
     def _factors(self, j: Edge) -> Tuple[List[Polynomial], List[Polynomial]]:
-        # the side after j in each of its triangles has b_ij = +1
+        # in the triangle of each direction (p, q) of j, with apex x, the
+        # side (q, x) follows j (b_ij = +1) and (x, p) precedes it
         num, den = [], []
-        for tri in self.complex.edge_triangles(j):
-            after, before = _neighbour_sides(tri, j)
-            num.append(self.F[after])
-            den.append(self.F[before])
+        for p, q in (j, j[::-1]):
+            x = self.complex.apex(p, q)
+            if x is not None:
+                num.append(self.F[_norm((q, x))])
+                den.append(self.F[_norm((x, p))])
         return num, den
-
-
-def _neighbour_sides(tri: Tuple[int, int, int], edge: Edge) -> Tuple[Edge, Edge]:
-    """The sides of a counterclockwise triangle that follow and precede
-    ``edge`` in its boundary order."""
-    a, b, c = tri
-    for p, q, x in ((a, b, c), (b, c, a), (c, a, b)):
-        if {p, q} == set(edge):
-            return _norm((q, x)), _norm((x, p))
-    raise InternalInvariantError(f"edge {edge} is not a side of {tri}")
 
 
 def _exchange(state, quad, c: Mapping[Edge, Tuple[int, ...]], c_new, alpha, P, beta, Q):
@@ -203,9 +191,9 @@ def _exchange(state, quad, c: Mapping[Edge, Tuple[int, ...]], c_new, alpha, P, b
     division, F'_k = (y^alpha prod_{j in P} F_j + y^beta prod_{j in Q} F_j) / F_k."""
     u, v, w, z = quad
     k, new = _norm((u, w)), _norm((v, z))
-    # the flip changes two keys: checking them keeps the keys the edge set
-    if k not in state.F or new in state.F:
-        raise InternalInvariantError(f"label data keys do not match the flip of {k}")
+    # the keys are the edges, so the flip, which rejects a quad whose
+    # diagonal k is not an edge or whose new diagonal is one, keeps them so
+    flipped = state.complex.flip(k, quad)
     F = dict(state.F)
     total = poly_product([monomial(state.names, alpha), *(F[j] for j in P)]) + poly_product(
         [monomial(state.names, beta), *(F[j] for j in Q)]
@@ -216,7 +204,7 @@ def _exchange(state, quad, c: Mapping[Edge, Tuple[int, ...]], c_new, alpha, P, b
     c = dict(c)
     del c[k]
     c[new] = tuple(c_new)
-    return object.__new__(type(state))._fill(state.complex.flip(k, quad), state.names, c, F)
+    return object.__new__(type(state))._fill(flipped, state.names, c, F)
 
 
 def apply_ptolemy_flip(state: LabelState, quad: Tuple[int, int, int, int]) -> LabelState:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
-from typing import Dict, Iterable, NamedTuple, Sequence, Tuple
+from typing import Dict, Iterable, NamedTuple, Optional, Sequence, Tuple
 
 
 class GeometryError(Exception):
@@ -68,23 +68,25 @@ class EdgeComplex:
     """Oriented triangle complex on integer vertex ids.
 
     Triangles are cyclic triples stored in a canonical rotation; each
-    directed edge belongs to at most one triangle, which makes quad
-    extraction and flips purely combinatorial.
+    directed edge belongs to at most one triangle, and the complex maps it
+    to that triangle's third vertex, its apex (the half-edge form of
+    Guibas and Stolfi, 1985), which makes quad extraction and flips purely
+    combinatorial.
     """
 
     __slots__ = ("triangles", "_dir")
 
     def __init__(self, triangles: Iterable[Tuple[int, int, int]]):
         canon = frozenset(_canonical(tuple(t)) for t in triangles)
-        directed: Dict[Tuple[int, int], Tuple[int, int, int]] = {}
+        directed: Dict[Tuple[int, int], int] = {}
         for tri in canon:
             a, b, c = tri
             if len({a, b, c}) != 3:
                 raise GeometryError(f"degenerate triangle {tri}")
-            for e in ((a, b), (b, c), (c, a)):
-                if e in directed:
-                    raise GeometryError(f"directed edge {e} used twice")
-                directed[e] = tri
+            for p, q, x in ((a, b, c), (b, c, a), (c, a, b)):
+                if (p, q) in directed:
+                    raise GeometryError(f"directed edge {(p, q)} used twice")
+                directed[p, q] = x
         object.__setattr__(self, "triangles", canon)
         object.__setattr__(self, "_dir", directed)
 
@@ -113,31 +115,21 @@ class EdgeComplex:
         a, b = edge
         return (a, b) in self._dir or (b, a) in self._dir
 
-    def edge_triangles(self, edge: Tuple[int, int]) -> Tuple[Tuple[int, int, int], ...]:
-        a, b = edge
-        out = []
-        for e in ((a, b), (b, a)):
-            tri = self._dir.get(e)
-            if tri is not None:
-                out.append(tri)
-        if not out:
-            raise MissingEdgeError(f"no edge {tuple(sorted(edge))}")
-        return tuple(out)
+    def apex(self, p: int, q: int) -> Optional[int]:
+        """The third vertex of the triangle that holds the directed edge
+        (p, q), or None if no triangle does."""
+        return self._dir.get((p, q))
 
     def quad_around(self, edge: Tuple[int, int]) -> Tuple[int, int, int, int]:
         """Quadrilateral (u, v, w, z) around an interior edge, in the
         complex's coherent (counterclockwise) order, with the edge = (u, w)
         and u the smaller id."""
-        a, b = edge
-        if not self.has_edge((a, b)):
-            raise MissingEdgeError(f"no edge {tuple(sorted(edge))}")
-        u, w = min(a, b), max(a, b)
-        right = self._dir.get((w, u))
-        left = self._dir.get((u, w))
-        if right is None or left is None:
+        u, w = sorted(edge)
+        v, z = self._dir.get((w, u)), self._dir.get((u, w))
+        if v is None and z is None:
+            raise MissingEdgeError(f"no edge {(u, w)}")
+        if v is None or z is None:
             raise HullEdgeError(f"edge {(u, w)} has one incident triangle")
-        v = next(x for x in right if x != u and x != w)
-        z = next(x for x in left if x != u and x != w)
         return (u, v, w, z)
 
     def flip(self, edge: Tuple[int, int], quad: Tuple[int, int, int, int]) -> "EdgeComplex":
@@ -148,21 +140,18 @@ class EdgeComplex:
             raise MissingEdgeError(f"quad {quad} does not match edge {edge}")
         if self.has_edge((v, z)):
             raise NonSimplicialFlipError(f"edge {(v, z)} already present")
-        old = {_canonical((u, v, w)), _canonical((u, w, z))}
-        if not old <= self.triangles:
+        if self._dir.get((w, u)) != v or self._dir.get((u, w)) != z:
             raise MissingEdgeError(f"quad {quad} not found in complex")
         left, right = _canonical((u, v, z)), _canonical((v, w, z))
-        new = (self.triangles - old) | {left, right}
+        new = (self.triangles - {_canonical((u, v, w)), _canonical((u, w, z))}) | {left, right}
         if v == z:
             return EdgeComplex(new)  # which reports the degenerate triangle
         # only the six directed edges of the quad change hands, and (v, z)
         # is new: the other diagonal is absent
         directed = dict(self._dir)
         del directed[w, u], directed[u, w]
-        for e in ((u, v), (v, z), (z, u)):
-            directed[e] = left
-        for e in ((v, w), (w, z), (z, v)):
-            directed[e] = right
+        directed[u, v], directed[v, z], directed[z, u] = z, u, v
+        directed[v, w], directed[w, z], directed[z, v] = z, v, w
         out = object.__new__(EdgeComplex)
         object.__setattr__(out, "triangles", new)
         object.__setattr__(out, "_dir", directed)

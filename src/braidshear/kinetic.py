@@ -719,11 +719,12 @@ def _certified_flips(current: EdgeComplex, wall: _Wall, stage_idx: int) -> List[
     flips = []
     for subset in wall.crossing:
         members = set(subset)
-        for edge in combinations(subset, 2):
-            if current.has_edge(edge) and set(quad := current.quad_around(edge)) == members:
+        for u, w in combinations(subset, 2):
+            quad = (u, current.apex(w, u), w, current.apex(u, w))
+            if set(quad) == members:
                 # not simplicial when the new diagonal is an edge already
                 if not current.has_edge(quad[1::2]):
-                    flips.append((edge, quad))
+                    flips.append(((u, w), quad))
                 break
     if len(flips) > 1:
         # nor when two flips add the same diagonal; on a generic motion

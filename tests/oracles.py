@@ -91,7 +91,9 @@ def hull_edges(complex_):
 
 def interior_edges(complex_):
     """The edges of a complex with two incident triangles, sorted."""
-    return sorted(e for e in complex_.edges() if len(complex_.edge_triangles(e)) == 2)
+    return sorted(
+        e for e in complex_.edges() if sum(set(e) < set(t) for t in complex_.triangles) == 2
+    )
 
 
 # -- Delaunay by brute force ------------------------------------------------
@@ -674,7 +676,7 @@ def exchange_column(complex_, j):
     """``{i: b_ij}`` on ``complex_``: +1 for each triangle of edge j in which
     side i follows j counterclockwise, -1 for each in which it precedes j."""
     column = {}
-    for a, b, c in complex_.edge_triangles(j):
+    for a, b, c in (t for t in complex_.triangles if set(j) < set(t)):
         for p, q, r in ((a, b, c), (b, c, a), (c, a, b)):
             if {p, q} == set(j):
                 after, before = _norm((q, r)), _norm((r, p))

@@ -333,10 +333,14 @@ def _private(name):
     return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
 
 
+# private attributes of one class that only its module may read
+_OWNED_ATTRS = {"_packed": "algebra.py", "_dir": "geometry.py"}
+
+
 def test_no_module_reads_another_modules_private_names():
     # a module owns its underscore names: no other braidshear module imports
-    # one or reads one off the module, and only algebra reads a term map
-    # (packed monomial keys are algebra's format)
+    # one or reads one off the module; only algebra reads a term map (packed
+    # monomial keys are algebra's format) and only geometry an apex map
     src = Path(__file__).resolve().parents[1] / "src" / "braidshear"
     breaches = []
     for path in sorted(src.glob("*.py")):
@@ -362,6 +366,6 @@ def test_no_module_reads_another_modules_private_names():
                 owner = modules.get(ast.unparse(node.value), own)
                 if owner.split(".")[0] == "braidshear" and owner != own and _private(node.attr):
                     breaches.append(f"{path.name}:{node.lineno} reads {owner}.{node.attr}")
-                elif node.attr == "_packed" and path.name != "algebra.py":
-                    breaches.append(f"{path.name}:{node.lineno} reads _packed")
+                elif _OWNED_ATTRS.get(node.attr, path.name) != path.name:
+                    breaches.append(f"{path.name}:{node.lineno} reads {node.attr}")
     assert not breaches

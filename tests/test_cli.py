@@ -304,6 +304,35 @@ def test_parse_error_exit_code(capsys):
     assert json.loads(err)["error"]["kind"] == "parse"
 
 
+def _diverge(event):
+    u, v, w, z = event.quad
+    return {
+        "quad-reversed": event._replace(quad=(u, z, w, v)),
+        "other-diagonal": event._replace(edge=tuple(sorted((v, z)))),
+        "vertex-outside": event._replace(quad=(u, 99, w, z)),
+    }
+
+
+@pytest.mark.parametrize("system", ["ptolemy", "shear"])
+@pytest.mark.parametrize("how", ["quad-reversed", "other-diagonal", "vertex-outside"])
+def test_a_diverged_event_is_an_internal_error(capsys, monkeypatch, system, how):
+    # run_invariant checks each event's quad against its own complex before
+    # a flip rule reads the quad's edges
+    from braidshear import coordinates
+
+    detect = coordinates.detect_flips
+
+    def diverged(*args, **kwargs):
+        events = detect(*args, **kwargs)
+        return [_diverge(events[0])[how], *events[1:]]
+
+    monkeypatch.setattr(coordinates, "detect_flips", diverged)
+    code, out, err = run(capsys, "invariant", "--n", "4", "--system", system, "s1")
+    assert code == 4 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"]["kind"] == "internal"
+
+
 def test_bad_rational_flag(capsys):
     code, _, err = run(
         capsys, "invariant", "--n", "3", "--system", "shear", "--epsilon", "0.5", "s1"
@@ -360,6 +389,31 @@ def test_bad_config_values_are_usage_errors(tmp_path, capsys, config):
     code, out, err = run(capsys, "invariant", "--system", "shear", "--config", str(cfg), "s1")
     assert code == 2 and out == ""
     assert json.loads(err)["error"]["kind"] == "usage"
+
+
+_LONG_INDEX = "s" + "1" * 5000  # past the digits int() converts
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["flips", "--n", "4", _LONG_INDEX], id="flips-index-past-int-digits"),
+        pytest.param(
+            ["invariant", "--n", "4", "--system", "shear", f"s1 {_LONG_INDEX}"],
+            id="invariant-index-past-int-digits",
+        ),
+        pytest.param(
+            ["equal", "--n", "4", "--system", "ptolemy", "s1", _LONG_INDEX],
+            id="equal-index-past-int-digits",
+        ),
+    ],
+)
+def test_generator_index_past_int_digits_is_a_parse_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["kind"] == "parse"
+    assert error["message"].endswith(f"(at position {argv[-1].index(_LONG_INDEX)})")
 
 
 # small integers only: a config n of thousands of strands is valid and runs

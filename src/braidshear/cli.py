@@ -159,14 +159,15 @@ def _parse_word(text: str, n: int):
 
 def _write_output(args, text: str) -> None:
     path = getattr(args, "out", None)
-    if path:
-        try:
+    try:
+        if path:
             with open(path, "w", encoding="utf-8") as handle:
                 handle.write(text)
-        except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
-            raise CliError(EXIT_PARSE, "usage", f"cannot write output {path}: {exc}")
-    else:
-        sys.stdout.write(text)
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+        raise CliError(EXIT_PARSE, "usage", f"cannot write output {path or '<stdout>'}: {exc}")
 
 
 def _run_invariant(
@@ -316,6 +317,9 @@ def main(argv=None) -> int:
         return EXIT_DEGENERACY
     except (InternalInvariantError, KineticError, GeometryError) as exc:
         _emit_error("internal", str(exc))
+        return EXIT_INTERNAL
+    except MemoryError:  # the unwound stack has freed what the run held
+        _emit_error("internal", "out of memory")
         return EXIT_INTERNAL
 
 

@@ -54,40 +54,27 @@ def point(x, y) -> Point:
     return Point(Fraction(x), Fraction(y))
 
 
-def _canonical(tri: Tuple[int, int, int]) -> Tuple[int, int, int]:
-    """Rotate a cyclic triple so the smallest id comes first."""
-    a, b, c = tri
-    if a <= b and a <= c:
-        return (a, b, c)
-    if b <= a and b <= c:
-        return (b, c, a)
-    return (c, a, b)
-
-
 class EdgeComplex:
     """Oriented triangle complex on integer vertex ids.
 
-    Triangles are cyclic triples stored in a canonical rotation; each
-    directed edge belongs to at most one triangle, and the complex maps it
-    to that triangle's third vertex, its apex (the half-edge form of
-    Guibas and Stolfi, 1985), which makes quad extraction and flips purely
-    combinatorial.
+    The complex is its apex map and nothing else: each directed edge
+    (p, q) belongs to at most one triangle, and the map sends it to that
+    triangle's third vertex, its apex (the half-edge form of Guibas and
+    Stolfi, 1985).  The triangles are read from the map, which makes quad
+    extraction and flips purely combinatorial.
     """
 
-    __slots__ = ("triangles", "_dir")
+    __slots__ = ("_dir",)
 
     def __init__(self, triangles: Iterable[Tuple[int, int, int]]):
-        canon = frozenset(_canonical(tuple(t)) for t in triangles)
         directed: Dict[Tuple[int, int], int] = {}
-        for tri in canon:
-            a, b, c = tri
+        for a, b, c in triangles:
             if len({a, b, c}) != 3:
-                raise GeometryError(f"degenerate triangle {tri}")
+                raise GeometryError(f"degenerate triangle {(a, b, c)}")
+            # a triangle given twice, in any rotation, maps its darts alike
             for p, q, x in ((a, b, c), (b, c, a), (c, a, b)):
-                if (p, q) in directed:
+                if directed.setdefault((p, q), x) != x:
                     raise GeometryError(f"directed edge {(p, q)} used twice")
-                directed[p, q] = x
-        object.__setattr__(self, "triangles", canon)
         object.__setattr__(self, "_dir", directed)
 
     def __setattr__(self, name, value):
@@ -96,10 +83,15 @@ class EdgeComplex:
     def __eq__(self, other) -> bool:
         if not isinstance(other, EdgeComplex):
             return NotImplemented
-        return self.triangles == other.triangles
+        return self._dir == other._dir
 
     def __hash__(self) -> int:
         return hash(self.triangles)
+
+    @property
+    def triangles(self) -> frozenset:
+        """The cyclic triples, each with its smallest id first."""
+        return frozenset((p, q, x) for (p, q), x in self._dir.items() if p < q and p < x)
 
     def same_triangles(self, other: "EdgeComplex") -> bool:
         """Equality of the underlying unoriented triangle sets."""
@@ -142,10 +134,8 @@ class EdgeComplex:
             raise NonSimplicialFlipError(f"edge {(v, z)} already present")
         if self._dir.get((w, u)) != v or self._dir.get((u, w)) != z:
             raise MissingEdgeError(f"quad {quad} not found in complex")
-        left, right = _canonical((u, v, z)), _canonical((v, w, z))
-        new = (self.triangles - {_canonical((u, v, w)), _canonical((u, w, z))}) | {left, right}
         if v == z:
-            return EdgeComplex(new)  # which reports the degenerate triangle
+            raise GeometryError(f"degenerate triangle {(u, v, z)}")
         # only the six directed edges of the quad change hands, and (v, z)
         # is new: the other diagonal is absent
         directed = dict(self._dir)
@@ -153,7 +143,6 @@ class EdgeComplex:
         directed[u, v], directed[v, z], directed[z, u] = z, u, v
         directed[v, w], directed[w, z], directed[z, v] = z, v, w
         out = object.__new__(EdgeComplex)
-        object.__setattr__(out, "triangles", new)
         object.__setattr__(out, "_dir", directed)
         return out
 

@@ -59,10 +59,10 @@ A stage's walls (event polynomials, separated brackets, certificates)
 depend only on its set of trajectories, so each distinct stage's walls are
 built once per ``detect_flips`` call, or once per memo a caller shares
 between calls (``equal`` shares one between its two words).  A repeat
-takes them with each certificate's strands relabeled by the trajectory
-they follow (a repeated braid letter), and then every wall is decided on
-the current complex as for a first occurrence, the stage-end check
-included.
+(a repeated braid letter) reads them through a strand map, which renames
+each crossing subset's strands by the trajectory they follow, and then
+every wall is decided on the current complex as for a first occurrence,
+the stage-end check included.
 
 Two detector backends share one contract: ``sturm`` is the certified
 detector above (complete); ``bisect`` samples a grid and bisects intervals
@@ -708,16 +708,19 @@ def _generic_complex_near(
     raise DegeneracyError(f"stage {stage_idx}: no generic sample near {t}")
 
 
-def _certified_flips(current: EdgeComplex, wall: _Wall, stage_idx: int) -> List[_Flip]:
+def _certified_flips(
+    current: EdgeComplex, crossing: Sequence[Tuple[int, ...]], stage_idx: int
+) -> List[_Flip]:
     """The ``(edge, quad)`` flips a wall makes on ``current``, sorted by
-    edge and decided by its certificates alone (see the module docstring).
+    edge and decided by its ``crossing`` subsets alone (see the module
+    docstring).
 
     Only the certificates' polynomials have a root in the bracket, so no
     other orient or incircle sign, and no other edge's legality, changes
     across it.
     """
     flips = []
-    for subset in wall.crossing:
+    for subset in crossing:
         members = set(subset)
         for u, w in combinations(subset, 2):
             quad = (u, current.apex(w, u), w, current.apex(u, w))
@@ -735,31 +738,6 @@ def _certified_flips(current: EdgeComplex, wall: _Wall, stage_idx: int) -> List[
         flips = sorted(flip for flip, diagonal in zip(flips, new) if new.count(diagonal) == 1)
         _check_disjoint(flips, stage_idx)
     return flips
-
-
-def _relabeled_walls(walls: List[_Wall], first: Stage, stage: Stage) -> List[_Wall]:
-    """``first``'s walls for a stage with the same trajectories, holding
-    what deciding them takes, the brackets and the crossing subsets: each
-    subset maps every strand of ``first`` to the strand of ``stage`` on the
-    same trajectory (the far vertex to itself)."""
-    strand_of = {traj: s for s, traj in stage.trajectories.items()}
-    sigma = {s: strand_of[traj] for s, traj in first.trajectories.items()}
-    sigma[FAR_VERTEX] = FAR_VERTEX
-    out = []
-    for w in walls:
-        crossing = tuple(tuple(sorted(sigma[v] for v in subset)) for subset in w.crossing)
-        out.append(_Wall(w.poly, w.lo, w.hi, w.exact, crossing=crossing))
-    return out
-
-
-def _detect_stage_sturm(
-    stage_idx: int, current: EdgeComplex, events: List[FlipEvent], walls: List[_Wall]
-) -> EdgeComplex:
-    for wall in walls:
-        for edge, quad in _certified_flips(current, wall, stage_idx):
-            current = current.flip(edge, quad)
-            events.append(FlipEvent(stage_idx, wall.lo, wall.hi, edge, quad))
-    return current
 
 
 def _detect_stage_bisect(
@@ -839,9 +817,20 @@ def detect_flips(
             walls, first = walls_of[key]
             if any(len(w.certs) > 1 for w in walls):
                 mismatch = DegeneracyError
+            sigma = None
             if first is not stage:
-                walls = _relabeled_walls(walls, first, stage)
-            current = _detect_stage_sturm(stage_idx, current, events, walls)
+                # each strand of the first occurrence to the strand of this
+                # stage on the same trajectory, the far vertex to itself
+                strand_of = {traj: s for s, traj in stage.trajectories.items()}
+                sigma = {s: strand_of[traj] for s, traj in first.trajectories.items()}
+                sigma[FAR_VERTEX] = FAR_VERTEX
+            for wall in walls:
+                crossing = wall.crossing
+                if sigma:
+                    crossing = [tuple(sorted(sigma[v] for v in subset)) for subset in crossing]
+                for edge, quad in _certified_flips(current, crossing, stage_idx):
+                    current = current.flip(edge, quad)
+                    events.append(FlipEvent(stage_idx, wall.lo, wall.hi, edge, quad))
         if not current.same_triangles(augmented_at(motion, stage_idx, Fraction(1))):
             raise mismatch(f"stage {stage_idx}: end complex mismatch")
     return events

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import hashlib
 import io
 import json
@@ -486,6 +487,42 @@ def test_bad_out_paths_end_in_exit_2_and_one_json_line(tmp_path, capsys, name):
     assert code == 2 and out == ""
     line, tail = err.split("\n")
     assert tail == "" and json.loads(line)["error"]["kind"] == "usage"
+
+
+_SMALL_RUNS = [
+    ["equal", "--n", "4", "--system", "ptolemy", "s1 s2 s1", "s2 s1 s2"],
+    ["invariant", "--n", "4", "--system", "ptolemy", "s1 s2"],
+]
+
+
+class _FullStdout(io.StringIO):
+    """Standard output on a full disk."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("argv", _SMALL_RUNS, ids=["equal", "invariant"])
+def test_a_failed_stdout_write_is_a_usage_error(capsys, monkeypatch, argv):
+    # like an unwritable --out, not the DIFFERENT of exit 1
+    monkeypatch.setattr(sys, "stdout", _FullStdout())
+    code = main(argv)
+    line, tail = capsys.readouterr().err.split("\n")
+    assert code == 2
+    assert tail == "" and json.loads(line)["error"]["kind"] == "usage"
+
+
+@pytest.mark.parametrize("argv", _SMALL_RUNS, ids=["equal", "invariant"])
+def test_memory_exhaustion_is_an_internal_error(capsys, monkeypatch, argv):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "run_invariant", exhausted)
+    code, out, err = run(capsys, *argv)
+    assert code == 4 and out == ""
+    line, tail = err.split("\n")
+    assert tail == ""
+    assert json.loads(line)["error"] == {"kind": "internal", "message": "out of memory"}
 
 
 def test_missing_n_is_usage_error(capsys):

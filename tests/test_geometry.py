@@ -333,6 +333,24 @@ def test_edge_complex_rejects_nonmanifold_input():
         EdgeComplex([(1, 2, 2)])
 
 
+def test_edge_complex_accepts_a_triangle_given_twice_in_any_rotation():
+    once = EdgeComplex([(1, 2, 3), (1, 3, 4)])
+    assert EdgeComplex([(1, 2, 3), (1, 3, 4), (3, 1, 2)]) == once
+    assert hash(EdgeComplex([(4, 1, 3), (2, 3, 1), (1, 3, 4)])) == hash(once)
+
+
+def test_edge_complex_reads_triangles_smallest_id_first():
+    complex_ = EdgeComplex([(3, 1, 2), (4, 1, 3), (5, 4, 3)])
+    assert complex_.triangles == {(1, 2, 3), (1, 3, 4), (3, 5, 4)}
+
+
+def test_flipping_a_pillow_is_a_degenerate_triangle():
+    # two triangles on one vertex triple: the other diagonal joins 3 to itself
+    pillow = EdgeComplex([(1, 2, 3), (2, 1, 3)])
+    with pytest.raises(GeometryError, match="degenerate triangle"):
+        flip(pillow, (1, 2))
+
+
 def counterclockwise(points, complex_) -> bool:
     """Whether every triangle of ``complex_`` turns counterclockwise on
     ``points``, a mapping from vertex id to ``Point``."""

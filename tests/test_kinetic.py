@@ -29,7 +29,6 @@ from braidshear.kinetic import (
     Stationary,
     _apply_transition,
     _certified_flips,
-    _relabeled_walls,
     _stage_walls,
     augment,
     augmented_at,
@@ -215,27 +214,26 @@ def test_replayed_stages_are_certified(n, text):
     assert {ev.stage for ev in events} == set(range(len(motion.stages)))
 
 
+class _NeverHit(dict):
+    """A wall memo that never hits: each stage builds its own walls."""
+
+    def __contains__(self, key):
+        return False
+
+
 @pytest.mark.parametrize("n", [4, 5])
 def test_reused_walls_equal_the_fresh_walls_of_each_repeat(n):
     rng = random.Random(1200 + n)
-
-    def key(wall):
-        return wall.lo, wall.hi, wall.exact, wall.crossing
-
     repeats = 0
     for _ in range(3):
         i = rng.randint(1, n - 2)
         letters = range(rng.randint(4, 6))
         word = [f"s{rng.choice([i, i + 1])}" + rng.choice(["", "'"]) for _ in letters]
-        motion, _ = swap_motion(n, " ".join(word))
-        first = {}
-        for k, stage in enumerate(motion.stages):
-            j = first.setdefault(frozenset(stage.trajectories.values()), k)
-            if j == k:
-                continue
-            reused = _relabeled_walls(_stage_walls(motion, j), motion.stages[j], stage)
-            assert [key(w) for w in reused] == [key(w) for w in _stage_walls(motion, k)], (word, k)
-            repeats += 1
+        motion, tri0 = swap_motion(n, " ".join(word))
+        keys = [frozenset(stage.trajectories.values()) for stage in motion.stages]
+        repeats += len(keys) - len(set(keys))
+        shared = detect_flips(motion, tri0, stage_walls={})
+        assert shared == detect_flips(motion, tri0, stage_walls=_NeverHit()), word
     assert repeats
 
 
@@ -497,7 +495,7 @@ def test_tangential_cocircularity_emits_no_flip(fallbacks):
     assert subset == (1, 2, 3, 4) and p_hi is poly and wall.crossing == ()
     assert wall.lo < Fraction(2, 3) < wall.hi
     assert roots.degree(roots.squarefree_part(poly)) < roots.degree(poly)
-    assert _certified_flips(augment(tri0), wall, 0) == []
+    assert _certified_flips(augment(tri0), wall.crossing, 0) == []
     assert detect_flips(motion, tri0) == [] == full_recompute_detect_flips(motion, tri0)
     assert fallbacks == []
 
@@ -506,7 +504,7 @@ def test_simple_cocircularity_root_emits_one_flip(fallbacks):
     motion, tri0 = single_stage(unit_circle_and(crossing_arc()))
     (wall,) = _stage_walls(motion, 0)
     assert wall.crossing == ((1, 2, 3, 4),)
-    assert _certified_flips(augment(tri0), wall, 0) == [((1, 2), (1, 3, 2, 4))]
+    assert _certified_flips(augment(tri0), wall.crossing, 0) == [((1, 2), (1, 3, 2, 4))]
     events = detect_flips(motion, tri0)
     assert events == [FlipEvent(0, wall.lo, wall.hi, (1, 2), (1, 3, 2, 4))]
     assert events == full_recompute_detect_flips(motion, tri0)
@@ -561,7 +559,7 @@ def test_three_strand_walls_are_decided_by_their_certificates(fallbacks):
     motion, tri0 = swap_motion(3, "s1")
     walls = _stage_walls(motion, 0)
     assert any(w.crossing for w in walls)
-    assert all(_certified_flips(augment(tri0), w, 0) == [] for w in walls)
+    assert all(_certified_flips(augment(tri0), w.crossing, 0) == [] for w in walls)
     assert detect_flips(motion, tri0) == [] == full_recompute_detect_flips(motion, tri0)
     assert fallbacks == []
 
@@ -578,7 +576,7 @@ def test_all_strands_collinear_at_once_flips_nothing(fallbacks):
     })
     walls = _stage_walls(motion, 0)
     assert [len(w.crossing) for w in walls] == [4, 4]
-    assert all(_certified_flips(augment(tri0), w, 0) == [] for w in walls)
+    assert all(_certified_flips(augment(tri0), w.crossing, 0) == [] for w in walls)
     assert detect_flips(motion, tri0) == [] == full_recompute_detect_flips(motion, tri0)
     assert fallbacks == []
 
@@ -676,10 +674,10 @@ def test_seeded_twin_motions_match_the_full_recompute(fallbacks):
 
 def test_simultaneous_certified_flips_sharing_a_triangle_are_degenerate():
     pentagon = augment(convex_polygon_complex([(1, 2, 3), (1, 3, 4), (1, 4, 5)]))
-    wall = kinetic._Wall(None, Fraction(1, 3), Fraction(1, 2), crossing=((1, 2, 3, 4), (1, 3, 4, 5)))
+    crossing = ((1, 2, 3, 4), (1, 3, 4, 5))
     message = "stage 2: simultaneous events at (1, 3) and (1, 4) share a triangle"
     with pytest.raises(DegeneracyError, match=re.escape(message)):
-        _certified_flips(pentagon, wall, 2)
+        _certified_flips(pentagon, crossing, 2)
 
 
 # -- replay ----------------------------------------------------------------

@@ -257,9 +257,10 @@ def augment(complex_: EdgeComplex) -> EdgeComplex:
     oriented coherently with the finite ones.  A boundary that is not one
     cycle repeats a directed edge to the far vertex, which ``EdgeComplex``
     rejects."""
-    darts = {e for a, b, c in complex_.triangles for e in ((a, b), (b, c), (c, a))}
+    triangles = complex_.triangles  # read from the apex map on each access
+    darts = {e for a, b, c in triangles for e in ((a, b), (b, c), (c, a))}
     far = [(b, a, FAR_VERTEX) for a, b in darts if (b, a) not in darts]
-    return EdgeComplex([*complex_.triangles, *far])
+    return EdgeComplex([*triangles, *far])
 
 
 def augmented_at(motion: Motion, stage: int, t: Fraction) -> EdgeComplex:

@@ -1,5 +1,4 @@
 import contextlib
-import errno
 import hashlib
 import io
 import json
@@ -495,21 +494,45 @@ _SMALL_RUNS = [
 ]
 
 
-class _FullStdout(io.StringIO):
-    """Standard output on a full disk."""
+def _closed_pipe():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    return write_end
 
-    def write(self, text):
-        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+_STDOUT_SINKS = {
+    "full-disk": lambda: os.open("/dev/full", os.O_WRONLY),
+    "closed-pipe": _closed_pipe,
+}
 
 
-@pytest.mark.parametrize("argv", _SMALL_RUNS, ids=["equal", "invariant"])
-def test_a_failed_stdout_write_is_a_usage_error(capsys, monkeypatch, argv):
-    # like an unwritable --out, not the DIFFERENT of exit 1
-    monkeypatch.setattr(sys, "stdout", _FullStdout())
-    code = main(argv)
-    line, tail = capsys.readouterr().err.split("\n")
-    assert code == 2
-    assert tail == "" and json.loads(line)["error"]["kind"] == "usage"
+@pytest.mark.parametrize("sink", sorted(_STDOUT_SINKS))
+@pytest.mark.parametrize(
+    "argv",
+    [*_SMALL_RUNS, ["flips", "--n", "4", "s1 s2"], ["verify-relations", "--system", "shear"]],
+    ids=["equal", "invariant", "flips", "verify-relations"],
+)
+def test_a_failed_stdout_write_is_a_usage_error(argv, sink):
+    # like an unwritable --out, not the DIFFERENT of exit 1; a real process
+    # with buffered standard output, so the interpreter's own flush at exit
+    # takes part
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    env.pop("PYTHONUNBUFFERED", None)
+    stdout = _STDOUT_SINKS[sink]()
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "braidshear.cli", *argv],
+            env=env,
+            stdout=stdout,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=120,
+        )
+    finally:
+        os.close(stdout)
+    assert proc.returncode == 2
+    (line,) = proc.stderr.splitlines()
+    assert json.loads(line)["error"]["kind"] == "usage"
 
 
 @pytest.mark.parametrize("argv", _SMALL_RUNS, ids=["equal", "invariant"])
